@@ -53,10 +53,6 @@ from .reductions import (
     transversal_is_valid,
 )
 
-THEOREMS = ("drisko", "general", "bgs", "extremal", "counting", "dichotomy",
-            "egz", "egz-extremal", "transversal", "sharpness")
-
-
 @dataclass
 class CampaignReport:
     theorem: str
@@ -80,24 +76,26 @@ class CampaignReport:
 def run_campaign(theorem: str, *, n: Optional[int] = None,
                  samples: Optional[int] = None, exhaustive: bool = False,
                  seed: int = 0, budget: int = DEFAULT_BUDGET) -> CampaignReport:
-    """Run the named campaign and return its report."""
-    if theorem not in THEOREMS:
+    """Run the named campaign and return its report.
+
+    ``n`` and ``samples`` default per campaign when None. A value below the
+    campaign's smallest meaningful one raises PreconditionError, and so does
+    a run that checks no instance at all.
+    """
+    if theorem not in _RUNNERS:
         raise PreconditionError(f"unknown theorem {theorem!r}; pick one of {THEOREMS}")
-    runner = {
-        "drisko": _run_drisko,
-        "general": _run_general,
-        "bgs": _run_bgs,
-        "extremal": _run_extremal,
-        "counting": _run_counting,
-        "dichotomy": _run_dichotomy,
-        "egz": _run_egz,
-        "egz-extremal": _run_egz_extremal,
-        "transversal": _run_transversal,
-        "sharpness": _run_sharpness,
-    }[theorem]
+    runner, default_n, min_n, default_samples = _RUNNERS[theorem]
+    n = default_n if n is None else n
+    samples = default_samples if samples is None else samples
+    if n < min_n:
+        raise PreconditionError(f"{theorem} needs n >= {min_n}, got {n}")
+    if samples is not None and samples < 1:
+        raise PreconditionError(f"samples must be positive, got {samples}")
     start = time.perf_counter()
     checked, violations, parameters = runner(n, samples, exhaustive, seed, budget)
     elapsed = time.perf_counter() - start
+    if checked == 0:
+        raise PreconditionError(f"{theorem} checked no instances")
     return CampaignReport(theorem, checked, violations, round(elapsed, 3),
                           seed, parameters)
 
@@ -108,53 +106,52 @@ def _seeds(seed: int, count: int) -> Iterator[int]:
         yield rng.getrandbits(63)
 
 
+def _uniform_families(n, count, samples, exhaustive, seed):
+    """Families of ``count`` size-n matchings on side n + 1: every multiset
+    of matchings when exhaustive, else ``samples`` seeded draws. Returns the
+    lazy stream and its report parameters."""
+    if exhaustive:
+        pool = enumerate_matchings(n, n + 1)
+        families = map(MatchingFamily,
+                       itertools.combinations_with_replacement(pool, count))
+        return families, {"n": n, "mode": "exhaustive", "side": n + 1}
+    families = (generate(GenSpec.family_uniform(n, count, n + 1, s))
+                for s in _seeds(seed, samples))
+    return families, {"n": n, "mode": "sampled", "samples": samples, "side": n + 1}
+
+
 def _run_drisko(n, samples, exhaustive, seed, budget):
     """Every family of 2n-1 matchings of size n has a rainbow matching of
     size n; witnesses are revalidated."""
-    n = n or 3
     checked = violations = 0
-    if exhaustive:
-        pool = enumerate_matchings(n, n + 1)
-        for members in itertools.combinations_with_replacement(pool, 2 * n - 1):
-            family = MatchingFamily(members)
-            found = find_rainbow_matching(family, n)
-            checked += 1
-            if found is None or len(found) != n or not rainbow_is_valid(found, family):
-                violations += 1
-        params = {"n": n, "mode": "exhaustive", "side": n + 1}
-    else:
-        samples = samples or 1000
-        for s in _seeds(seed, samples):
-            family = generate(GenSpec.family_uniform(n, 2 * n - 1, n + 1, s))
-            found = find_rainbow_matching(family, n)
-            checked += 1
-            if found is None or len(found) != n or not rainbow_is_valid(found, family):
-                violations += 1
-        params = {"n": n, "mode": "sampled", "samples": samples, "side": n + 1}
+    families, params = _uniform_families(n, 2 * n - 1, samples, exhaustive, seed)
+    for family in families:
+        found = find_rainbow_matching(family, n)
+        checked += 1
+        if found is None or len(found) != n or not rainbow_is_valid(found, family):
+            violations += 1
     return checked, violations, params
 
 
 def _run_sharpness(n, samples, exhaustive, seed, budget):
     """The canonical 2n-cycle family of 2n-2 matchings is infeasible at
     target n, per both the solver and the oracle."""
-    top = n or 6
     checked = violations = 0
-    for k in range(2, top + 1):
+    for k in range(2, n + 1):
         family = canonical_cycle_family(k)
         checked += 1
         if find_rainbow_matching(family, k) is not None:
             violations += 1
         if brute_rainbow(family, k, budget) is not None:
             violations += 1
-    return checked, violations, {"n_max": top}
+    return checked, violations, {"n_max": n}
 
 
 def _run_general(n, samples, exhaustive, seed, budget):
     """Mixed-size families: whenever the sorted-size threshold holds the
     solver must produce a rainbow matching of the target size; otherwise its
     feasibility verdict must match the brute-force oracle."""
-    samples = samples or 1000
-    max_size = n or 5
+    max_size = n
     checked = violations = 0
     rng = random.Random(seed)
     for _ in range(samples):
@@ -180,11 +177,9 @@ def _run_general(n, samples, exhaustive, seed, budget):
 def _run_bgs(n, samples, exhaustive, seed, budget):
     """Uniform families at the floor((k+2)n/(k+1)) - (k+1) member count have
     a rainbow matching of size n-k, for k in {1, 2}."""
-    top = n or 5
-    samples = samples or 200
     checked = violations = 0
     rng = random.Random(seed)
-    combos = [(nn, k) for k in (1, 2) for nn in range(2, top + 1)
+    combos = [(nn, k) for k in (1, 2) for nn in range(2, n + 1)
               if (k + 2) * nn // (k + 1) - (k + 1) >= 1 and nn - k >= 1]
     for _ in range(samples):
         nn, k = combos[rng.randrange(len(combos))]
@@ -198,14 +193,13 @@ def _run_bgs(n, samples, exhaustive, seed, budget):
         found = find_rainbow_matching(family, target)
         if found is None or len(found) != target or not rainbow_is_valid(found, family):
             violations += 1
-    return checked, violations, {"samples": samples, "n_max": top, "k": [1, 2]}
+    return checked, violations, {"samples": samples, "n_max": n, "k": [1, 2]}
 
 
 def _run_counting(n, samples, exhaustive, seed, budget):
     """Constructive reachability: the witness set is valid, lies inside the
     oracle's exact reachable set, and outnumbers the paths."""
-    samples = samples or 1000
-    max_inner = n or 6
+    max_inner = n
     checked = violations = 0
     rng = random.Random(seed)
     for _ in range(samples):
@@ -244,9 +238,8 @@ def _run_dichotomy(n, samples, exhaustive, seed, budget):
     """Multisets of exactly as many source-sink paths as inner nodes in use:
     exactly one of (regimented, oracle finds a multicolored source-sink path)
     holds, and verify_regimented_dichotomy agrees."""
-    top = n or 4
     checked = violations = 0
-    for inner in range(0, top + 1):
+    for inner in range(0, n + 1):
         pool = _all_simple_paths(inner)
         full = frozenset(range(inner))
         for multiset in itertools.combinations_with_replacement(pool, inner):
@@ -267,7 +260,7 @@ def _run_dichotomy(n, samples, exhaustive, seed, budget):
             elif isinstance(outcome, Regimentation) or not colored_path_conforms(
                     outcome, family):
                 violations += 1
-    return checked, violations, {"max_inner": top, "mode": "exhaustive"}
+    return checked, violations, {"max_inner": n, "mode": "exhaustive"}
 
 
 def _six_cycle_splits(side: int) -> list[tuple]:
@@ -309,56 +302,40 @@ def _check_classification(family: MatchingFamily, n: int, budget: int) -> bool:
 def _run_extremal(n, samples, exhaustive, seed, budget):
     """No-rainbow families of 2n-2 size-n matchings are exactly the split
     cycles; classify_family never falls through."""
-    n = n or 2
     checked = violations = 0
-    if exhaustive:
-        pool = enumerate_matchings(n, n + 1)
-        for members in itertools.combinations_with_replacement(pool, 2 * n - 2):
-            family = MatchingFamily(members)
-            checked += 1
-            if not _check_classification(family, n, budget):
-                violations += 1
-        params = {"n": n, "mode": "exhaustive", "side": n + 1}
-    else:
-        samples = samples or 1000
-        for s in _seeds(seed, samples):
-            family = generate(GenSpec.family_uniform(n, 2 * n - 2, n + 1, s))
-            checked += 1
-            if not _check_classification(family, n, budget):
-                violations += 1
+    families, params = _uniform_families(n, 2 * n - 2, samples, exhaustive, seed)
+    if not exhaustive:
+        params["cycle_sweep"] = n == 3
         if n == 3:
-            for even, odd in _six_cycle_splits(4):
-                for even_count in range(0, 5):
-                    members = (even,) * even_count + (odd,) * (4 - even_count)
-                    checked += 1
-                    if not _check_classification(MatchingFamily(members), n, budget):
-                        violations += 1
-        params = {"n": n, "mode": "sampled", "samples": samples, "side": n + 1,
-                  "cycle_sweep": n == 3}
+            families = itertools.chain(families, (
+                MatchingFamily((even,) * even_count + (odd,) * (4 - even_count))
+                for even, odd in _six_cycle_splits(4) for even_count in range(0, 5)))
+    for family in families:
+        checked += 1
+        if not _check_classification(family, n, budget):
+            violations += 1
     return checked, violations, params
 
 
 def _run_egz(n, samples, exhaustive, seed, budget):
     """Every multiset of 2n-1 residues mod n has a zero-sum sub-multiset of
     size n; witnesses are revalidated and feasibility matches the oracle."""
-    top = n or 6
     checked = violations = 0
-    ns = range(1, top + 1) if exhaustive else [top]
+    ns = range(1, n + 1) if exhaustive else [n]
     for k in ns:
         for multiset in enumerate_multisets(k, 2 * k - 1, budget):
             checked += 1
             witness = find_zero_sum_subset(multiset)
             if witness is None or brute_zero_sum(multiset, budget) is None:
                 violations += 1
-    return checked, violations, {"n_max": top, "mode": "exhaustive"}
+    return checked, violations, {"n_max": n, "mode": "exhaustive"}
 
 
 def _run_egz_extremal(n, samples, exhaustive, seed, budget):
     """Multisets of 2n-2 residues with no zero-sum sub-multiset are exactly
     the coprime-difference double piles."""
-    top = n or 6
     checked = violations = 0
-    ns = range(2, top + 1) if exhaustive else [top]
+    ns = range(2, n + 1) if exhaustive else [n]
     for k in ns:
         for multiset in enumerate_multisets(k, 2 * k - 2, budget):
             checked += 1
@@ -378,18 +355,16 @@ def _run_egz_extremal(n, samples, exhaustive, seed, budget):
                     violations += 1
             elif oracle_found is None:
                 violations += 1
-    return checked, violations, {"n_max": top, "mode": "exhaustive"}
+    return checked, violations, {"n_max": n, "mode": "exhaustive"}
 
 
 def _run_transversal(n, samples, exhaustive, seed, budget):
     """Row-distinct matrices with 2n-1 rows and n columns always have a full
     transversal satisfying all three distinctness constraints."""
-    top = n or 5
-    samples = samples or 1000
     checked = violations = 0
     rng = random.Random(seed)
     for _ in range(samples):
-        cols = rng.randint(1, top)
+        cols = rng.randint(1, n)
         symbols = cols + rng.randint(0, 2)
         spec = GenSpec.matrix(2 * cols - 1, cols, symbols, rng.getrandbits(63))
         matrix = generate(spec)
@@ -397,4 +372,20 @@ def _run_transversal(n, samples, exhaustive, seed, budget):
         checked += 1
         if found is None or not transversal_is_valid(matrix, found):
             violations += 1
-    return checked, violations, {"samples": samples, "n_max": top}
+    return checked, violations, {"samples": samples, "n_max": n}
+
+
+# name -> (runner, default n, smallest n, default samples or None when unused)
+_RUNNERS = {
+    "drisko": (_run_drisko, 3, 1, 1000),
+    "general": (_run_general, 5, 1, 1000),
+    "bgs": (_run_bgs, 5, 2, 200),
+    "extremal": (_run_extremal, 2, 2, 1000),
+    "counting": (_run_counting, 6, 1, 1000),
+    "dichotomy": (_run_dichotomy, 4, 0, None),
+    "egz": (_run_egz, 6, 1, None),
+    "egz-extremal": (_run_egz_extremal, 6, 2, None),
+    "transversal": (_run_transversal, 5, 1, 1000),
+    "sharpness": (_run_sharpness, 6, 2, None),
+}
+THEOREMS = tuple(_RUNNERS)

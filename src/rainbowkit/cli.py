@@ -87,6 +87,13 @@ def _parse_elements(raw: str, where: str) -> tuple[int, ...]:
         raise InputError(f"{where}: expected a comma-separated integer list, got {raw!r}")
 
 
+def _parse_counted(raw: str, where: str, count: int) -> tuple[int, ...]:
+    values = _parse_elements(raw, where)
+    if len(values) != count:
+        raise InputError(f"{where}: expected {count} comma-separated integers, got {raw!r}")
+    return values
+
+
 def _multiset_argument(args: argparse.Namespace) -> ResidueMultiset:
     if args.input:
         return jsonio.multiset_from_obj(_load(args.input))
@@ -166,7 +173,7 @@ def _generate_spec(args: argparse.Namespace):
             raise InputError("--canonical c2n needs --n")
         return jsonio.family_to_obj(canonical_cycle_family(args.n))
     if kind == "family_uniform":
-        n, m, side = _parse_elements(args.family_uniform, "--family-uniform")[:3]
+        n, m, side = _parse_counted(args.family_uniform, "--family-uniform", 3)
         return jsonio.family_to_obj(generate(GenSpec.family_uniform(n, m, side, args.seed)))
     if kind == "family_mixed":
         sizes = _parse_elements(args.family_mixed, "--family-mixed")
@@ -174,13 +181,13 @@ def _generate_spec(args: argparse.Namespace):
             raise InputError("--family-mixed needs --side")
         return jsonio.family_to_obj(generate(GenSpec.family_mixed(sizes, args.side, args.seed)))
     if kind == "network":
-        inner, groups, per_group = _parse_elements(args.network, "--network")[:3]
+        inner, groups, per_group = _parse_counted(args.network, "--network", 3)
         return jsonio.network_to_obj(generate(GenSpec.network(inner, groups, per_group, args.seed)))
     if kind == "multiset":
-        n, size = _parse_elements(args.multiset, "--multiset")[:2]
+        n, size = _parse_counted(args.multiset, "--multiset", 2)
         return jsonio.multiset_to_obj(generate(GenSpec.multiset(n, size, args.seed)))
     assert kind == "matrix"
-    m, n, symbols = _parse_elements(args.matrix, "--matrix")[:3]
+    m, n, symbols = _parse_counted(args.matrix, "--matrix", 3)
     return jsonio.matrix_to_obj(generate(GenSpec.matrix(m, n, symbols, args.seed)))
 
 

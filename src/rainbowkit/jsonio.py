@@ -77,10 +77,6 @@ def network_from_obj(obj: Any) -> PathGroupFamily:
         for j, raw_path in enumerate(raw_group):
             where = f"network[{i}][{j}]"
             _require(isinstance(raw_path, list), where, "expected an array of nodes")
-            for node in raw_path:
-                ok = node in ("s", "t") or (
-                    isinstance(node, int) and not isinstance(node, bool) and node >= 0)
-                _require(ok, where, f"bad node {node!r}")
             try:
                 paths.append(NetPath(tuple(raw_path)))
             except MalformedPathError as exc:

@@ -206,30 +206,62 @@ def colored_path_conforms(path: ColoredPath, family: PathGroupFamily) -> bool:
     return True
 
 
-def _contract_group(
-    paths: tuple[NetPath, ...], removed: set[NetNode]
-) -> tuple[tuple[NetPath, ...], dict[NetNode, tuple[NetPath, NetNode]]]:
-    """Contract ``{source} | removed`` into the source for one group.
+_Raw = tuple[tuple[NetNode, ...], tuple[int, ...]]
+_Groups = list[tuple[int, tuple[NetPath, ...]]]
 
-    Returns the contracted group (sorted, duplicates collapsed) plus a map
-    from the second node of each contracted path to the original path and the
-    node the new source replaced; that map is all a witness needs to undo the
+
+def _groups(family: PathGroupFamily) -> _Groups:
+    return [(c, g.paths) for c, g in enumerate(family.groups) if g.paths]
+
+
+def _edge_options(groups: _Groups) -> dict[NetNode, list[tuple[NetNode, int]]]:
+    """Every colored edge leaving each node, sorted by head then color."""
+    options: dict[NetNode, list[tuple[NetNode, int]]] = {}
+    for color, paths in groups:
+        for p in paths:
+            for u, v in p.edges:
+                options.setdefault(u, []).append((v, color))
+    for u in options:
+        options[u] = sorted(set(options[u]), key=lambda vc: (node_key(vc[0]), vc[1]))
+    return options
+
+
+def _contract(
+    groups: _Groups, removed: set[NetNode]
+) -> tuple[_Groups, dict[int, dict[NetNode, NetNode]]]:
+    """Contract ``{source} | removed`` into the source in every group.
+
+    Returns the contracted groups (each sorted, duplicates collapsed) plus,
+    per color, a map from the second node of each contracted path to the node
+    the new source replaced; that map is all a witness needs to undo the
     contraction. Keying by second node is exact: within a group, two
     contracted paths can only collide on the direct source-sink edge.
     """
-    starts: dict[NetNode, tuple[NetPath, NetNode]] = {}
-    images: list[NetPath] = []
-    for p in sorted(paths, key=NetPath.key):
-        last = max(i for i, v in enumerate(p.nodes) if v == SOURCE or v in removed)
-        image = NetPath((SOURCE,) + p.nodes[last + 1:])
-        z = image.nodes[1]
-        if z not in starts:
-            starts[z] = (p, p.nodes[last])
-            images.append(image)
-    return tuple(sorted(images, key=NetPath.key)), starts
+    contracted: _Groups = []
+    starts_by_color: dict[int, dict[NetNode, NetNode]] = {}
+    for color, paths in groups:
+        starts: dict[NetNode, NetNode] = {}
+        images: list[NetPath] = []
+        for p in sorted(paths, key=NetPath.key):
+            last = max(i for i, v in enumerate(p.nodes) if v == SOURCE or v in removed)
+            image = NetPath((SOURCE,) + p.nodes[last + 1:])
+            if image.nodes[1] not in starts:
+                starts[image.nodes[1]] = p.nodes[last]
+                images.append(image)
+        contracted.append((color, tuple(sorted(images, key=NetPath.key))))
+        starts_by_color[color] = starts
+    return contracted, starts_by_color
 
 
-_Raw = tuple[tuple[NetNode, ...], tuple[int, ...]]
+def _unwind(raw: _Raw, starts_by_color: dict[int, dict[NetNode, NetNode]],
+            pivot_color: int) -> _Raw:
+    """Undo one contraction: prepend the replaced source edge, colored by the
+    pivot group, unless the witness left from the source itself."""
+    nodes, colors = raw
+    replaced = starts_by_color[colors[0]][nodes[1]]
+    if replaced == SOURCE:
+        return raw
+    return ((SOURCE, replaced) + nodes[1:], (pivot_color,) + colors)
 
 
 def reachable_witness_set(family: PathGroupFamily) -> dict[NetNode, ColoredPath]:
@@ -250,7 +282,7 @@ def reachable_witness_set(family: PathGroupFamily) -> dict[NetNode, ColoredPath]
     restriction no bound is possible at all: the whole node set may be
     smaller than the family.
     """
-    groups = [(c, g.paths) for c, g in enumerate(family.groups) if g.paths]
+    groups = _groups(family)
     raw = _witnesses(groups)
     for color, paths in groups:
         for p in paths:
@@ -261,18 +293,10 @@ def reachable_witness_set(family: PathGroupFamily) -> dict[NetNode, ColoredPath]
     return {node: ColoredPath(nodes, colors) for node, (nodes, colors) in raw.items()}
 
 
-def _close_witnesses(
-    raw: dict[NetNode, _Raw], groups: list[tuple[int, tuple[NetPath, ...]]]
-) -> None:
+def _close_witnesses(raw: dict[NetNode, _Raw], groups: _Groups) -> None:
     """Grow the witness map to a fixpoint: extend any witness by one edge of
     any group it does not use yet. Each node keeps its first witness."""
-    options: dict[NetNode, list[tuple[NetNode, int]]] = {}
-    for color, paths in groups:
-        for p in paths:
-            for u, v in p.edges:
-                options.setdefault(u, []).append((v, color))
-    for u in options:
-        options[u] = sorted(set(options[u]), key=lambda vc: (node_key(vc[0]), vc[1]))
+    options = _edge_options(groups)
     queue = deque(sorted(raw, key=node_key))
     while queue:
         u = queue.popleft()
@@ -283,54 +307,22 @@ def _close_witnesses(
                 queue.append(v)
 
 
-def _witnesses(groups: list[tuple[int, tuple[NetPath, ...]]]) -> dict[NetNode, _Raw]:
+def _witnesses(groups: _Groups) -> dict[NetNode, _Raw]:
     if not groups:
         return {SOURCE: ((SOURCE,), ())}
     pivot_color, pivot_paths = groups[0]
-    rest = groups[1:]
     x_inner = sorted({p.nodes[1] for p in pivot_paths if p.nodes[1] != SINK})
-    has_direct = any(p.edge_count == 1 for p in pivot_paths)
-
-    if not x_inner:
-        # pivot holds only the direct source-sink edge
-        wit = dict(_witnesses(rest))
-        if SINK not in wit:
-            wit[SINK] = ((SOURCE, SINK), (pivot_color,))
-        return wit
-
-    removed = set(x_inner)
-    contracted: list[tuple[int, tuple[NetPath, ...]]] = []
-    starts_by_color: dict[int, dict[NetNode, tuple[NetPath, NetNode]]] = {}
-    for color, paths in rest:
-        images, starts = _contract_group(paths, removed)
-        contracted.append((color, images))
-        starts_by_color[color] = starts
-
-    sub = _witnesses(contracted)
+    contracted, starts_by_color = _contract(groups[1:], set(x_inner))
     wit: dict[NetNode, _Raw] = {SOURCE: ((SOURCE,), ())}
     for x in x_inner:
         wit[x] = ((SOURCE, x), (pivot_color,))
-    for node, (nodes, colors) in sub.items():
-        if node == SOURCE:
-            continue
-        _, replaced = starts_by_color[colors[0]][nodes[1]]
-        if replaced == SOURCE:
-            wit[node] = (nodes, colors)
-        else:
-            wit[node] = ((SOURCE, replaced) + nodes[1:], (pivot_color,) + colors)
-    if SINK not in wit:
-        if has_direct:
-            wit[SINK] = ((SOURCE, SINK), (pivot_color,))
-        else:
-            # a path of another group stepping from a contracted node straight
-            # to the sink yields a two-edge witness the recursion cannot see
-            for color, paths in rest:
-                hit = next(
-                    (p for p in sorted(paths, key=NetPath.key)
-                     if p.nodes[-2] in removed), None)
-                if hit is not None:
-                    wit[SINK] = ((SOURCE, hit.nodes[-2], SINK), (pivot_color, color))
-                    break
+    for node, raw in _witnesses(contracted).items():
+        if node != SOURCE:
+            wit[node] = _unwind(raw, starts_by_color, pivot_color)
+    # a path of a later group stepping from a contracted node straight to the
+    # sink became the direct edge there, so the recursion already holds it
+    if SINK not in wit and any(p.edge_count == 1 for p in pivot_paths):
+        wit[SINK] = ((SOURCE, SINK), (pivot_color,))
     return wit
 
 
@@ -352,9 +344,8 @@ def find_multicolored_st_path(
     if inner_count < used:
         raise PreconditionError(
             f"inner_count {inner_count} is below the {used} inner nodes in use")
-    groups = [(c, g.paths) for c, g in enumerate(family.groups) if g.paths]
     if family.total_paths > inner_count:
-        found = _contraction_st_path(groups)
+        found = _contraction_st_path(_groups(family))
         if found is None:
             raise GuaranteeViolation(
                 "more paths than inner nodes but no multicolored witness was built")
@@ -364,9 +355,7 @@ def find_multicolored_st_path(
     return None
 
 
-def _contraction_st_path(
-    groups: list[tuple[int, tuple[NetPath, ...]]]
-) -> Optional[_Raw]:
+def _contraction_st_path(groups: _Groups) -> Optional[_Raw]:
     if not groups:
         return None
     for color, paths in groups:
@@ -380,20 +369,9 @@ def _contraction_st_path(
                 return ((SOURCE, p.nodes[-2], SINK), (pivot_color, color))
     # no direct edges and no sink edges out of the contracted set anywhere, so
     # contracting loses no paths and the group sizes carry over exactly
-    contracted: list[tuple[int, tuple[NetPath, ...]]] = []
-    starts_by_color: dict[int, dict[NetNode, tuple[NetPath, NetNode]]] = {}
-    for color, paths in groups[1:]:
-        images, starts = _contract_group(paths, removed)
-        contracted.append((color, images))
-        starts_by_color[color] = starts
+    contracted, starts_by_color = _contract(groups[1:], removed)
     sub = _contraction_st_path(contracted)
-    if sub is None:
-        return None
-    nodes, colors = sub
-    _, replaced = starts_by_color[colors[0]][nodes[1]]
-    if replaced == SOURCE:
-        return (nodes, colors)
-    return ((SOURCE, replaced) + nodes[1:], (pivot_color,) + colors)
+    return None if sub is None else _unwind(sub, starts_by_color, pivot_color)
 
 
 def iter_multicolored_st_paths(family: PathGroupFamily) -> Iterator[ColoredPath]:
@@ -402,14 +380,7 @@ def iter_multicolored_st_paths(family: PathGroupFamily) -> Iterator[ColoredPath]
     Order: by node sequence under the source/inner/sink order, then by color
     sequence. Exhaustive backtracking; meant for small networks.
     """
-    options: dict[NetNode, list[tuple[NetNode, int]]] = {}
-    for color, group in enumerate(family.groups):
-        for p in group.paths:
-            for u, v in p.edges:
-                options.setdefault(u, []).append((v, color))
-    for u in options:
-        options[u] = sorted(set(options[u]), key=lambda vc: (node_key(vc[0]), vc[1]))
-
+    options = _edge_options(_groups(family))
     nodes: list[NetNode] = [SOURCE]
     colors: list[int] = []
     on_path: set[NetNode] = {SOURCE}

@@ -22,6 +22,7 @@ from .graph_core import (
     Vertex,
     augmenting_paths,
     rainbow_is_valid,
+    symmetric_difference_components,
 )
 from .network_paths import (
     SINK,
@@ -176,10 +177,7 @@ def _state_canonicalizer(
     family: MatchingFamily,
 ) -> Callable[[dict[int, Edge]], tuple[tuple[int, Edge], ...]]:
     """Quotient states by swapping colors that hold identical matchings."""
-    classes: dict[tuple[Edge, ...], list[int]] = {}
-    for color, member in enumerate(family):
-        classes.setdefault(member.key(), []).append(color)
-    class_list = list(classes.values())
+    class_list = list(_member_classes(family).values())
 
     def canon(assignment: dict[int, Edge]) -> tuple[tuple[int, Edge], ...]:
         out: list[tuple[int, Edge]] = []
@@ -189,6 +187,14 @@ def _state_canonicalizer(
         return tuple(sorted(out))
 
     return canon
+
+
+def _member_classes(family: MatchingFamily) -> dict[tuple[Edge, ...], list[int]]:
+    """The colors of each distinct member, keyed by its sorted edges."""
+    classes: dict[tuple[Edge, ...], list[int]] = {}
+    for color, member in enumerate(family):
+        classes.setdefault(member.key(), []).append(color)
+    return classes
 
 
 def _grow(state, target, canon, dead) -> Optional[RainbowMatching]:
@@ -330,51 +336,17 @@ def _uniform_even_family(family: MatchingFamily) -> int:
 
 
 def _cycle_split(family: MatchingFamily, n: int) -> Optional[ExtremalCycle]:
-    distinct: dict[tuple[Edge, ...], list[int]] = {}
-    for color, member in enumerate(family):
-        distinct.setdefault(member.key(), []).append(color)
-    if len(distinct) != 2:
+    classes = _member_classes(family)
+    if len(classes) != 2:
         return None
-    (key_a, cols_a), (key_b, cols_b) = sorted(distinct.items())
+    (key_a, cols_a), (key_b, cols_b) = sorted(classes.items())
     if len(cols_a) != n - 1 or len(cols_b) != n - 1:
         return None
-    edge_set = set(key_a) | set(key_b)
-    if len(edge_set) != 2 * n:
+    components = symmetric_difference_components(family[cols_a[0]], family[cols_b[0]])
+    # two size-n members split one cycle exactly when their union is a
+    # single cycle component, which then holds all 2n edges
+    if len(components) != 1 or not components[0].is_cycle:
         return None
-    cycle = _single_cycle(edge_set)
-    if cycle is None or len(cycle) != 2 * n:
-        return None
-    first_edge = _edge_between(cycle[0], cycle[1])
-    even, odd = (cols_a, cols_b) if first_edge in set(key_a) else (cols_b, cols_a)
-    return ExtremalCycle(cycle, frozenset(even), frozenset(odd))
-
-
-def _edge_between(u: Vertex, v: Vertex) -> Edge:
-    return Edge(u, v) if u.side is Side.LEFT else Edge(v, u)
-
-
-def _single_cycle(edges: set[Edge]) -> Optional[tuple[Vertex, ...]]:
-    """The vertex sequence of ``edges`` if they form one cycle, else None.
-
-    Canonical: starts at the smallest vertex and steps toward its smaller
-    neighbor.
-    """
-    adj: dict[Vertex, list[Vertex]] = {}
-    for e in edges:
-        adj.setdefault(e.left, []).append(e.right)
-        adj.setdefault(e.right, []).append(e.left)
-    if any(len(nbrs) != 2 for nbrs in adj.values()):
-        return None
-    start = min(adj)
-    verts = [start]
-    prev: Optional[Vertex] = None
-    cur = start
-    while True:
-        nxt = min(w for w in adj[cur] if w != prev)
-        if nxt == start:
-            break
-        verts.append(nxt)
-        prev, cur = cur, nxt
-    if len(verts) != len(adj):
-        return None
-    return tuple(verts)
+    cycle = components[0]
+    even, odd = (cols_a, cols_b) if cycle.edges[0] in key_a else (cols_b, cols_a)
+    return ExtremalCycle(cycle.vertices, frozenset(even), frozenset(odd))

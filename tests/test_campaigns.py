@@ -1,6 +1,7 @@
 import pytest
 
 from rainbowkit import PreconditionError
+from rainbowkit import campaigns
 from rainbowkit.campaigns import THEOREMS, run_campaign
 
 
@@ -29,6 +30,17 @@ class TestRunCampaign:
         obj = report.to_obj()
         assert set(obj) == {"theorem", "instances_checked", "violations",
                             "elapsed", "seed", "parameters"}
+
+    def test_zero_is_a_value_not_the_default(self):
+        report = run_campaign("dichotomy", n=0)
+        assert report.instances_checked == 1
+        assert report.parameters["max_inner"] == 0
+
+    def test_report_without_instances_refused(self, monkeypatch):
+        monkeypatch.setitem(campaigns._RUNNERS, "egz",
+                            (lambda *args: (0, 0, {}), 6, 1, None))
+        with pytest.raises(PreconditionError, match="no instances"):
+            run_campaign("egz")
 
     def test_every_name_has_a_runner(self):
         assert set(THEOREMS) == {

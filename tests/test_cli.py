@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from rainbowkit.cli import main
 
 
@@ -75,6 +77,21 @@ class TestVerify:
         assert code == 3
         assert "budget" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("drisko", "--n", "0", "--samples", "0"),
+        ("drisko", "--n", "2", "--samples", "0"),
+        ("egz", "--n", "0"),
+        ("dichotomy", "--n", "-1"),
+        ("sharpness", "--n", "1"),
+        ("bgs", "--n", "1"),
+        ("extremal", "--n", "1", "--exhaustive"),
+    ])
+    def test_out_of_range_parameters_exit_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_deterministic_report_modulo_elapsed(self, capsys):
         args = ("verify", "general", "--samples", "40", "--seed", "11")
         code1, out1, _ = run_cli(capsys, *args)
@@ -111,6 +128,19 @@ class TestGenerate:
             code, _, _ = run_cli(capsys, *solve_args, "--input", str(out_file))
             assert code in (0, 1)
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--family-uniform", "2,3"),
+        ("--family-uniform", "2,3,3,9"),
+        ("--network", "5"),
+        ("--multiset", "3"),
+        ("--matrix", "3,2"),
+    ])
+    def test_wrong_argument_count_exit_two(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "generate", flag, value)
+        assert code == 2
+        assert out == ""
+        assert f"{flag}: expected" in err
+
     def test_infeasible_spec_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "generate", "--family-uniform", "4,1,3")
         assert code == 2
@@ -139,6 +169,8 @@ class TestClassify:
         assert code == 0
         payload = json.loads(out)
         assert payload["verdict"] == "extremal-cycle"
+        assert payload["cycle"] == [["L", 0], ["R", 0], ["L", 1], ["R", 1],
+                                    ["L", 2], ["R", 2]]
         assert payload["even_colors"] == [0, 1]
         assert payload["odd_colors"] == [2, 3]
 

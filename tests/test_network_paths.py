@@ -85,6 +85,20 @@ class TestColoredPath:
         assert not colored_path_conforms(bad, fam)
 
 
+def _arbitrary_family(rng):
+    inner = rng.randint(0, 5)
+    groups = []
+    for _ in range(rng.randint(1, 4)):
+        group, used = [], set()
+        for _ in range(rng.randint(0, 3)):
+            interior = rng.sample(range(inner), rng.randint(0, min(3, inner)))
+            if used.isdisjoint(interior):
+                used.update(interior)
+                group.append(make_path(("s", *interior, "t")))
+        groups.append(group)
+    return build_family(groups)
+
+
 class TestReachableWitnessSet:
     def test_empty_family(self):
         wit = reachable_witness_set(build_family([]))
@@ -116,6 +130,20 @@ class TestReachableWitnessSet:
             for node, witness in wit.items():
                 assert colored_path_conforms(witness, fam)
                 assert node in exact
+        # arbitrary families: exits shared across groups, direct edges, and
+        # every group doubled half the time to pass the path-count threshold
+        for i in range(600):
+            fam = _arbitrary_family(rng)
+            if i % 2:
+                fam = PathGroupFamily(fam.groups + fam.groups)
+            wit = reachable_witness_set(fam)
+            exact = brute_mc_path(fam)
+            for node, witness in wit.items():
+                assert colored_path_conforms(witness, fam)
+                assert witness.target == node
+                assert node in exact
+            if fam.total_paths > len(fam.inner_nodes):
+                assert SINK in exact and SINK in wit
 
 
 class TestFindMulticoloredStPath:
@@ -136,6 +164,15 @@ class TestFindMulticoloredStPath:
         found = find_multicolored_st_path(fam, 2)
         assert found.nodes == (SOURCE, 1, SINK)
         assert found.colors == (1, 0)
+
+    def test_later_path_hopping_from_pivot_node_to_sink(self):
+        fam = build_family([[path("s", 0, 1, "t")], [path("s", 2, 0, "t")]])
+        found = find_multicolored_st_path(fam, 3)
+        assert found.nodes == (SOURCE, 0, SINK)
+        assert found.colors == (0, 1)
+        # contraction turns the hop into the second group's direct edge
+        sink = reachable_witness_set(fam)[SINK]
+        assert (sink.nodes, sink.colors) == ((SOURCE, 0, SINK), (0, 1))
 
     def test_inner_count_must_cover_used_nodes(self):
         fam = build_family([[path("s", 0, 1, "t")]])

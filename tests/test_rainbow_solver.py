@@ -217,6 +217,22 @@ class TestClassifyFamily:
         with pytest.raises(PreconditionError):
             classify_family(MatchingFamily((even3, even3, even3)))
 
+    def test_canonical_cycle_exact(self):
+        verdict = classify_family(canonical_cycle_family(3))
+        assert [repr(v) for v in verdict.cycle] == ["L0", "R0", "L1", "R1", "L2", "R2"]
+        assert verdict.even_colors == {0, 1}
+        assert verdict.odd_colors == {2, 3}
+
+    def test_relabelled_cycle_exact(self):
+        # the cycle starts at L1 and steps to its smaller neighbor R2, so its
+        # first edge belongs to the second member, not the first
+        a = validate_matching([edge(1, 5), edge(3, 0), edge(4, 2)])
+        b = validate_matching([edge(1, 2), edge(3, 5), edge(4, 0)])
+        verdict = classify_family(MatchingFamily((a, b, a, b)))
+        assert [repr(v) for v in verdict.cycle] == ["L1", "R2", "L4", "R0", "L3", "R5"]
+        assert verdict.even_colors == {1, 3}
+        assert verdict.odd_colors == {0, 2}
+
     def test_canonical_families_all_sizes(self):
         for n in range(2, 6):
             verdict = classify_family(canonical_cycle_family(n))
