@@ -12,7 +12,6 @@ from .errors import (
     InputError,
     MalformedPathError,
     NoUnrepresentedColors,
-    NotAugmentingError,
     OverlapError,
     PreconditionError,
     RainbowkitError,
@@ -28,7 +27,6 @@ from .graph_core import (
     RainbowMatching,
     Side,
     Vertex,
-    apply_augmentation,
     augmenting_paths,
     edge,
     rainbow_is_valid,

@@ -75,18 +75,31 @@ class CampaignReport:
 
 def run_campaign(theorem: str, *, n: Optional[int] = None,
                  samples: Optional[int] = None, exhaustive: bool = False,
-                 seed: int = 0, budget: int = DEFAULT_BUDGET) -> CampaignReport:
+                 seed: Optional[int] = None,
+                 budget: int = DEFAULT_BUDGET) -> CampaignReport:
     """Run the named campaign and return its report.
 
-    ``n`` and ``samples`` default per campaign when None. A value below the
-    campaign's smallest meaningful one raises PreconditionError, and so does
-    a run that checks no instance at all.
+    ``n`` and ``samples`` default per campaign when None, and ``seed``
+    defaults to 0. A value below the campaign's smallest meaningful one
+    raises PreconditionError, and so do a flag the run would not read
+    (``exhaustive`` for a campaign without that mode, ``samples`` or
+    ``seed`` for a run that draws nothing) and a run that checks no instance
+    at all.
     """
     if theorem not in _RUNNERS:
         raise PreconditionError(f"unknown theorem {theorem!r}; pick one of {THEOREMS}")
-    runner, default_n, min_n, default_samples = _RUNNERS[theorem]
+    runner, default_n, min_n, default_samples, has_exhaustive = _RUNNERS[theorem]
+    if exhaustive and not has_exhaustive:
+        raise PreconditionError(f"{theorem} has no exhaustive mode")
+    if default_samples is None or exhaustive:
+        run = f"exhaustive {theorem}" if exhaustive else theorem
+        for flag, value in (("samples", samples), ("seed", seed)):
+            if value is not None:
+                raise PreconditionError(
+                    f"{run} draws no random instances, so it ignores {flag}")
     n = default_n if n is None else n
     samples = default_samples if samples is None else samples
+    seed = 0 if seed is None else seed
     if n < min_n:
         raise PreconditionError(f"{theorem} needs n >= {min_n}, got {n}")
     if samples is not None and samples < 1:
@@ -375,17 +388,18 @@ def _run_transversal(n, samples, exhaustive, seed, budget):
     return checked, violations, {"samples": samples, "n_max": n}
 
 
-# name -> (runner, default n, smallest n, default samples or None when unused)
+# name -> (runner, default n, smallest n, default samples or None when the
+# campaign draws nothing, whether it has an exhaustive mode)
 _RUNNERS = {
-    "drisko": (_run_drisko, 3, 1, 1000),
-    "general": (_run_general, 5, 1, 1000),
-    "bgs": (_run_bgs, 5, 2, 200),
-    "extremal": (_run_extremal, 2, 2, 1000),
-    "counting": (_run_counting, 6, 1, 1000),
-    "dichotomy": (_run_dichotomy, 4, 0, None),
-    "egz": (_run_egz, 6, 1, None),
-    "egz-extremal": (_run_egz_extremal, 6, 2, None),
-    "transversal": (_run_transversal, 5, 1, 1000),
-    "sharpness": (_run_sharpness, 6, 2, None),
+    "drisko": (_run_drisko, 3, 1, 1000, True),
+    "general": (_run_general, 5, 1, 1000, False),
+    "bgs": (_run_bgs, 5, 2, 200, False),
+    "extremal": (_run_extremal, 2, 2, 1000, True),
+    "counting": (_run_counting, 6, 1, 1000, False),
+    "dichotomy": (_run_dichotomy, 4, 0, None, False),
+    "egz": (_run_egz, 6, 1, None, True),
+    "egz-extremal": (_run_egz_extremal, 6, 2, None, True),
+    "transversal": (_run_transversal, 5, 1, 1000, False),
+    "sharpness": (_run_sharpness, 6, 2, None, False),
 }
 THEOREMS = tuple(_RUNNERS)

@@ -30,9 +30,7 @@ from .errors import (
     BudgetExceeded,
     DichotomyViolation,
     GuaranteeViolation,
-    InfeasibleSpec,
     InputError,
-    PreconditionError,
     RainbowkitError,
     TheoremViolation,
 )
@@ -99,10 +97,7 @@ def _multiset_argument(args: argparse.Namespace) -> ResidueMultiset:
         return jsonio.multiset_from_obj(_load(args.input))
     if args.n is None or args.elements is None:
         raise InputError("need either --input or both --n and --elements")
-    try:
-        return ResidueMultiset(args.n, _parse_elements(args.elements, "--elements"))
-    except PreconditionError as exc:
-        raise InputError(str(exc))
+    return ResidueMultiset(args.n, _parse_elements(args.elements, "--elements"))
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -206,19 +201,11 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     if args.kind == "family":
         if not args.input:
             raise InputError("classify family needs --input")
-        family = jsonio.family_from_obj(_load(args.input))
-        try:
-            verdict = classify_family(family)
-        except PreconditionError as exc:
-            raise InputError(str(exc))
+        verdict = classify_family(jsonio.family_from_obj(_load(args.input)))
         _emit(jsonio.family_classification_to_obj(verdict))
         return EXIT_OK
     assert args.kind == "multiset"
-    multiset = _multiset_argument(args)
-    try:
-        verdict = classify_multiset(multiset)
-    except PreconditionError as exc:
-        raise InputError(str(exc))
+    verdict = classify_multiset(_multiset_argument(args))
     _emit(jsonio.multiset_classification_to_obj(verdict))
     return EXIT_OK
 
@@ -243,7 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--samples", type=int, help="Number of random instances.")
     verify.add_argument("--exhaustive", action="store_true",
                         help="Enumerate the whole instance space instead of sampling.")
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--seed", type=int, help="Seed of the random instances (default 0).")
 
     gen = sub.add_parser("generate", help="Write an instance file.")
     gen.add_argument("--canonical", help="Named instance; c2n is the split-cycle family.")
@@ -276,9 +263,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (InputError, InfeasibleSpec, PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except BudgetExceeded as exc:
         print(f"budget: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -17,10 +17,6 @@ class OverlapError(RainbowkitError):
         self.vertex = vertex
 
 
-class NotAugmentingError(RainbowkitError):
-    """A path failed the augmenting-path predicate."""
-
-
 class MalformedPathError(RainbowkitError):
     """A node sequence is not a valid source-to-sink path."""
 

@@ -5,9 +5,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping
 
-from .errors import NotAugmentingError, OverlapError
+from .errors import OverlapError
 
 
 class Side(IntEnum):
@@ -81,9 +81,6 @@ class Matching:
     @property
     def vertices(self) -> frozenset[Vertex]:
         return frozenset(v for e in self.edges for v in e.vertices)
-
-    def covers(self, vertex: Vertex) -> bool:
-        return any(vertex in e.vertices for e in self.edges)
 
     def key(self) -> tuple[Edge, ...]:
         """Canonical sort key: the edges in ascending order."""
@@ -181,7 +178,6 @@ class AlternatingPath:
 
     vertices: tuple[Vertex, ...]
     edges: tuple[Edge, ...]
-    base: Matching
 
 
 def symmetric_difference_components(g: Matching, h: Matching) -> tuple[Component, ...]:
@@ -194,55 +190,46 @@ def symmetric_difference_components(g: Matching, h: Matching) -> tuple[Component
     their smallest vertex and step toward its smaller neighbor, and the
     components are ordered by smallest vertex.
     """
-    union = g.edges | h.edges
-    adj: dict[Vertex, list[Vertex]] = {}
-    edge_at: dict[tuple[Vertex, Vertex], Edge] = {}
-    for e in union:
-        adj.setdefault(e.left, []).append(e.right)
-        adj.setdefault(e.right, []).append(e.left)
-        edge_at[(e.left, e.right)] = e
-        edge_at[(e.right, e.left)] = e
-    for v in adj:
-        adj[v].sort()
+    steps: dict[Vertex, list[tuple[Vertex, Edge]]] = {}
+    for e in g.edges | h.edges:
+        steps.setdefault(e.left, []).append((e.right, e))
+        steps.setdefault(e.right, []).append((e.left, e))
 
     seen: set[Vertex] = set()
     components: list[Component] = []
-    for start in sorted(adj):
+    for start in sorted(steps):
         if start in seen:
             continue
-        members = _component_vertices(start, adj)
-        endpoints = sorted(v for v in members if len(adj[v]) == 1)
-        is_cycle = not endpoints
-        first = min(members) if is_cycle else endpoints[0]
-        verts: list[Vertex] = [first]
-        edges_out: list[Edge] = []
-        prev: Optional[Vertex] = None
-        cur = first
-        while True:
-            nexts = [w for w in adj[cur] if w != prev]
-            if not nexts:
-                break
-            nxt = nexts[0]
-            edges_out.append(edge_at[(cur, nxt)])
-            if is_cycle and nxt == first:
-                break
-            verts.append(nxt)
-            prev, cur = cur, nxt
-        seen.update(members)
-        components.append(Component(tuple(verts), tuple(edges_out), is_cycle))
+        # start is the smallest vertex of its component
+        verts, edges, closed = _walk(start, min(steps[start]), steps)
+        if not closed and len(steps[start]) == 2:
+            # start lies inside a path: walk it again from the end reached
+            end = verts[-1]
+            verts, edges, _ = _walk(end, steps[end][0], steps)
+            if verts[-1] < end:
+                verts.reverse()
+                edges.reverse()
+        seen.update(verts)
+        components.append(Component(tuple(verts), tuple(edges), closed))
     return tuple(components)
 
 
-def _component_vertices(start: Vertex, adj: dict[Vertex, list[Vertex]]) -> set[Vertex]:
-    out = {start}
-    frontier = [start]
-    while frontier:
-        v = frontier.pop()
-        for w in adj[v]:
-            if w not in out:
-                out.add(w)
-                frontier.append(w)
-    return out
+def _walk(
+    start: Vertex, step: tuple[Vertex, Edge], steps: dict[Vertex, list[tuple[Vertex, Edge]]]
+) -> tuple[list[Vertex], list[Edge], bool]:
+    """Follow the union from ``start`` along ``step`` until it returns to
+    ``start`` (closed) or reaches a vertex with one edge."""
+    cur, e = step
+    verts, edges = [start], [e]
+    while cur != start:
+        verts.append(cur)
+        out = steps[cur]
+        if len(out) == 1:
+            return verts, edges, False
+        # the step back to where we came from holds this very Edge object
+        cur, e = out[0] if out[1][1] is e else out[1]
+        edges.append(e)
+    return verts, edges, True
 
 
 def augmenting_paths(base: Matching, other: Matching) -> tuple[AlternatingPath, ...]:
@@ -259,34 +246,6 @@ def augmenting_paths(base: Matching, other: Matching) -> tuple[AlternatingPath, 
             continue
         if comp.vertices[0] in matched or comp.vertices[-1] in matched:
             continue
-        paths.append(AlternatingPath(comp.vertices, comp.edges, base))
+        paths.append(AlternatingPath(comp.vertices, comp.edges))
     return tuple(paths)
 
-
-def _augmenting_defect(base: Matching, path: AlternatingPath) -> Optional[str]:
-    verts, edges = path.vertices, path.edges
-    if len(verts) < 2 or len(edges) != len(verts) - 1:
-        return "not a path"
-    if len(set(verts)) != len(verts):
-        return "repeated vertex"
-    for i, e in enumerate(edges):
-        if set(e.vertices) != {verts[i], verts[i + 1]}:
-            return "edges do not follow the vertex order"
-        if (e in base) != (i % 2 == 1):
-            return "edges do not alternate around the base matching"
-    if base.covers(verts[0]) or base.covers(verts[-1]):
-        return "an endpoint is already matched"
-    return None
-
-
-def apply_augmentation(base: Matching, path: AlternatingPath) -> Matching:
-    """Swap the base edges along an augmenting path, growing the matching by one.
-
-    Raises NotAugmentingError when ``path`` is not augmenting for ``base``.
-    """
-    defect = _augmenting_defect(base, path)
-    if defect is not None:
-        raise NotAugmentingError(defect)
-    result = Matching(base.edges ^ frozenset(path.edges))
-    assert len(result) == len(base) + 1
-    return result

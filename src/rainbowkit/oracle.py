@@ -298,10 +298,6 @@ def _gen_network(rng: random.Random, inner: int, groups: int,
             prefix_len = rng.randint(0, min(2, len(pool)))
             interior = [pool.pop() for _ in range(prefix_len)] + [exits[taken]]
             taken += 1
-            member.append(make_net_path(interior))
+            member.append(NetPath((SOURCE, *interior, SINK)))
         raw.append(member)
     return build_family(raw)
-
-
-def make_net_path(interior: list[int]) -> NetPath:
-    return NetPath((SOURCE, *interior, SINK))

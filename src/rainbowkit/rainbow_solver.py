@@ -13,12 +13,10 @@ from .errors import (
     TheoremViolation,
 )
 from .graph_core import (
-    AlternatingPath,
     Edge,
     Matching,
     MatchingFamily,
     RainbowMatching,
-    Side,
     Vertex,
     augmenting_paths,
     rainbow_is_valid,
@@ -101,14 +99,14 @@ def build_contracted_network(
         direct: list[Edge] = []
         nets: list[NetPath] = []
         for alt in augmenting_paths(base, state.family[color]):
-            nodes, graph_edges = _translate(alt, node_of)
-            if len(nodes) == 2:
-                direct.append(graph_edges[0])
+            # augmenting paths start at their left endpoint, outside the matching
+            free = alt.edges[0::2]
+            if len(free) == 1:
+                direct.append(free[0])
                 continue
-            net = NetPath(nodes)
+            net = NetPath((SOURCE, *(node_of[e] for e in alt.edges[1::2]), SINK))
             nets.append(net)
-            for net_edge, graph_edge in zip(net.edges, graph_edges):
-                origin[net_edge] = graph_edge
+            origin.update(zip(net.edges, free))
         if direct:
             nets.append(NetPath((SOURCE, SINK)))
         if not nets:
@@ -122,19 +120,6 @@ def build_contracted_network(
     translation = NetworkTranslation(
         matched, tuple(colors), tuple(origins), tuple(directs))
     return family, len(matched), translation
-
-
-def _translate(
-    path: AlternatingPath, node_of: dict[Edge, int]
-) -> tuple[tuple[NetNode, ...], tuple[Edge, ...]]:
-    verts, edges = path.vertices, path.edges
-    if verts[0].side is Side.RIGHT:
-        verts = tuple(reversed(verts))
-        edges = tuple(reversed(edges))
-    free = edges[0::2]
-    through = edges[1::2]
-    nodes = (SOURCE,) + tuple(node_of[e] for e in through) + (SINK,)
-    return nodes, free
 
 
 def find_rainbow_matching(

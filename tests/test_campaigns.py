@@ -38,7 +38,7 @@ class TestRunCampaign:
 
     def test_report_without_instances_refused(self, monkeypatch):
         monkeypatch.setitem(campaigns._RUNNERS, "egz",
-                            (lambda *args: (0, 0, {}), 6, 1, None))
+                            (lambda *args: (0, 0, {}), 6, 1, None, True))
         with pytest.raises(PreconditionError, match="no instances"):
             run_campaign("egz")
 

@@ -85,6 +85,12 @@ class TestVerify:
         ("sharpness", "--n", "1"),
         ("bgs", "--n", "1"),
         ("extremal", "--n", "1", "--exhaustive"),
+        ("sharpness", "--n", "3", "--samples", "5"),
+        ("transversal", "--n", "2", "--exhaustive"),
+        ("egz", "--n", "3", "--seed", "9"),
+        ("drisko", "--n", "2", "--exhaustive", "--seed", "9"),
+        ("sharpness", "--n", "3", "--samples", "5", "--exhaustive", "--seed", "9"),
+        ("transversal", "--n", "2", "--samples", "5", "--exhaustive"),
     ])
     def test_out_of_range_parameters_exit_two(self, capsys, argv):
         code, out, err = run_cli(capsys, "verify", *argv)
@@ -180,3 +186,17 @@ class TestClassify:
         code, _, err = run_cli(capsys, "classify", "family", "--input", str(fixture))
         assert code == 2
         assert "2n-2" in err
+
+    def test_odd_member_count_is_input_error(self, tmp_path, capsys):
+        fixture = tmp_path / "odd.json"
+        fixture.write_text(json.dumps([[[0, 0], [1, 1]], [[0, 1], [1, 0]],
+                                       [[0, 0], [1, 1]]]))
+        code, out, err = run_cli(capsys, "classify", "family", "--input", str(fixture))
+        assert (code, out) == (2, "")
+        assert err == "error: need a non-empty family of 2n-2 members, got 3\n"
+
+    def test_short_multiset_is_input_error(self, capsys):
+        code, out, err = run_cli(capsys, "classify", "multiset", "--n", "3",
+                                 "--elements", "0,0")
+        assert (code, out) == (2, "")
+        assert err == "error: need exactly 4 elements, got 2\n"

@@ -3,14 +3,12 @@ import random
 import pytest
 
 from rainbowkit import (
-    AlternatingPath,
+    Component,
     Matching,
-    NotAugmentingError,
     OverlapError,
     RainbowMatching,
     Side,
     Vertex,
-    apply_augmentation,
     augmenting_paths,
     edge,
     symmetric_difference_components,
@@ -86,6 +84,50 @@ class TestComponents:
             Vertex(Side.LEFT, 1), Vertex(Side.RIGHT, 0),
             Vertex(Side.LEFT, 0), Vertex(Side.RIGHT, 1))
 
+    def test_every_kind_of_component_pinned(self):
+        # in order: a 4-cycle; a path whose smallest vertex L2 is interior and
+        # whose end reached first (R2, toward L2's smaller neighbor) is the
+        # larger one, so it is reversed; a path starting at its smallest vertex;
+        # a path whose smallest vertex L6 is interior but whose end reached
+        # first is the smaller one; an edge of both matchings; an edge of h only
+        g = validate_matching([edge(0, 0), edge(1, 1), edge(2, 2), edge(3, 3),
+                               edge(4, 4), edge(7, 6), edge(6, 7), edge(8, 8)])
+        h = validate_matching([edge(1, 0), edge(0, 1), edge(2, 3), edge(5, 4),
+                               edge(6, 6), edge(8, 8), edge(9, 9)])
+
+        def comp(verts, edges, is_cycle=False):
+            return Component(
+                tuple(Vertex(Side.LEFT if s == "L" else Side.RIGHT, i) for s, i in verts),
+                tuple(edge(*e) for e in edges), is_cycle)
+
+        assert symmetric_difference_components(g, h) == (
+            comp([("L", 0), ("R", 0), ("L", 1), ("R", 1)],
+                 [(0, 0), (1, 0), (1, 1), (0, 1)], is_cycle=True),
+            comp([("L", 3), ("R", 3), ("L", 2), ("R", 2)], [(3, 3), (2, 3), (2, 2)]),
+            comp([("L", 4), ("R", 4), ("L", 5)], [(4, 4), (5, 4)]),
+            comp([("L", 7), ("R", 6), ("L", 6), ("R", 7)], [(7, 6), (6, 6), (6, 7)]),
+            comp([("L", 8), ("R", 8)], [(8, 8)]),
+            comp([("L", 9), ("R", 9)], [(9, 9)]),
+        )
+        assert [p.vertices for p in augmenting_paths(g, h)] == [
+            (Vertex(Side.LEFT, 9), Vertex(Side.RIGHT, 9))]
+
+    def test_components_match_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(17)
+        for _ in range(500):
+            g = random_matching(rng, 6, rng.randint(0, 6))
+            h = random_matching(rng, 6, rng.randint(0, 6))
+            union = nx.Graph()
+            union.add_edges_from(e.vertices for e in g.edges | h.edges)
+            comps = symmetric_difference_components(g, h)
+            assert {frozenset(c.vertices) for c in comps} == {
+                frozenset(c) for c in nx.connected_components(union)}
+            for c in comps:
+                assert len(set(c.vertices)) == len(c.vertices)
+                cyclic = union.subgraph(c.vertices).number_of_edges() == len(c.vertices)
+                assert c.is_cycle == cyclic
+
     def test_partition_and_symmetry_properties(self):
         rng = random.Random(7)
         for _ in range(300):
@@ -132,34 +174,14 @@ class TestAugmentingPaths:
                 assert not seen & set(p.vertices)
                 seen |= set(p.vertices)
 
-
-class TestApplyAugmentation:
-    def test_single_edge(self):
-        base = validate_matching([])
-        path = AlternatingPath(
-            (Vertex(Side.LEFT, 0), Vertex(Side.RIGHT, 0)), (edge(0, 0),), base)
-        assert apply_augmentation(base, path) == validate_matching([edge(0, 0)])
-
-    def test_three_edge_swap(self):
-        base = validate_matching([edge(0, 0)])
-        path = augmenting_paths(
-            base, validate_matching([edge(0, 1), edge(1, 0)]))[0]
-        grown = apply_augmentation(base, path)
-        assert grown == validate_matching([edge(0, 1), edge(1, 0)])
-
-    def test_non_augmenting_rejected(self):
-        base = validate_matching([edge(0, 0)])
-        path = AlternatingPath(
-            (Vertex(Side.LEFT, 0), Vertex(Side.RIGHT, 0)), (edge(0, 0),), base)
-        with pytest.raises(NotAugmentingError):
-            apply_augmentation(base, path)
-
-    def test_growth_by_one_on_random_pairs(self):
+    def test_paths_join_free_vertices_and_grow_the_base(self):
         rng = random.Random(13)
         for _ in range(200):
             g = random_matching(rng, 6, rng.randint(0, 3))
             h = random_matching(rng, 6, rng.randint(0, 6))
             for p in augmenting_paths(g, h):
-                grown = apply_augmentation(g, p)
+                first, last = p.vertices[0], p.vertices[-1]
+                assert (first.side, last.side) == (Side.LEFT, Side.RIGHT)
+                assert first not in g.vertices and last not in g.vertices
+                grown = Matching(g.edges ^ set(p.edges))
                 assert len(grown) == len(g) + 1
-                assert isinstance(grown, Matching)
