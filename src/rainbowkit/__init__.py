@@ -20,7 +20,6 @@ from .errors import (
 )
 from .graph_core import (
     AlternatingPath,
-    Component,
     Edge,
     Matching,
     MatchingFamily,
@@ -30,7 +29,6 @@ from .graph_core import (
     augmenting_paths,
     edge,
     rainbow_is_valid,
-    symmetric_difference_components,
     validate_matching,
 )
 from .network_paths import (

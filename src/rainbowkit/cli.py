@@ -74,8 +74,12 @@ def _load(path: str) -> object:
             return json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text at byte {exc.start}: {exc.reason}")
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply")
 
 
 def _parse_elements(raw: str, where: str) -> tuple[int, ...]:
@@ -190,8 +194,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     obj = _generate_spec(args)
     text = json.dumps(obj, sort_keys=True)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc}")
     else:
         print(text)
     return EXIT_OK

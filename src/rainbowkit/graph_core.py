@@ -1,11 +1,11 @@
-"""Bipartite matching primitives: validation, unions of matchings, and
+"""Bipartite matching primitives: validation, rainbow matchings, and
 augmenting alternating paths."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import OverlapError
 
@@ -77,10 +77,6 @@ class Matching:
 
     def __contains__(self, item: object) -> bool:
         return item in self.edges
-
-    @property
-    def vertices(self) -> frozenset[Vertex]:
-        return frozenset(v for e in self.edges for v in e.vertices)
 
     def key(self) -> tuple[Edge, ...]:
         """Canonical sort key: the edges in ascending order."""
@@ -164,15 +160,6 @@ def rainbow_is_valid(rainbow: RainbowMatching, family: MatchingFamily) -> bool:
 
 
 @dataclass(frozen=True, slots=True)
-class Component:
-    """A path or cycle component of the union of two matchings."""
-
-    vertices: tuple[Vertex, ...]
-    edges: tuple[Edge, ...]
-    is_cycle: bool
-
-
-@dataclass(frozen=True, slots=True)
 class AlternatingPath:
     """A simple path whose edges alternate in and out of a base matching."""
 
@@ -180,72 +167,34 @@ class AlternatingPath:
     edges: tuple[Edge, ...]
 
 
-def symmetric_difference_components(g: Matching, h: Matching) -> tuple[Component, ...]:
-    """Split the union of two matchings into its path and cycle components.
-
-    Every vertex meets at most one edge of either matching, so each component
-    is a simple path or an even cycle alternating between the two matchings;
-    an edge shared by both matchings forms a one-edge path of its own. Output
-    is canonical: paths start at their smallest endpoint, cycles start at
-    their smallest vertex and step toward its smaller neighbor, and the
-    components are ordered by smallest vertex.
-    """
-    steps: dict[Vertex, list[tuple[Vertex, Edge]]] = {}
-    for e in g.edges | h.edges:
-        steps.setdefault(e.left, []).append((e.right, e))
-        steps.setdefault(e.right, []).append((e.left, e))
-
-    seen: set[Vertex] = set()
-    components: list[Component] = []
-    for start in sorted(steps):
-        if start in seen:
-            continue
-        # start is the smallest vertex of its component
-        verts, edges, closed = _walk(start, min(steps[start]), steps)
-        if not closed and len(steps[start]) == 2:
-            # start lies inside a path: walk it again from the end reached
-            end = verts[-1]
-            verts, edges, _ = _walk(end, steps[end][0], steps)
-            if verts[-1] < end:
-                verts.reverse()
-                edges.reverse()
-        seen.update(verts)
-        components.append(Component(tuple(verts), tuple(edges), closed))
-    return tuple(components)
-
-
-def _walk(
-    start: Vertex, step: tuple[Vertex, Edge], steps: dict[Vertex, list[tuple[Vertex, Edge]]]
-) -> tuple[list[Vertex], list[Edge], bool]:
-    """Follow the union from ``start`` along ``step`` until it returns to
-    ``start`` (closed) or reaches a vertex with one edge."""
-    cur, e = step
-    verts, edges = [start], [e]
-    while cur != start:
-        verts.append(cur)
-        out = steps[cur]
-        if len(out) == 1:
-            return verts, edges, False
-        # the step back to where we came from holds this very Edge object
-        cur, e = out[0] if out[1][1] is e else out[1]
-        edges.append(e)
-    return verts, edges, True
+def edge_map(m: Matching) -> dict[Vertex, Edge]:
+    """Map each vertex the matching covers to its one edge."""
+    return {v: e for e in m.edges for v in e.vertices}
 
 
 def augmenting_paths(base: Matching, other: Matching) -> tuple[AlternatingPath, ...]:
     """All vertex-disjoint augmenting paths for ``base`` inside ``base | other``.
 
-    These are exactly the path components of the union whose two endpoints
-    are unmatched by ``base``. If ``len(other) == len(base) + q`` then at
-    least ``q`` paths are returned.
+    Each path starts at a left vertex ``base`` leaves free, alternates an
+    ``other`` edge and a ``base`` edge, and ends at a right vertex ``base``
+    leaves free; the paths are ordered by left endpoint. These are exactly
+    the path components of the union whose two endpoints ``base`` leaves
+    free. If ``len(other) == len(base) + q`` then at least ``q`` paths are
+    returned.
     """
-    matched = base.vertices
+    base_at, other_at = edge_map(base), edge_map(other)
     paths = []
-    for comp in symmetric_difference_components(base, other):
-        if comp.is_cycle:
-            continue
-        if comp.vertices[0] in matched or comp.vertices[-1] in matched:
-            continue
-        paths.append(AlternatingPath(comp.vertices, comp.edges))
+    for first in sorted(e for e in other.edges if e.left not in base_at):
+        verts, edges = [first.left], []
+        e: Optional[Edge] = first
+        while e is not None:
+            edges.append(e)
+            verts.append(e.right)
+            f = base_at.get(e.right)
+            if f is None:
+                paths.append(AlternatingPath(tuple(verts), tuple(edges)))
+                break
+            edges.append(f)
+            verts.append(f.left)
+            e = other_at.get(f.left)
     return tuple(paths)
-

@@ -152,10 +152,10 @@ def build_family(groups: Iterable[Iterable[NetPath]]) -> PathGroupFamily:
         if not unique:
             normalized = True
             continue
-        conflict = _inner_conflict(unique)
-        if conflict is not None:
-            raise InnerOverlapError(pos, conflict)
-        kept.append(PathGroup(tuple(unique)))
+        try:
+            kept.append(PathGroup(tuple(unique)))
+        except InnerOverlapError as exc:
+            raise InnerOverlapError(pos, exc.vertex) from None
         indices.append(pos)
     return PathGroupFamily(tuple(kept), tuple(indices), normalized)
 

@@ -19,8 +19,8 @@ from .graph_core import (
     RainbowMatching,
     Vertex,
     augmenting_paths,
+    edge_map,
     rainbow_is_valid,
-    symmetric_difference_components,
 )
 from .network_paths import (
     SINK,
@@ -324,14 +324,26 @@ def _cycle_split(family: MatchingFamily, n: int) -> Optional[ExtremalCycle]:
     classes = _member_classes(family)
     if len(classes) != 2:
         return None
-    (key_a, cols_a), (key_b, cols_b) = sorted(classes.items())
+    cols_a, cols_b = classes.values()
     if len(cols_a) != n - 1 or len(cols_b) != n - 1:
         return None
-    components = symmetric_difference_components(family[cols_a[0]], family[cols_b[0]])
-    # two size-n members split one cycle exactly when their union is a
-    # single cycle component, which then holds all 2n edges
-    if len(components) != 1 or not components[0].is_cycle:
+    a, b = edge_map(family[cols_a[0]]), edge_map(family[cols_b[0]])
+    # walk from the smallest vertex, a left one, toward its smaller neighbor;
+    # two size-n members split one cycle exactly when the walk closes after
+    # all 2n edges, which a missing mate or a shared edge prevents
+    start = min(a)
+    if start not in b:
         return None
-    cycle = components[0]
-    even, odd = (cols_a, cols_b) if cycle.edges[0] in key_a else (cols_b, cols_a)
-    return ExtremalCycle(cycle.vertices, frozenset(even), frozenset(odd))
+    first, second = (a, b) if a[start] < b[start] else (b, a)
+    cycle: list[Vertex] = []
+    left = start
+    for _ in range(n):
+        e = first.get(left)
+        if e is None or e.right not in second:
+            return None
+        cycle += (left, e.right)
+        left = second[e.right].left
+    if left != start or len(set(cycle)) != 2 * n:
+        return None
+    even, odd = (cols_a, cols_b) if first is a else (cols_b, cols_a)
+    return ExtremalCycle(tuple(cycle), frozenset(even), frozenset(odd))

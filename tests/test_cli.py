@@ -45,6 +45,18 @@ class TestSolve:
         assert out == ""
         assert "repeats symbol" in err
 
+    @pytest.mark.parametrize("content,message", [
+        (b"\xff\xfe[[", "not UTF-8 text at byte 0: invalid start byte"),
+        (b"[" * 100000, "JSON nested too deeply"),
+    ], ids=["not-utf8", "deep"])
+    def test_unreadable_json_exit_two(self, tmp_path, capsys, content, message):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        code, out, err = run_cli(capsys, "solve", "rainbow", "--input", str(bad),
+                                 "--target", "2")
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}: {message}\n"
+
     def test_mcpath(self, tmp_path, capsys):
         net = tmp_path / "net.json"
         net.write_text(json.dumps([[["s", 0, "t"]], [["s", 0, "t"]]]))
@@ -146,6 +158,14 @@ class TestGenerate:
         assert code == 2
         assert out == ""
         assert f"{flag}: expected" in err
+
+    def test_unwritable_out_exit_two(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(capsys, "generate", "--canonical", "c2n", "--n", "3",
+                                 "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert err.count("\n") == 1
 
     def test_infeasible_spec_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "generate", "--family-uniform", "4,1,3")

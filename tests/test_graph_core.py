@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rainbowkit import (
-    Component,
+    AlternatingPath,
     Matching,
     OverlapError,
     RainbowMatching,
@@ -11,7 +12,6 @@ from rainbowkit import (
     Vertex,
     augmenting_paths,
     edge,
-    symmetric_difference_components,
     validate_matching,
 )
 
@@ -20,6 +20,30 @@ def random_matching(rng, side, size):
     lefts = sorted(rng.sample(range(side), size))
     rights = rng.sample(range(side), size)
     return validate_matching(edge(lefts[i], rights[i]) for i in range(size))
+
+
+def covered(m):
+    return {v for e in m.edges for v in e.vertices}
+
+
+@st.composite
+def matching_pairs(draw):
+    """Two matchings on 1-9 vertices a side."""
+    side = draw(st.integers(1, 9))
+
+    def matching():
+        size = draw(st.integers(0, side))
+        lefts = draw(st.permutations(range(side)))[:size]
+        rights = draw(st.permutations(range(side)))[:size]
+        return validate_matching(edge(a, b) for a, b in zip(lefts, rights))
+
+    return matching(), matching()
+
+
+def alt_path(verts, edges):
+    return AlternatingPath(
+        tuple(Vertex(Side.LEFT if s == "L" else Side.RIGHT, i) for s, i in verts),
+        tuple(edge(*e) for e in edges))
 
 
 class TestValidateMatching:
@@ -57,95 +81,6 @@ class TestRainbowMatching:
             RainbowMatching(((0, edge(0, 0)), (1, edge(0, 1))))
 
 
-class TestComponents:
-    def test_identical_matchings_give_single_edge_paths(self):
-        m = validate_matching([edge(0, 0)])
-        comps = symmetric_difference_components(m, m)
-        assert len(comps) == 1
-        assert not comps[0].is_cycle
-        assert comps[0].edges == (edge(0, 0),)
-
-    def test_cycle_of_length_six(self, even3, odd3):
-        comps = symmetric_difference_components(even3, odd3)
-        assert len(comps) == 1
-        assert comps[0].is_cycle
-        assert len(comps[0].vertices) == 6
-        assert len(comps[0].edges) == 6
-
-    def test_three_edge_union_is_one_path(self):
-        g = validate_matching([edge(0, 0)])
-        h = validate_matching([edge(0, 1), edge(1, 0)])
-        comps = symmetric_difference_components(g, h)
-        assert len(comps) == 1
-        comp = comps[0]
-        assert not comp.is_cycle
-        # canonical orientation: smallest endpoint first
-        assert comp.vertices == (
-            Vertex(Side.LEFT, 1), Vertex(Side.RIGHT, 0),
-            Vertex(Side.LEFT, 0), Vertex(Side.RIGHT, 1))
-
-    def test_every_kind_of_component_pinned(self):
-        # in order: a 4-cycle; a path whose smallest vertex L2 is interior and
-        # whose end reached first (R2, toward L2's smaller neighbor) is the
-        # larger one, so it is reversed; a path starting at its smallest vertex;
-        # a path whose smallest vertex L6 is interior but whose end reached
-        # first is the smaller one; an edge of both matchings; an edge of h only
-        g = validate_matching([edge(0, 0), edge(1, 1), edge(2, 2), edge(3, 3),
-                               edge(4, 4), edge(7, 6), edge(6, 7), edge(8, 8)])
-        h = validate_matching([edge(1, 0), edge(0, 1), edge(2, 3), edge(5, 4),
-                               edge(6, 6), edge(8, 8), edge(9, 9)])
-
-        def comp(verts, edges, is_cycle=False):
-            return Component(
-                tuple(Vertex(Side.LEFT if s == "L" else Side.RIGHT, i) for s, i in verts),
-                tuple(edge(*e) for e in edges), is_cycle)
-
-        assert symmetric_difference_components(g, h) == (
-            comp([("L", 0), ("R", 0), ("L", 1), ("R", 1)],
-                 [(0, 0), (1, 0), (1, 1), (0, 1)], is_cycle=True),
-            comp([("L", 3), ("R", 3), ("L", 2), ("R", 2)], [(3, 3), (2, 3), (2, 2)]),
-            comp([("L", 4), ("R", 4), ("L", 5)], [(4, 4), (5, 4)]),
-            comp([("L", 7), ("R", 6), ("L", 6), ("R", 7)], [(7, 6), (6, 6), (6, 7)]),
-            comp([("L", 8), ("R", 8)], [(8, 8)]),
-            comp([("L", 9), ("R", 9)], [(9, 9)]),
-        )
-        assert [p.vertices for p in augmenting_paths(g, h)] == [
-            (Vertex(Side.LEFT, 9), Vertex(Side.RIGHT, 9))]
-
-    def test_components_match_networkx(self):
-        nx = pytest.importorskip("networkx")
-        rng = random.Random(17)
-        for _ in range(500):
-            g = random_matching(rng, 6, rng.randint(0, 6))
-            h = random_matching(rng, 6, rng.randint(0, 6))
-            union = nx.Graph()
-            union.add_edges_from(e.vertices for e in g.edges | h.edges)
-            comps = symmetric_difference_components(g, h)
-            assert {frozenset(c.vertices) for c in comps} == {
-                frozenset(c) for c in nx.connected_components(union)}
-            for c in comps:
-                assert len(set(c.vertices)) == len(c.vertices)
-                cyclic = union.subgraph(c.vertices).number_of_edges() == len(c.vertices)
-                assert c.is_cycle == cyclic
-
-    def test_partition_and_symmetry_properties(self):
-        rng = random.Random(7)
-        for _ in range(300):
-            g = random_matching(rng, 5, rng.randint(0, 4))
-            h = random_matching(rng, 5, rng.randint(0, 4))
-            comps = symmetric_difference_components(g, h)
-            covered = [e for c in comps for e in c.edges]
-            assert sorted(covered) == sorted(g.edges | h.edges)
-            assert len(set(covered)) == len(covered)
-            for comp in comps:
-                for first, second in zip(comp.edges, comp.edges[1:]):
-                    assert (first in g.edges) != (second in g.edges) or (
-                        first in h.edges) != (second in h.edges)
-            mirrored = symmetric_difference_components(h, g)
-            assert {frozenset(c.vertices) for c in comps} == {
-                frozenset(c.vertices) for c in mirrored}
-
-
 class TestAugmentingPaths:
     def test_empty_base_single_edge(self):
         paths = augmenting_paths(validate_matching([]), validate_matching([edge(0, 0)]))
@@ -155,9 +90,8 @@ class TestAugmentingPaths:
     def test_three_edge_path(self):
         base = validate_matching([edge(0, 0)])
         other = validate_matching([edge(0, 1), edge(1, 0)])
-        paths = augmenting_paths(base, other)
-        assert len(paths) == 1
-        assert len(paths[0].edges) == 3
+        assert augmenting_paths(base, other) == (alt_path(
+            [("L", 1), ("R", 0), ("L", 0), ("R", 1)], [(1, 0), (0, 0), (0, 1)]),)
 
     def test_cycle_union_has_no_augmenting_path(self, even3, odd3):
         assert augmenting_paths(even3, odd3) == ()
@@ -182,6 +116,51 @@ class TestAugmentingPaths:
             for p in augmenting_paths(g, h):
                 first, last = p.vertices[0], p.vertices[-1]
                 assert (first.side, last.side) == (Side.LEFT, Side.RIGHT)
-                assert first not in g.vertices and last not in g.vertices
+                assert first not in covered(g) and last not in covered(g)
                 grown = Matching(g.edges ^ set(p.edges))
                 assert len(grown) == len(g) + 1
+
+    def test_every_kind_of_component_pinned(self):
+        # the union holds a 4-cycle, a path whose smallest vertex L2 is
+        # interior, a path starting at its smallest vertex, a path whose
+        # smallest vertex L6 is interior, an edge of both matchings and an
+        # edge of h only; only the last one augments g
+        g = validate_matching([edge(0, 0), edge(1, 1), edge(2, 2), edge(3, 3),
+                               edge(4, 4), edge(7, 6), edge(6, 7), edge(8, 8)])
+        h = validate_matching([edge(1, 0), edge(0, 1), edge(2, 3), edge(5, 4),
+                               edge(6, 6), edge(8, 8), edge(9, 9)])
+        assert augmenting_paths(g, h) == (alt_path([("L", 9), ("R", 9)], [(9, 9)]),)
+
+    def test_paths_in_left_endpoint_order(self):
+        # three augmenting paths, the one from L2 through its smallest vertex
+        # L0 in the interior, and a walk from L5 that ends at the matched L6
+        g = validate_matching([edge(0, 0), edge(4, 2), edge(6, 4)])
+        h = validate_matching([edge(2, 0), edge(0, 5), edge(1, 1), edge(3, 2),
+                               edge(4, 3), edge(5, 4)])
+        assert augmenting_paths(g, h) == (
+            alt_path([("L", 1), ("R", 1)], [(1, 1)]),
+            alt_path([("L", 2), ("R", 0), ("L", 0), ("R", 5)], [(2, 0), (0, 0), (0, 5)]),
+            alt_path([("L", 3), ("R", 2), ("L", 4), ("R", 3)], [(3, 2), (4, 2), (4, 3)]),
+        )
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(matching_pairs())
+    def test_paths_match_networkx(self, pair):
+        nx = pytest.importorskip("networkx")
+        base, other = pair
+        union = nx.Graph()
+        union.add_edges_from(e.vertices for e in base.edges | other.edges)
+        free_paths = set()
+        for comp in map(frozenset, nx.connected_components(union)):
+            ends = [v for v in comp if union.degree(v) == 1]
+            is_path = union.subgraph(comp).number_of_edges() == len(comp) - 1
+            if is_path and not covered(base) & set(ends):
+                free_paths.add(comp)
+        paths = augmenting_paths(base, other)
+        assert {frozenset(p.vertices) for p in paths} == free_paths
+        assert [p.vertices[0] for p in paths] == sorted(p.vertices[0] for p in paths)
+        for p in paths:
+            assert len(p.vertices) == len(p.edges) + 1
+            for i, e in enumerate(p.edges):
+                assert set(e.vertices) == {p.vertices[i], p.vertices[i + 1]}
+                assert (e in other, e in base) == ((True, False) if i % 2 == 0 else (False, True))

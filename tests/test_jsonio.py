@@ -35,6 +35,9 @@ class TestNetworkRoundTrip:
     def test_inner_overlap_reported(self):
         with pytest.raises(InputError, match="share inner vertex"):
             jsonio.network_from_obj([[["s", 0, "t"], ["s", 0, 1, "t"]]])
+        with pytest.raises(InputError) as info:
+            jsonio.network_from_obj([[["s", 0, "t"]], [["s", 2, "t"], ["s", 1, 2, "t"]]])
+        assert str(info.value) == "network: group 1: paths share inner vertex 2"
 
 
 class TestMatrixAndMultiset:

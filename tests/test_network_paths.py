@@ -59,6 +59,10 @@ class TestBuildFamily:
             build_family([[path("s", 0, "t"), path("s", 0, 1, "t")]])
         assert info.value.group == 0
         assert info.value.vertex == 0
+        with pytest.raises(InnerOverlapError) as info:
+            build_family([[path("s", 0, "t")], [path("s", 2, "t"), path("s", 1, 2, "t")]])
+        assert (info.value.group, info.value.vertex) == (1, 2)
+        assert str(info.value) == "group 1: paths share inner vertex 2"
 
     def test_duplicate_direct_paths_collapse(self):
         fam = build_family([[path("s", "t"), path("s", "t")]])

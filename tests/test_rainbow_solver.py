@@ -23,6 +23,7 @@ from rainbowkit import (
     rainbow_is_valid,
     validate_matching,
 )
+from rainbowkit.rainbow_solver import _cycle_split
 
 
 def family(*member_lists):
@@ -241,3 +242,18 @@ class TestClassifyFamily:
             assert len(verdict.even_colors) == n - 1
             assert len(verdict.odd_colors) == n - 1
             assert verdict.even_colors | verdict.odd_colors == set(range(2 * n - 2))
+
+    @pytest.mark.parametrize("a,b", [
+        # two 4-cycles: the walk closes after 4 of the 8 edges
+        ([(0, 0), (1, 1), (2, 2), (3, 3)], [(1, 0), (0, 1), (3, 2), (2, 3)]),
+        # a shared edge (0,0) beside a 4-cycle
+        ([(0, 0), (1, 1), (2, 2)], [(0, 0), (2, 1), (1, 2)]),
+        # different vertex sets: the union is a path from L0 to R2
+        ([(0, 0), (1, 1), (2, 2)], [(1, 0), (2, 1), (3, 2)]),
+        # different vertex sets, the second member holding the smallest vertex
+        ([(1, 1), (2, 2), (3, 3)], [(0, 1), (1, 2), (2, 3)]),
+    ])
+    def test_cycle_split_rejects(self, a, b):
+        n = len(a)
+        a, b = [edge(*e) for e in a], [edge(*e) for e in b]
+        assert _cycle_split(family(*[a] * (n - 1), *[b] * (n - 1)), n) is None
