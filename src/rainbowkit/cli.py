@@ -11,7 +11,8 @@ Exit codes: 0 success or clean campaign, 1 infeasible instance or campaign
 violations, 2 malformed input or impossible generator spec, 3 step budget
 exhausted, 4 internal invariant failure (never expected). Results go to
 stdout as JSON with sorted keys; diagnostics go to stderr. The environment
-variable RAINBOWKIT_BUDGET overrides the default brute-force step budget.
+variable RAINBOWKIT_BUDGET overrides the default step budget of the
+brute-force oracles in ``verify`` and of the search in ``solve rainbow``.
 
 Instance file schemas are documented in ``rainbowkit.jsonio``.
 """
@@ -83,8 +84,13 @@ def _load(path: str) -> object:
 
 
 def _parse_elements(raw: str, where: str) -> tuple[int, ...]:
+    if raw == "":
+        return ()
+    parts = raw.split(",")
+    if "" in parts:
+        raise InputError(f"{where}: empty item in comma-separated list {raw!r}")
     try:
-        return tuple(int(part) for part in raw.split(",") if part != "")
+        return tuple(int(part) for part in parts)
     except ValueError:
         raise InputError(f"{where}: expected a comma-separated integer list, got {raw!r}")
 
@@ -111,7 +117,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         family = jsonio.family_from_obj(_load(args.input))
         if args.target is None:
             raise InputError("solve rainbow needs --target")
-        found = find_rainbow_matching(family, args.target)
+        found = find_rainbow_matching(family, args.target, _budget())
         if found is None:
             print("infeasible")
             return EXIT_INFEASIBLE

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the step budget that
+bounds every exhaustive search."""
+
+DEFAULT_BUDGET = 10_000_000
 
 
 class RainbowkitError(Exception):
@@ -58,6 +61,20 @@ class RowDuplicateError(RainbowkitError):
 
 class BudgetExceeded(RainbowkitError):
     """An exhaustive computation hit its step budget."""
+
+
+class Meter:
+    """Counts elementary steps against a budget."""
+
+    __slots__ = ("left",)
+
+    def __init__(self, budget: int) -> None:
+        self.left = budget
+
+    def spend(self, amount: int = 1) -> None:
+        self.left -= amount
+        if self.left < 0:
+            raise BudgetExceeded("step budget exhausted")
 
 
 class InfeasibleSpec(RainbowkitError):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import total_ordering
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import OverlapError
@@ -26,9 +27,15 @@ class Vertex:
         return f"{'L' if self.side is Side.LEFT else 'R'}{self.index}"
 
 
-@dataclass(frozen=True, slots=True, order=True)
+@total_ordering
+@dataclass(frozen=True, slots=True, eq=False)
 class Edge:
-    """An edge joining a left vertex to a right vertex."""
+    """An edge joining a left vertex to a right vertex.
+
+    Construction fixes the sides, so equality, hashing and ordering go by
+    the index pair ``(left.index, right.index)`` alone; they agree with
+    comparing the ``(left, right)`` vertices field by field.
+    """
 
     left: Vertex
     right: Vertex
@@ -39,6 +46,20 @@ class Edge:
 
     def __repr__(self) -> str:
         return f"({self.left.index},{self.right.index})"
+
+    def __hash__(self) -> int:
+        return hash((self.left.index, self.right.index))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Edge:
+            return NotImplemented
+        return (self.left.index == other.left.index
+                and self.right.index == other.right.index)
+
+    def __lt__(self, other: "Edge") -> bool:
+        if other.__class__ is not Edge:
+            return NotImplemented
+        return (self.left.index, self.right.index) < (other.left.index, other.right.index)
 
     @property
     def vertices(self) -> tuple[Vertex, Vertex]:
@@ -61,9 +82,13 @@ class Matching:
     edges: frozenset[Edge]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", frozenset(self.edges))
+        edges = frozenset(self.edges)
+        object.__setattr__(self, "edges", edges)
+        if (len({e.left.index for e in edges}) == len(edges)
+                == len({e.right.index for e in edges})):
+            return
         seen: set[Vertex] = set()
-        for e in sorted(self.edges):
+        for e in sorted(edges):
             for v in e.vertices:
                 if v in seen:
                     raise OverlapError(v)
@@ -182,19 +207,22 @@ def augmenting_paths(base: Matching, other: Matching) -> tuple[AlternatingPath, 
     free. If ``len(other) == len(base) + q`` then at least ``q`` paths are
     returned.
     """
-    base_at, other_at = edge_map(base), edge_map(other)
+    base_lefts = {e.left.index for e in base.edges}
+    base_at_right = {e.right.index: e for e in base.edges}
+    other_at_left = {e.left.index: e for e in other.edges}
     paths = []
-    for first in sorted(e for e in other.edges if e.left not in base_at):
+    for start in sorted(other_at_left.keys() - base_lefts):
+        first = other_at_left[start]
         verts, edges = [first.left], []
         e: Optional[Edge] = first
         while e is not None:
             edges.append(e)
             verts.append(e.right)
-            f = base_at.get(e.right)
+            f = base_at_right.get(e.right.index)
             if f is None:
                 paths.append(AlternatingPath(tuple(verts), tuple(edges)))
                 break
             edges.append(f)
             verts.append(f.left)
-            e = other_at.get(f.left)
+            e = other_at_left.get(f.left.index)
     return tuple(paths)

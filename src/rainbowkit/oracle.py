@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from .errors import BudgetExceeded, InfeasibleSpec, PreconditionError
+from .errors import DEFAULT_BUDGET, BudgetExceeded, InfeasibleSpec, Meter, PreconditionError
 from .graph_core import (
     Edge,
     Matching,
@@ -38,21 +38,6 @@ from .network_paths import (
 )
 from .reductions import ResidueMultiset, SymbolMatrix
 
-DEFAULT_BUDGET = 10_000_000
-
-
-class _Meter:
-    __slots__ = ("left",)
-
-    def __init__(self, budget: int) -> None:
-        self.left = budget
-
-    def spend(self, amount: int = 1) -> None:
-        self.left -= amount
-        if self.left < 0:
-            raise BudgetExceeded("step budget exhausted")
-
-
 def brute_rainbow(family: MatchingFamily, size: int,
                   budget: int = DEFAULT_BUDGET) -> Optional[RainbowMatching]:
     """Lexicographically first rainbow matching of the given size, or None.
@@ -65,7 +50,7 @@ def brute_rainbow(family: MatchingFamily, size: int,
         return RainbowMatching(())
     if size > count:
         return None
-    meter = _Meter(budget)
+    meter = Meter(budget)
     member_edges = [sorted(m.edges) for m in family]
 
     def extend(colors: tuple[int, ...], k: int,
@@ -103,7 +88,7 @@ def brute_mc_path(family: PathGroupFamily,
     loops), so node revisits need no tracking; the first witness recorded per
     node is shortest and therefore simple.
     """
-    meter = _Meter(budget)
+    meter = Meter(budget)
     options: dict[NetNode, list[tuple[NetNode, int]]] = {}
     for color, group in enumerate(family.groups):
         for p in group.paths:
@@ -139,7 +124,7 @@ def brute_zero_sum(multiset: ResidueMultiset,
     n = multiset.modulus
     if len(multiset) < n:
         return None
-    meter = _Meter(budget)
+    meter = Meter(budget)
     for combo in itertools.combinations(multiset.elements, n):
         meter.spend()
         if sum(combo) % n == 0:

@@ -7,7 +7,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .errors import (
+    DEFAULT_BUDGET,
     GuaranteeViolation,
+    Meter,
     NoUnrepresentedColors,
     PreconditionError,
     TheoremViolation,
@@ -90,31 +92,24 @@ def build_contracted_network(
     matched = tuple(sorted(base.edges))
     node_of = {e: i for i, e in enumerate(matched)}
 
+    # colors holding equal members share one walk and one translation
+    translated: dict[Matching, Optional[_Translated]] = {}
     groups: list[PathGroup] = []
     colors: list[int] = []
     origins: list[dict[tuple[NetNode, NetNode], Edge]] = []
     directs: list[tuple[Edge, ...]] = []
     for color in unrep:
-        origin: dict[tuple[NetNode, NetNode], Edge] = {}
-        direct: list[Edge] = []
-        nets: list[NetPath] = []
-        for alt in augmenting_paths(base, state.family[color]):
-            # augmenting paths start at their left endpoint, outside the matching
-            free = alt.edges[0::2]
-            if len(free) == 1:
-                direct.append(free[0])
-                continue
-            net = NetPath((SOURCE, *(node_of[e] for e in alt.edges[1::2]), SINK))
-            nets.append(net)
-            origin.update(zip(net.edges, free))
-        if direct:
-            nets.append(NetPath((SOURCE, SINK)))
-        if not nets:
+        member = state.family[color]
+        if member not in translated:
+            translated[member] = _translate(base, member, node_of)
+        found = translated[member]
+        if found is None:
             continue
-        groups.append(PathGroup(tuple(sorted(nets, key=NetPath.key))))
+        group, origin, direct = found
+        groups.append(group)
         colors.append(color)
         origins.append(origin)
-        directs.append(tuple(sorted(direct)))
+        directs.append(direct)
 
     family = PathGroupFamily(tuple(groups))
     translation = NetworkTranslation(
@@ -122,8 +117,35 @@ def build_contracted_network(
     return family, len(matched), translation
 
 
+_Translated = tuple[PathGroup, dict[tuple[NetNode, NetNode], Edge], tuple[Edge, ...]]
+
+
+def _translate(
+    base: Matching, member: Matching, node_of: dict[Edge, int]
+) -> Optional[_Translated]:
+    """One member's network group, edge origins and direct choices, or None
+    when it has no augmenting path."""
+    origin: dict[tuple[NetNode, NetNode], Edge] = {}
+    direct: list[Edge] = []
+    nets: list[NetPath] = []
+    for alt in augmenting_paths(base, member):
+        # augmenting paths start at their left endpoint, outside the matching
+        free = alt.edges[0::2]
+        if len(free) == 1:
+            direct.append(free[0])
+            continue
+        net = NetPath((SOURCE, *(node_of[e] for e in alt.edges[1::2]), SINK))
+        nets.append(net)
+        origin.update(zip(net.edges, free))
+    if direct:
+        nets.append(NetPath((SOURCE, SINK)))
+    if not nets:
+        return None
+    return PathGroup(tuple(sorted(nets, key=NetPath.key))), origin, tuple(sorted(direct))
+
+
 def find_rainbow_matching(
-    family: MatchingFamily, size: int
+    family: MatchingFamily, size: int, budget: int = DEFAULT_BUDGET
 ) -> Optional[RainbowMatching]:
     """Search for a rainbow matching with ``size`` edges, one per chosen color.
 
@@ -137,8 +159,10 @@ def find_rainbow_matching(
     exhaustive: None means no rainbow matching of the requested size exists.
     States are memoized up to permuting colors of identical matchings.
 
-    Raises GuaranteeViolation when the sorted-size threshold promises success
-    but the search fails, which would flag a bug, not an input property.
+    Each visited search state costs one step of ``budget``; running out
+    raises BudgetExceeded. Raises GuaranteeViolation when the sorted-size
+    threshold promises success but the search fails, which would flag a
+    bug, not an input property.
     """
     if size < 0:
         raise PreconditionError("size must be non-negative")
@@ -148,8 +172,7 @@ def find_rainbow_matching(
     if size <= len(family):
         canon = _state_canonicalizer(family)
         dead: set[tuple[tuple[int, Edge], ...]] = set()
-        start = RepresentationState(family, RainbowMatching(()))
-        result = _grow(start, size, canon, dead)
+        result = _grow(family, {}, size, canon, dead, Meter(budget))
         if result is None and drisko_condition(family.sizes, size):
             raise GuaranteeViolation(
                 "size-threshold condition holds but the search failed")
@@ -162,14 +185,17 @@ def _state_canonicalizer(
     family: MatchingFamily,
 ) -> Callable[[dict[int, Edge]], tuple[tuple[int, Edge], ...]]:
     """Quotient states by swapping colors that hold identical matchings."""
-    class_list = list(_member_classes(family).values())
+    class_of = {c: cols for cols in _member_classes(family).values() for c in cols}
 
     def canon(assignment: dict[int, Edge]) -> tuple[tuple[int, Edge], ...]:
+        chosen: dict[int, list[Edge]] = {}
+        for c, e in assignment.items():
+            chosen.setdefault(class_of[c][0], []).append(e)
         out: list[tuple[int, Edge]] = []
-        for cols in class_list:
-            chosen = sorted(e for c, e in assignment.items() if c in cols)
-            out.extend(zip(cols, chosen))
-        return tuple(sorted(out))
+        for first, edges in chosen.items():
+            out.extend(zip(class_of[first], sorted(edges)))
+        out.sort()
+        return tuple(out)
 
     return canon
 
@@ -182,21 +208,22 @@ def _member_classes(family: MatchingFamily) -> dict[tuple[Edge, ...], list[int]]
     return classes
 
 
-def _grow(state, target, canon, dead) -> Optional[RainbowMatching]:
-    if len(state.current) == target:
-        return state.current
-    assignment = state.current.as_dict()
+def _grow(family, assignment, target, canon, dead, meter) -> Optional[RainbowMatching]:
+    meter.spend()
+    if len(assignment) == target:
+        return RainbowMatching.of(assignment)
     key = canon(assignment)
     if key in dead:
         return None
-    if len(state.current) >= len(state.family):
+    if len(assignment) >= len(family):
         dead.add(key)
         return None
+    state = RepresentationState(family, RainbowMatching.of(assignment))
     network, inner_count, translation = build_contracted_network(state)
     for nodes, net_colors, new_edges in _augmentation_steps(
             network, inner_count, translation):
-        child = _apply_step(state, nodes, net_colors, new_edges, translation)
-        result = _grow(child, target, canon, dead)
+        child = _apply_step(assignment, nodes, net_colors, new_edges, translation)
+        result = _grow(family, child, target, canon, dead, meter)
         if result is not None:
             return result
     dead.add(key)
@@ -230,15 +257,16 @@ def _expand_pullbacks(nodes, net_colors, translation):
     yield nodes, net_colors, edges
 
 
-def _apply_step(state, nodes, net_colors, new_edges, translation):
+def _apply_step(assignment, nodes, net_colors, new_edges, translation):
     removed = {translation.matched_edges[v] for v in nodes[1:-1]}
-    assignment = {
-        c: e for c, e in state.current.as_dict().items() if e not in removed}
+    grown = {c: e for c, e in assignment.items() if e not in removed}
     for group_pos, e in zip(net_colors, new_edges):
-        assignment[translation.colors[group_pos]] = e
-    grown = RainbowMatching.of(assignment)
-    assert len(grown) == len(state.current) + 1
-    return RepresentationState(state.family, grown)
+        grown[translation.colors[group_pos]] = e
+    # one more edge, and the edges still form a matching
+    assert len(grown) == len(assignment) + 1
+    assert len({e.left.index for e in grown.values()}) == len(grown)
+    assert len({e.right.index for e in grown.values()}) == len(grown)
+    return grown
 
 
 def drisko_condition(sizes: Iterable[int], size: int) -> bool:

@@ -57,6 +57,16 @@ class TestSolve:
         assert (code, out) == (2, "")
         assert err == f"error: {bad}: {message}\n"
 
+    def test_rainbow_budget_exit_three(self, tmp_path, capsys, monkeypatch):
+        fixture = tmp_path / "c10.json"
+        assert main(["generate", "--canonical", "c2n", "--n", "5",
+                     "--out", str(fixture)]) == 0
+        monkeypatch.setenv("RAINBOWKIT_BUDGET", "100")
+        code, out, err = run_cli(capsys, "solve", "rainbow", "--input",
+                                 str(fixture), "--target", "5")
+        assert (code, out) == (3, "")
+        assert err == "budget: step budget exhausted\n"
+
     def test_mcpath(self, tmp_path, capsys):
         net = tmp_path / "net.json"
         net.write_text(json.dumps([[["s", 0, "t"]], [["s", 0, "t"]]]))
@@ -220,3 +230,24 @@ class TestClassify:
                                  "--elements", "0,0")
         assert (code, out) == (2, "")
         assert err == "error: need exactly 4 elements, got 2\n"
+
+
+class TestListFlags:
+    @pytest.mark.parametrize("argv,flag,value", [
+        (("generate", "--side", "3", "--family-mixed"), "--family-mixed", "2,,3"),
+        (("generate", "--family-uniform"), "--family-uniform", "2,,3,3"),
+        (("generate", "--network"), "--network", "4,2,,2"),
+        (("generate", "--multiset"), "--multiset", "3,5,"),
+        (("generate", "--matrix"), "--matrix", ",3,2,3"),
+        (("solve", "egz", "--n", "3", "--elements"), "--elements", "0,1,,2"),
+        (("classify", "multiset", "--n", "3", "--elements"), "--elements", "0,0,,1,1"),
+    ], ids=["family-mixed", "family-uniform", "network", "multiset", "matrix",
+            "solve-elements", "classify-elements"])
+    def test_empty_item_exit_two(self, capsys, argv, flag, value):
+        code, out, err = run_cli(capsys, *argv, value)
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag}: empty item in comma-separated list {value!r}\n"
+
+    def test_empty_string_is_the_empty_list(self, capsys):
+        code, out, _ = run_cli(capsys, "solve", "egz", "--n", "2", "--elements", "")
+        assert (code, out) == (1, "infeasible\n")

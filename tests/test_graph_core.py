@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from rainbowkit import (
     AlternatingPath,
+    Edge,
     Matching,
     OverlapError,
     RainbowMatching,
@@ -44,6 +45,45 @@ def alt_path(verts, edges):
     return AlternatingPath(
         tuple(Vertex(Side.LEFT if s == "L" else Side.RIGHT, i) for s, i in verts),
         tuple(edge(*e) for e in edges))
+
+
+def vertex_fields(e):
+    """The dataclass field order of an edge: its two (side, index) vertices."""
+    return ((e.left.side, e.left.index), (e.right.side, e.right.index))
+
+
+class TestEdge:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.lists(st.tuples(st.integers(-2, 4), st.integers(-2, 4)),
+                    min_size=1, max_size=8))
+    def test_order_equality_and_hash_follow_the_fields(self, pairs):
+        edges = [edge(a, b) for a, b in pairs]
+        for x in edges:
+            for y in edges:
+                fx, fy = vertex_fields(x), vertex_fields(y)
+                assert (x < y, x <= y, x > y, x >= y) == (fx < fy, fx <= fy, fx > fy, fx >= fy)
+                assert (x == y, x != y) == (fx == fy, fx != fy)
+                if x == y:
+                    assert hash(x) == hash(y)
+        assert list(map(vertex_fields, sorted(edges))) == sorted(map(vertex_fields, edges))
+        assert vertex_fields(min(edges)) == min(map(vertex_fields, edges))
+
+    def test_not_equal_to_its_index_pair(self):
+        assert not edge(0, 0) == (0, 0)
+        assert edge(0, 0) != (0, 0)
+
+    def test_not_ordered_against_a_tuple(self):
+        with pytest.raises(TypeError):
+            edge(0, 0) < (0, 0)
+
+    @pytest.mark.parametrize("left,right", [
+        (Vertex(Side.RIGHT, 0), Vertex(Side.LEFT, 0)),
+        (Vertex(Side.LEFT, 0), Vertex(Side.LEFT, 1)),
+        (Vertex(Side.RIGHT, 0), Vertex(Side.RIGHT, 1)),
+    ])
+    def test_swapped_sides_rejected(self, left, right):
+        with pytest.raises(ValueError):
+            Edge(left, right)
 
 
 class TestValidateMatching:

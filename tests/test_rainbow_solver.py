@@ -2,8 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rainbowkit import (
+    BudgetExceeded,
     ExtremalCycle,
     HasRainbow,
     MatchingFamily,
@@ -11,6 +13,7 @@ from rainbowkit import (
     PreconditionError,
     RainbowMatching,
     RepresentationState,
+    augmenting_paths,
     brute_rainbow,
     build_contracted_network,
     canonical_cycle_family,
@@ -23,6 +26,7 @@ from rainbowkit import (
     rainbow_is_valid,
     validate_matching,
 )
+from rainbowkit import rainbow_solver
 from rainbowkit.rainbow_solver import _cycle_split
 
 
@@ -57,6 +61,31 @@ class TestBuildContractedNetwork:
         assert inner == 3
         assert network.groups == ()
         assert translation.colors == ()
+
+    def test_equal_members_share_one_walk(self, monkeypatch):
+        walked = []
+
+        def counted(base, other):
+            walked.append(other)
+            return augmenting_paths(base, other)
+
+        monkeypatch.setattr(rainbow_solver, "augmenting_paths", counted)
+        # three equal but separate member objects, another member, and the
+        # represented color 4
+        shared = [family([edge(0, 1), edge(1, 0), edge(2, 2)])[0] for _ in range(3)]
+        assert shared[0] is not shared[1] and shared[1] is not shared[2]
+        fam = MatchingFamily((*shared, *family([edge(1, 1)], [edge(0, 0)])))
+        state = RepresentationState(fam, RainbowMatching(((4, edge(0, 0)),)))
+        network, inner, translation = build_contracted_network(state)
+        assert walked == [fam[0], fam[3]]
+        assert inner == 1
+        assert [tuple(p.nodes for p in g.paths) for g in network.groups] == [
+            (("s", 0, "t"), ("s", "t"))] * 3 + [(("s", "t"),)]
+        assert translation.matched_edges == (edge(0, 0),)
+        assert translation.colors == (0, 1, 2, 3)
+        assert translation.edge_origin == (
+            {("s", 0): edge(1, 0), (0, "t"): edge(0, 1)},) * 3 + ({},)
+        assert translation.direct_choices == ((edge(2, 2),),) * 3 + ((edge(1, 1),),)
 
     def test_every_color_represented_raises(self):
         fam = family([edge(0, 0)])
@@ -139,6 +168,46 @@ class TestFindRainbowMatching:
             assert (mine is None) == (brute_rainbow(fam, target) is None)
             if mine is not None:
                 assert len(mine) == target and rainbow_is_valid(mine, fam)
+
+
+@st.composite
+def small_families(draw):
+    """1-6 members of size 0-3 on at most 4 vertices a side, repeats allowed."""
+    side = draw(st.integers(1, 4))
+    pool = []
+    for _ in range(draw(st.integers(1, 6))):
+        if pool and draw(st.booleans()):
+            pool.append(pool[draw(st.integers(0, len(pool) - 1))])
+            continue
+        size = draw(st.integers(0, min(3, side)))
+        lefts = draw(st.permutations(range(side)))[:size]
+        rights = draw(st.permutations(range(side)))[:size]
+        pool.append(validate_matching(edge(a, b) for a, b in zip(lefts, rights)))
+    return MatchingFamily(tuple(pool))
+
+
+class TestAgainstOracle:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(small_families())
+    def test_feasibility_matches_brute_force(self, fam):
+        for target in range(len(fam) + 1):
+            mine = find_rainbow_matching(fam, target)
+            assert (mine is None) == (brute_rainbow(fam, target) is None)
+            if mine is not None:
+                assert len(mine) == target and rainbow_is_valid(mine, fam)
+
+
+class TestBudget:
+    def test_one_step_per_search_state(self):
+        # the search visits 2581 states to refute the split 10-cycle
+        fam = canonical_cycle_family(5)
+        assert find_rainbow_matching(fam, 5, budget=2581) is None
+        with pytest.raises(BudgetExceeded):
+            find_rainbow_matching(fam, 5, budget=2580)
+
+    def test_trivial_targets_spend_nothing(self):
+        assert len(find_rainbow_matching(family([edge(0, 0)]), 0, budget=0)) == 0
+        assert find_rainbow_matching(family([edge(0, 0)]), 2, budget=0) is None
 
 
 class TestDriskoCondition:
