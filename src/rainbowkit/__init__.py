@@ -11,7 +11,6 @@ from .errors import (
     InnerOverlapError,
     InputError,
     MalformedPathError,
-    NoUnrepresentedColors,
     OverlapError,
     PreconditionError,
     RainbowkitError,
@@ -53,12 +52,10 @@ from .rainbow_solver import (
     FamilyClassification,
     HasRainbow,
     NetworkTranslation,
-    RepresentationState,
     build_contracted_network,
     classify_family,
     drisko_condition,
     find_rainbow_matching,
-    near_rainbow,
 )
 from .reductions import (
     ExtremalPair,

@@ -13,9 +13,9 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
-from .errors import PreconditionError
+from .errors import BudgetExceeded, PreconditionError
 from .graph_core import MatchingFamily, edge, rainbow_is_valid, validate_matching
 from .network_paths import (
     SINK,
@@ -84,7 +84,9 @@ def run_campaign(theorem: str, *, n: Optional[int] = None,
     raises PreconditionError, and so do a flag the run would not read
     (``exhaustive`` for a campaign without that mode, ``samples`` or
     ``seed`` for a run that draws nothing) and a run that checks no instance
-    at all.
+    at all. ``budget`` bounds each brute-force oracle call and the size of
+    each exhaustive enumeration; every size is charged before the first
+    instance, and one over budget raises BudgetExceeded.
     """
     if theorem not in _RUNNERS:
         raise PreconditionError(f"unknown theorem {theorem!r}; pick one of {THEOREMS}")
@@ -119,11 +121,22 @@ def _seeds(seed: int, count: int) -> Iterator[int]:
         yield rng.getrandbits(63)
 
 
-def _uniform_families(n, count, samples, exhaustive, seed):
+def _charge_enumerations(sizes: Iterable[tuple[int, int]], budget: int) -> None:
+    """Refuse a run before it starts when one of its enumerations, the
+    k-multisets of ``kinds`` items for each ``(kinds, k)``, exceeds ``budget``."""
+    for kinds, k in sizes:
+        total = math.comb(kinds + k - 1, k)
+        if total > budget:
+            raise BudgetExceeded(f"{total} multisets exceed the budget")
+
+
+def _uniform_families(n, count, samples, exhaustive, seed, budget):
     """Families of ``count`` size-n matchings on side n + 1: every multiset
     of matchings when exhaustive, else ``samples`` seeded draws. Returns the
     lazy stream and its report parameters."""
     if exhaustive:
+        # enumerate_matchings(n, n + 1) lists comb(n + 1, n)**2 * n! matchings
+        _charge_enumerations([(math.comb(n + 1, n) * math.perm(n + 1, n), count)], budget)
         pool = enumerate_matchings(n, n + 1)
         families = map(MatchingFamily,
                        itertools.combinations_with_replacement(pool, count))
@@ -137,7 +150,7 @@ def _run_drisko(n, samples, exhaustive, seed, budget):
     """Every family of 2n-1 matchings of size n has a rainbow matching of
     size n; witnesses are revalidated."""
     checked = violations = 0
-    families, params = _uniform_families(n, 2 * n - 1, samples, exhaustive, seed)
+    families, params = _uniform_families(n, 2 * n - 1, samples, exhaustive, seed, budget)
     for family in families:
         found = find_rainbow_matching(family, n)
         checked += 1
@@ -252,6 +265,9 @@ def _run_dichotomy(n, samples, exhaustive, seed, budget):
     exactly one of (regimented, oracle finds a multicolored source-sink path)
     holds, and verify_regimented_dichotomy agrees."""
     checked = violations = 0
+    # _all_simple_paths(inner) lists one path per ordered choice of inner nodes
+    _charge_enumerations(((sum(math.perm(inner, r) for r in range(inner + 1)), inner)
+                          for inner in range(n + 1)), budget)
     for inner in range(0, n + 1):
         pool = _all_simple_paths(inner)
         full = frozenset(range(inner))
@@ -316,7 +332,7 @@ def _run_extremal(n, samples, exhaustive, seed, budget):
     """No-rainbow families of 2n-2 size-n matchings are exactly the split
     cycles; classify_family never falls through."""
     checked = violations = 0
-    families, params = _uniform_families(n, 2 * n - 2, samples, exhaustive, seed)
+    families, params = _uniform_families(n, 2 * n - 2, samples, exhaustive, seed, budget)
     if not exhaustive:
         params["cycle_sweep"] = n == 3
         if n == 3:
@@ -335,6 +351,7 @@ def _run_egz(n, samples, exhaustive, seed, budget):
     size n; witnesses are revalidated and feasibility matches the oracle."""
     checked = violations = 0
     ns = range(1, n + 1) if exhaustive else [n]
+    _charge_enumerations(((k, 2 * k - 1) for k in ns), budget)
     for k in ns:
         for multiset in enumerate_multisets(k, 2 * k - 1, budget):
             checked += 1
@@ -349,6 +366,7 @@ def _run_egz_extremal(n, samples, exhaustive, seed, budget):
     the coprime-difference double piles."""
     checked = violations = 0
     ns = range(2, n + 1) if exhaustive else [n]
+    _charge_enumerations(((k, 2 * k - 2) for k in ns), budget)
     for k in ns:
         for multiset in enumerate_multisets(k, 2 * k - 2, budget):
             checked += 1

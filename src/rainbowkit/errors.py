@@ -34,10 +34,6 @@ class InnerOverlapError(RainbowkitError):
         self.vertex = vertex
 
 
-class NoUnrepresentedColors(RainbowkitError):
-    """Every color of the family is already represented."""
-
-
 class GuaranteeViolation(RainbowkitError):
     """A guaranteed construction failed; this always indicates a bug."""
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import total_ordering
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import OverlapError
 
@@ -119,13 +119,6 @@ class MatchingFamily:
 
     members: tuple[Matching, ...]
 
-    @classmethod
-    def of(cls, members: Iterable[Matching | Iterable[Edge]]) -> "MatchingFamily":
-        coerced = tuple(
-            m if isinstance(m, Matching) else validate_matching(m) for m in members
-        )
-        return cls(coerced)
-
     def __len__(self) -> int:
         return len(self.members)
 
@@ -157,26 +150,12 @@ class RainbowMatching:
             raise ValueError("an edge appears twice in the rainbow matching")
         validate_matching(edges)
 
-    @classmethod
-    def of(cls, assignment: Mapping[int, Edge]) -> "RainbowMatching":
-        return cls(tuple(assignment.items()))
-
     def __len__(self) -> int:
         return len(self.entries)
 
     @property
     def colors(self) -> frozenset[int]:
         return frozenset(c for c, _ in self.entries)
-
-    @property
-    def matching(self) -> Matching:
-        return Matching(frozenset(e for _, e in self.entries))
-
-    def edge_of(self, color: int) -> Edge:
-        return dict(self.entries)[color]
-
-    def as_dict(self) -> dict[int, Edge]:
-        return dict(self.entries)
 
 
 def rainbow_is_valid(rainbow: RainbowMatching, family: MatchingFamily) -> bool:

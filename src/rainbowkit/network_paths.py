@@ -110,7 +110,6 @@ class PathGroupFamily:
 
     groups: tuple[PathGroup, ...]
     source_indices: tuple[int, ...] = ()
-    normalized: bool = False
 
     def __post_init__(self) -> None:
         if not self.source_indices:
@@ -136,28 +135,24 @@ def build_family(groups: Iterable[Iterable[NetPath]]) -> PathGroupFamily:
     """Validate and normalize raw path groups into a family.
 
     Groups are sets: exact duplicate paths collapse to one copy, and empty
-    groups are dropped entirely since they can color nothing. Either kind of
-    cleanup sets the ``normalized`` flag; ``source_indices`` keeps the input
-    position of each surviving group. Two distinct paths of one group sharing
-    an inner vertex raise InnerOverlapError naming the group and the vertex.
+    groups are dropped entirely since they can color nothing;
+    ``source_indices`` keeps the input position of each surviving group. Two
+    distinct paths of one group sharing an inner vertex raise
+    InnerOverlapError naming the group and the vertex.
     """
     kept: list[PathGroup] = []
     indices: list[int] = []
-    normalized = False
     for pos, raw in enumerate(groups):
         paths = sorted(raw, key=NetPath.key)
         unique = [p for i, p in enumerate(paths) if i == 0 or p != paths[i - 1]]
-        if len(unique) != len(paths):
-            normalized = True
         if not unique:
-            normalized = True
             continue
         try:
             kept.append(PathGroup(tuple(unique)))
         except InnerOverlapError as exc:
             raise InnerOverlapError(pos, exc.vertex) from None
         indices.append(pos)
-    return PathGroupFamily(tuple(kept), tuple(indices), normalized)
+    return PathGroupFamily(tuple(kept), tuple(indices))
 
 
 @dataclass(frozen=True, slots=True)

@@ -3,14 +3,14 @@ classifier for the unique family shape that blocks a full rainbow matching."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import (
     DEFAULT_BUDGET,
     GuaranteeViolation,
     Meter,
-    NoUnrepresentedColors,
     PreconditionError,
     TheoremViolation,
 )
@@ -36,42 +36,29 @@ from .network_paths import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class RepresentationState:
-    """A partial rainbow matching together with its source family."""
-
-    family: MatchingFamily
-    current: RainbowMatching
-
-    @property
-    def unrepresented(self) -> tuple[int, ...]:
-        chosen = self.current.colors
-        return tuple(c for c in range(len(self.family)) if c not in chosen)
-
-
 @dataclass(frozen=True, eq=False)
 class NetworkTranslation:
     """Bookkeeping that links a contracted network back to the bipartite graph.
 
     ``matched_edges`` lists the current rainbow edges in order; inner node i
     of the network stands for ``matched_edges[i]``. ``colors`` maps group
-    positions back to family colors. ``edge_origin`` gives, per group, the
-    unique graph edge behind each non-direct network edge; ``direct_choices``
-    lists, per group, every single-edge augmenting path hiding behind the
-    direct source-sink edge.
+    positions back to family colors. ``pullback`` maps, per group, each
+    network edge to the graph edges behind it: one edge for an edge into or
+    out of an inner node, and every single-edge augmenting path, sorted, for
+    the direct source-sink edge.
     """
 
     matched_edges: tuple[Edge, ...]
     colors: tuple[int, ...]
-    edge_origin: tuple[dict[tuple[NetNode, NetNode], Edge], ...]
-    direct_choices: tuple[tuple[Edge, ...], ...]
+    pullback: tuple[_Pullback, ...]
 
 
 def build_contracted_network(
-    state: RepresentationState,
+    family: MatchingFamily, assignment: Mapping[int, Edge]
 ) -> tuple[PathGroupFamily, int, NetworkTranslation]:
-    """Translate every augmenting path of every unrepresented color into a
-    network over one inner node per currently matched edge.
+    """Translate every augmenting path of every color outside ``assignment``
+    into a network over one inner node per edge of the partial rainbow
+    matching ``assignment`` (color -> edge).
 
     Walking an augmenting path from its unmatched left endpoint, each edge
     outside the matching becomes one network edge: entering the matched edge
@@ -85,47 +72,42 @@ def build_contracted_network(
     Returns the network family, the inner node count, and the translation
     needed to pull a network witness back to graph edges.
     """
-    unrep = state.unrepresented
-    if not unrep:
-        raise NoUnrepresentedColors("every color is already represented")
-    base = state.current.matching
-    matched = tuple(sorted(base.edges))
+    matched = tuple(sorted(assignment.values()))
+    base = Matching(frozenset(matched))
     node_of = {e: i for i, e in enumerate(matched)}
 
     # colors holding equal members share one walk and one translation
     translated: dict[Matching, Optional[_Translated]] = {}
     groups: list[PathGroup] = []
     colors: list[int] = []
-    origins: list[dict[tuple[NetNode, NetNode], Edge]] = []
-    directs: list[tuple[Edge, ...]] = []
-    for color in unrep:
-        member = state.family[color]
+    pullbacks: list[_Pullback] = []
+    for color, member in enumerate(family):
+        if color in assignment:
+            continue
         if member not in translated:
             translated[member] = _translate(base, member, node_of)
         found = translated[member]
         if found is None:
             continue
-        group, origin, direct = found
+        group, pullback = found
         groups.append(group)
         colors.append(color)
-        origins.append(origin)
-        directs.append(direct)
+        pullbacks.append(pullback)
 
-    family = PathGroupFamily(tuple(groups))
-    translation = NetworkTranslation(
-        matched, tuple(colors), tuple(origins), tuple(directs))
-    return family, len(matched), translation
+    translation = NetworkTranslation(matched, tuple(colors), tuple(pullbacks))
+    return PathGroupFamily(tuple(groups)), len(matched), translation
 
 
-_Translated = tuple[PathGroup, dict[tuple[NetNode, NetNode], Edge], tuple[Edge, ...]]
+_Pullback = dict[tuple[NetNode, NetNode], tuple[Edge, ...]]
+_Translated = tuple[PathGroup, _Pullback]
 
 
 def _translate(
     base: Matching, member: Matching, node_of: dict[Edge, int]
 ) -> Optional[_Translated]:
-    """One member's network group, edge origins and direct choices, or None
-    when it has no augmenting path."""
-    origin: dict[tuple[NetNode, NetNode], Edge] = {}
+    """One member's network group and pull-back map, or None when it has no
+    augmenting path."""
+    pullback: _Pullback = {}
     direct: list[Edge] = []
     nets: list[NetPath] = []
     for alt in augmenting_paths(base, member):
@@ -136,12 +118,13 @@ def _translate(
             continue
         net = NetPath((SOURCE, *(node_of[e] for e in alt.edges[1::2]), SINK))
         nets.append(net)
-        origin.update(zip(net.edges, free))
+        pullback.update(zip(net.edges, ((e,) for e in free)))
     if direct:
         nets.append(NetPath((SOURCE, SINK)))
+        pullback[(SOURCE, SINK)] = tuple(sorted(direct))
     if not nets:
         return None
-    return PathGroup(tuple(sorted(nets, key=NetPath.key))), origin, tuple(sorted(direct))
+    return PathGroup(tuple(sorted(nets, key=NetPath.key))), pullback
 
 
 def find_rainbow_matching(
@@ -211,15 +194,11 @@ def _member_classes(family: MatchingFamily) -> dict[tuple[Edge, ...], list[int]]
 def _grow(family, assignment, target, canon, dead, meter) -> Optional[RainbowMatching]:
     meter.spend()
     if len(assignment) == target:
-        return RainbowMatching.of(assignment)
+        return RainbowMatching(tuple(assignment.items()))
     key = canon(assignment)
     if key in dead:
         return None
-    if len(assignment) >= len(family):
-        dead.add(key)
-        return None
-    state = RepresentationState(family, RainbowMatching.of(assignment))
-    network, inner_count, translation = build_contracted_network(state)
+    network, inner_count, translation = build_contracted_network(family, assignment)
     for nodes, net_colors, new_edges in _augmentation_steps(
             network, inner_count, translation):
         child = _apply_step(assignment, nodes, net_colors, new_edges, translation)
@@ -247,14 +226,10 @@ def _augmentation_steps(
 
 
 def _expand_pullbacks(nodes, net_colors, translation):
-    if nodes == (SOURCE, SINK):
-        for e in translation.direct_choices[net_colors[0]]:
-            yield nodes, net_colors, (e,)
-        return
-    edges = tuple(
-        translation.edge_origin[c][ne]
-        for ne, c in zip(zip(nodes, nodes[1:]), net_colors))
-    yield nodes, net_colors, edges
+    choices = (translation.pullback[c][ne]
+               for ne, c in zip(zip(nodes, nodes[1:]), net_colors))
+    for edges in itertools.product(*choices):
+        yield nodes, net_colors, edges
 
 
 def _apply_step(assignment, nodes, net_colors, new_edges, translation):
@@ -283,26 +258,6 @@ def drisko_condition(sizes: Iterable[int], size: int) -> bool:
             f"target {size} exceeds the {count} available colors")
     terms = ordered[: min(count - size + 1, count)]
     return sum(s - size + 1 for s in terms) >= size
-
-
-def near_rainbow(family: MatchingFamily) -> tuple[Matching, RainbowMatching]:
-    """A full-size matching representing all but at most one color.
-
-    For a family of 2n-2 matchings of size n: duplicate the first member,
-    solve the enlarged 2n-1 member instance for size n (always possible),
-    and fold the synthetic color back onto color 0. The returned assignment
-    injectively covers at least n-1 distinct original colors.
-    """
-    n = _uniform_even_family(family)
-    enlarged = MatchingFamily(family.members + (family.members[0],))
-    solved = find_rainbow_matching(enlarged, n)
-    if solved is None:
-        raise GuaranteeViolation("duplicated family must admit a full rainbow")
-    assignment = solved.as_dict()
-    synthetic = assignment.pop(len(family), None)
-    if synthetic is not None and 0 not in assignment:
-        assignment[0] = synthetic
-    return solved.matching, RainbowMatching.of(assignment)
 
 
 @dataclass(frozen=True, slots=True)

@@ -127,13 +127,13 @@ def egz_family(multiset: ResidueMultiset) -> MatchingFamily:
     """One shift matching per element, sorted and with multiplicity.
 
     Element a becomes the perfect matching joining each left residue i to the
-    right residue i + a mod n; color k corresponds to ``elements[k]``.
+    right residue i + a mod n; color k corresponds to ``elements[k]``. Equal
+    elements share one member object.
     """
     n = multiset.modulus
-    members = tuple(
-        validate_matching(edge(i, (i + a) % n) for i in range(n))
-        for a in multiset.elements)
-    return MatchingFamily(members)
+    shifts = {a: validate_matching(edge(i, (i + a) % n) for i in range(n))
+              for a in set(multiset.elements)}
+    return MatchingFamily(tuple(shifts[a] for a in multiset.elements))
 
 
 def find_zero_sum_subset(multiset: ResidueMultiset) -> Optional[tuple[int, ...]]:

@@ -1,6 +1,6 @@
 import pytest
 
-from rainbowkit import PreconditionError
+from rainbowkit import BudgetExceeded, PreconditionError
 from rainbowkit import campaigns
 from rainbowkit.campaigns import THEOREMS, run_campaign
 
@@ -41,6 +41,33 @@ class TestRunCampaign:
                             (lambda *args: (0, 0, {}), 6, 1, None, True))
         with pytest.raises(PreconditionError, match="no instances"):
             run_campaign("egz")
+
+    @pytest.mark.parametrize("theorem,kwargs,total", [
+        ("dichotomy", {"n": 5}, 31_634_996_316),
+        ("drisko", {"n": 3, "exhaustive": True}, 75_287_520),
+        ("extremal", {"n": 4, "exhaustive": True}, 66_435_367_637_100),
+        ("egz", {"n": 11, "exhaustive": True}, 44_352_165),
+        ("egz-extremal", {"n": 11, "exhaustive": True}, 30_045_015),
+    ])
+    def test_enumeration_beyond_budget_refused_at_once(self, monkeypatch, theorem,
+                                                       kwargs, total):
+        def refuse(*args):
+            raise AssertionError("enumeration started")
+
+        for name in ("_all_simple_paths", "enumerate_matchings", "enumerate_multisets"):
+            monkeypatch.setattr(campaigns, name, refuse)
+        with pytest.raises(BudgetExceeded, match=f"^{total} multisets exceed"):
+            run_campaign(theorem, **kwargs)
+
+    @pytest.mark.parametrize("theorem,kwargs,total,checked", [
+        ("drisko", {"n": 2, "exhaustive": True}, 1140, 1140),
+        ("extremal", {"n": 2, "exhaustive": True}, 171, 171),
+        ("dichotomy", {"n": 3}, 816, 734),
+    ])
+    def test_enumeration_charged_exactly(self, theorem, kwargs, total, checked):
+        assert run_campaign(theorem, budget=total, **kwargs).instances_checked == checked
+        with pytest.raises(BudgetExceeded, match=f"^{total} multisets exceed"):
+            run_campaign(theorem, budget=total - 1, **kwargs)
 
     def test_every_name_has_a_runner(self):
         assert set(THEOREMS) == {

@@ -94,10 +94,16 @@ class TestVerify:
         assert report["instances_checked"] == 26
 
     def test_budget_exit_three(self, capsys, monkeypatch):
-        monkeypatch.setenv("RAINBOWKIT_BUDGET", "10")
-        code, out, err = run_cli(capsys, "verify", "egz", "--n", "6", "--exhaustive")
-        assert code == 3
-        assert "budget" in err
+        # exhaustive runs charge their enumeration size before checking
+        for budget, total, argv in (
+                ("10", 21, ("egz", "--n", "6", "--exhaustive")),
+                ("1000", 1140, ("drisko", "--n", "2", "--exhaustive")),
+                ("500", 816, ("dichotomy", "--n", "3")),
+                ("100", 171, ("extremal", "--n", "2", "--exhaustive"))):
+            monkeypatch.setenv("RAINBOWKIT_BUDGET", budget)
+            code, out, err = run_cli(capsys, "verify", *argv)
+            assert (code, out) == (3, ""), argv
+            assert err == f"budget: {total} multisets exceed the budget\n"
 
     @pytest.mark.parametrize("argv", [
         ("drisko", "--n", "0", "--samples", "0"),

@@ -108,8 +108,7 @@ class TestValidateMatching:
 class TestRainbowMatching:
     def test_entries_sorted_and_queryable(self):
         rm = RainbowMatching(((2, edge(1, 1)), (0, edge(0, 0))))
-        assert rm.entries[0][0] == 0
-        assert rm.edge_of(2) == edge(1, 1)
+        assert rm.entries == ((0, edge(0, 0)), (2, edge(1, 1)))
         assert rm.colors == {0, 2}
 
     def test_duplicate_color_rejected(self):

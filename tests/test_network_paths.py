@@ -48,7 +48,7 @@ class TestBuildFamily:
     def test_single_path(self):
         fam = build_family([[path("s", 0, "t")]])
         assert fam.total_paths == 1
-        assert not fam.normalized
+        assert fam.source_indices == (0,)
 
     def test_disjoint_interiors_accepted(self):
         fam = build_family([[path("s", 0, "t"), path("s", 1, "t")]])
@@ -66,13 +66,11 @@ class TestBuildFamily:
 
     def test_duplicate_direct_paths_collapse(self):
         fam = build_family([[path("s", "t"), path("s", "t")]])
-        assert fam.total_paths == 1
-        assert fam.normalized
+        assert fam.groups[0].paths == (path("s", "t"),)
 
     def test_empty_groups_dropped_with_flag(self):
         fam = build_family([[], [path("s", 0, "t")]])
         assert len(fam.groups) == 1
-        assert fam.normalized
         assert fam.source_indices == (1,)
 
 

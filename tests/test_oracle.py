@@ -20,6 +20,7 @@ from rainbowkit import (
     enumerate_matchings,
     enumerate_multisets,
     generate,
+    validate_matching,
 )
 from conftest import path
 
@@ -29,7 +30,7 @@ class TestBruteRainbow:
         assert brute_rainbow(c6_family, 3) is None
 
     def test_single_edge(self):
-        fam = MatchingFamily.of([[edge(0, 0)]])
+        fam = MatchingFamily((validate_matching([edge(0, 0)]),))
         found = brute_rainbow(fam, 1)
         assert found.entries == ((0, edge(0, 0)),)
 

@@ -8,11 +8,9 @@ from rainbowkit import (
     BudgetExceeded,
     ExtremalCycle,
     HasRainbow,
+    Matching,
     MatchingFamily,
-    NoUnrepresentedColors,
     PreconditionError,
-    RainbowMatching,
-    RepresentationState,
     augmenting_paths,
     brute_rainbow,
     build_contracted_network,
@@ -22,7 +20,6 @@ from rainbowkit import (
     edge,
     enumerate_matchings,
     find_rainbow_matching,
-    near_rainbow,
     rainbow_is_valid,
     validate_matching,
 )
@@ -31,33 +28,34 @@ from rainbowkit.rainbow_solver import _cycle_split
 
 
 def family(*member_lists):
-    return MatchingFamily.of(member_lists)
+    return MatchingFamily(tuple(validate_matching(m) for m in member_lists))
 
 
 class TestBuildContractedNetwork:
     def test_empty_base_single_edge_color(self):
-        state = RepresentationState(family([edge(0, 0)]), RainbowMatching(()))
-        network, inner, translation = build_contracted_network(state)
+        network, inner, translation = build_contracted_network(family([edge(0, 0)]), {})
         assert inner == 0
         assert [tuple(p.nodes for p in g.paths) for g in network.groups] == [
             (("s", "t"),)]
-        assert translation.direct_choices[0] == (edge(0, 0),)
+        assert translation.pullback[0] == {("s", "t"): (edge(0, 0),)}
+        # every color represented: an empty network over the one matched edge
+        network, inner, translation = build_contracted_network(
+            family([edge(0, 0)]), {0: edge(0, 0)})
+        assert (network.groups, inner, translation.colors) == ((), 1, ())
 
     def test_one_matched_edge_translates_long_path(self):
         fam = family([edge(0, 1), edge(1, 0)], [edge(0, 0)], [edge(2, 2)])
-        state = RepresentationState(fam, RainbowMatching(((1, edge(0, 0)),)))
-        network, inner, translation = build_contracted_network(state)
+        network, inner, translation = build_contracted_network(fam, {1: edge(0, 0)})
         assert inner == 1
         assert translation.colors == (0, 2)
         assert tuple(p.nodes for p in network.groups[0].paths) == (("s", 0, "t"),)
-        assert translation.edge_origin[0][("s", 0)] == edge(1, 0)
-        assert translation.edge_origin[0][(0, "t")] == edge(0, 1)
+        assert translation.pullback[0][("s", 0)] == (edge(1, 0),)
+        assert translation.pullback[0][(0, "t")] == (edge(0, 1),)
 
     def test_cycle_color_contributes_no_paths(self, even3, odd3):
         fam = MatchingFamily((even3, even3, even3, odd3))
-        current = RainbowMatching(((0, edge(0, 0)), (1, edge(1, 1)), (2, edge(2, 2))))
-        network, inner, translation = build_contracted_network(
-            RepresentationState(fam, current))
+        current = {0: edge(0, 0), 1: edge(1, 1), 2: edge(2, 2)}
+        network, inner, translation = build_contracted_network(fam, current)
         assert inner == 3
         assert network.groups == ()
         assert translation.colors == ()
@@ -75,23 +73,16 @@ class TestBuildContractedNetwork:
         shared = [family([edge(0, 1), edge(1, 0), edge(2, 2)])[0] for _ in range(3)]
         assert shared[0] is not shared[1] and shared[1] is not shared[2]
         fam = MatchingFamily((*shared, *family([edge(1, 1)], [edge(0, 0)])))
-        state = RepresentationState(fam, RainbowMatching(((4, edge(0, 0)),)))
-        network, inner, translation = build_contracted_network(state)
+        network, inner, translation = build_contracted_network(fam, {4: edge(0, 0)})
         assert walked == [fam[0], fam[3]]
         assert inner == 1
         assert [tuple(p.nodes for p in g.paths) for g in network.groups] == [
             (("s", 0, "t"), ("s", "t"))] * 3 + [(("s", "t"),)]
         assert translation.matched_edges == (edge(0, 0),)
         assert translation.colors == (0, 1, 2, 3)
-        assert translation.edge_origin == (
-            {("s", 0): edge(1, 0), (0, "t"): edge(0, 1)},) * 3 + ({},)
-        assert translation.direct_choices == ((edge(2, 2),),) * 3 + ((edge(1, 1),),)
-
-    def test_every_color_represented_raises(self):
-        fam = family([edge(0, 0)])
-        state = RepresentationState(fam, RainbowMatching(((0, edge(0, 0)),)))
-        with pytest.raises(NoUnrepresentedColors):
-            build_contracted_network(state)
+        assert translation.pullback == (
+            {("s", 0): (edge(1, 0),), (0, "t"): (edge(0, 1),),
+             ("s", "t"): (edge(2, 2),)},) * 3 + ({("s", "t"): (edge(1, 1),)},)
 
 
 class TestFindRainbowMatching:
@@ -118,7 +109,7 @@ class TestFindRainbowMatching:
         fam = family([edge(0, 0), edge(1, 1)], [edge(0, 2)])
         found = find_rainbow_matching(fam, 2)
         assert found is not None
-        assert found.as_dict() == {0: edge(1, 1), 1: edge(0, 2)}
+        assert found.entries == ((0, edge(1, 1)), (1, edge(0, 2)))
 
     def test_agreement_with_oracle_exhaustive_small(self):
         pool = enumerate_matchings(1, 2) + enumerate_matchings(2, 2)
@@ -197,6 +188,43 @@ class TestAgainstOracle:
                 assert len(mine) == target and rainbow_is_valid(mine, fam)
 
 
+@st.composite
+def families_with_assignments(draw):
+    """A small family and a partial rainbow matching of it (color -> edge)."""
+    fam = draw(small_families())
+    assignment = {}
+    for color in draw(st.permutations(range(len(fam)))):
+        taken = assignment.values()
+        options = [e for e in fam[color]
+                   if all(e.left != f.left and e.right != f.right for f in taken)]
+        if options and draw(st.booleans()):
+            assignment[color] = draw(st.sampled_from(options))
+    return fam, assignment
+
+
+class TestPullback:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(families_with_assignments())
+    def test_pullback_is_every_free_edge_of_every_augmenting_path(self, drawn):
+        fam, assignment = drawn
+        network, inner, translation = build_contracted_network(fam, assignment)
+        base = Matching(frozenset(assignment.values()))
+        assert translation.matched_edges == tuple(sorted(assignment.values()))
+        assert inner == len(assignment)
+        assert translation.colors == tuple(
+            c for c in range(len(fam))
+            if c not in assignment and augmenting_paths(base, fam[c]))
+        assert len(translation.pullback) == len(network.groups)
+        for g, pullback in enumerate(translation.pullback):
+            member = fam[translation.colors[g]]
+            pulled = [e for edges in pullback.values() for e in edges]
+            assert all(e in member for e in pulled)
+            assert sorted(pulled) == sorted(
+                e for alt in augmenting_paths(base, member) for e in alt.edges[0::2])
+            assert all(list(edges) == sorted(edges) for edges in pullback.values())
+            assert {ne for p in network.groups[g].paths for ne in p.edges} == set(pullback)
+
+
 class TestBudget:
     def test_one_step_per_search_state(self):
         # the search visits 2581 states to refute the split 10-cycle
@@ -227,42 +255,6 @@ class TestDriskoCondition:
     def test_negative_summands_count(self):
         # sizes 1 and 5 with target 3: first two summands are -1 and 3
         assert not drisko_condition([1, 5, 5], 3)
-
-
-class TestNearRainbow:
-    def test_four_cycle(self, even2, odd2):
-        matched, rainbow = near_rainbow(MatchingFamily((even2, odd2)))
-        assert matched == even2
-        assert len(rainbow) >= 1
-        assert all(e in matched.edges for _, e in rainbow.entries)
-
-    def test_cycle_family_covers_two_colors(self, c6_family):
-        matched, rainbow = near_rainbow(c6_family)
-        assert len(matched) == 3
-        assert len(rainbow) >= 2
-        assert all(e in c6_family[c] for c, e in rainbow.entries)
-
-    def test_empty_family_rejected(self):
-        with pytest.raises(PreconditionError):
-            near_rainbow(MatchingFamily(()))
-
-    def test_random_families_always_succeed(self):
-        rng = random.Random(41)
-        for _ in range(300):
-            n = rng.randint(2, 4)
-            members = []
-            for _ in range(2 * n - 2):
-                side = n + rng.randint(0, 1)
-                lefts = sorted(rng.sample(range(side), n))
-                rights = rng.sample(range(side), n)
-                members.append(validate_matching(
-                    edge(lefts[i], rights[i]) for i in range(n)))
-            fam = MatchingFamily(tuple(members))
-            matched, rainbow = near_rainbow(fam)
-            assert len(matched) == n
-            assert len(rainbow) >= n - 1
-            assert all(e in fam[c] and e in matched.edges
-                       for c, e in rainbow.entries)
 
 
 class TestClassifyFamily:

@@ -21,6 +21,7 @@ from rainbowkit import (
     generate,
     matrix_to_family,
     transversal_is_valid,
+    validate_matching,
 )
 
 
@@ -94,6 +95,15 @@ class TestEgzFamily:
         assert len(fam) == 4
         assert fam[0] == fam[1] and fam[2] == fam[3]
         assert fam[0] != fam[2]
+
+    def test_equal_elements_share_one_member(self):
+        multiset = ResidueMultiset(3, (0, 0, 1, 1, 2))
+        fam = egz_family(multiset)
+        assert fam[0] is fam[1] and fam[2] is fam[3]
+        assert fam[0] is not fam[2] and fam[2] is not fam[4]
+        assert fam.members == tuple(
+            validate_matching(edge(i, (i + a) % 3) for i in range(3))
+            for a in multiset.elements)
 
 
 class TestFindZeroSumSubset:

@@ -1,0 +1,202 @@
+"""Differential check: one SHA-256 per section over what rainbowkit computes.
+
+Run it against two source trees and compare the lines; a change meant to keep
+verdicts, witnesses and reports byte-identical must print the same digests::
+
+    PYTHONPATH=src python3 tools/differential.py
+    PYTHONPATH=/path/to/other/checkout/src python3 tools/differential.py
+
+Sections:
+
+- ``workloads``: every case of the four benchmark workloads on seeds 1 and
+  8191 (``bench/workloads.py``, imported and not changed), with its output
+  and its check result;
+- ``campaigns``: every campaign's ``to_obj()`` without ``elapsed``;
+- ``augmenting``: ``augmenting_paths`` both ways round on seeded pairs of
+  matchings with 1-9 vertices a side;
+- ``solver``: ``find_rainbow_matching`` at every target, ``classify_family``
+  and ``classify_multiset`` on seeded streams;
+- ``slice``: the smaller, self-contained run that the test suite pins
+  (``tests/test_differential.py``).
+
+Inputs are drawn from seeded generators over sorted index lists, never from
+set iteration order, and every set or dict is serialized sorted, so the
+digests depend on what the code returns and not on hashing.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+import random
+import sys
+from pathlib import Path
+
+import rainbowkit as rk
+from rainbowkit.campaigns import run_campaign
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+# (theorem, keyword arguments) for the full run and for the pinned slice
+CAMPAIGNS = (
+    ("drisko", {"n": 3, "samples": 150, "seed": 1}),
+    ("drisko", {"n": 2, "exhaustive": True}),
+    ("general", {"samples": 300, "seed": 2}),
+    ("bgs", {"n": 5, "samples": 100, "seed": 3}),
+    ("extremal", {"n": 2, "exhaustive": True}),
+    ("extremal", {"n": 3, "samples": 60, "seed": 4}),
+    ("counting", {"samples": 200, "seed": 5}),
+    ("dichotomy", {"n": 3}),
+    ("egz", {"n": 4, "exhaustive": True}),
+    ("egz", {"n": 6}),
+    ("egz-extremal", {"n": 4, "exhaustive": True}),
+    ("transversal", {"n": 4, "samples": 200, "seed": 6}),
+    ("sharpness", {"n": 5}),
+)
+SLICE_CAMPAIGNS = (
+    ("drisko", {"n": 2, "samples": 40, "seed": 1}),
+    ("general", {"samples": 60, "seed": 2}),
+    ("bgs", {"n": 4, "samples": 30, "seed": 3}),
+    ("extremal", {"n": 2, "exhaustive": True}),
+    ("counting", {"samples": 40, "seed": 5}),
+    ("dichotomy", {"n": 2}),
+    ("egz", {"n": 3, "exhaustive": True}),
+    ("egz-extremal", {"n": 3, "exhaustive": True}),
+    ("transversal", {"n": 3, "samples": 40, "seed": 6}),
+    ("sharpness", {"n": 3}),
+)
+
+
+def plain(obj) -> object:
+    """A JSON value for a rainbowkit result: dataclasses as their class name
+    and fields, sets and dicts sorted by their serialized items."""
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    if dataclasses.is_dataclass(obj):
+        return [type(obj).__name__,
+                *(plain(getattr(obj, f.name)) for f in dataclasses.fields(obj))]
+    if isinstance(obj, dict):
+        return sorted(([plain(k), plain(v)] for k, v in obj.items()), key=json.dumps)
+    if isinstance(obj, (set, frozenset)):
+        return sorted((plain(x) for x in obj), key=json.dumps)
+    if isinstance(obj, (tuple, list)):
+        return [plain(x) for x in obj]
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def digest(records: list) -> str:
+    text = json.dumps(records, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def outcome(call) -> object:
+    """The call's serialized result, or the type of the rainbowkit error it
+    raised."""
+    try:
+        return ["ok", plain(call())]
+    except rk.RainbowkitError as exc:
+        return ["raised", type(exc).__name__]
+
+
+def _matching(rng: random.Random, size: int, side: int) -> rk.Matching:
+    lefts = rng.sample(range(side), size)
+    rights = rng.sample(range(side), size)
+    return rk.validate_matching(rk.edge(a, b) for a, b in zip(lefts, rights))
+
+
+def augmenting_section(pairs: int, seed: int = 11) -> list:
+    """``augmenting_paths`` both ways round; about a third of the pairs
+    share edges."""
+    rng = random.Random(seed)
+    records = []
+    for _ in range(pairs):
+        side = rng.randint(1, 9)
+        base = _matching(rng, rng.randint(0, side), side)
+        other = _matching(rng, rng.randint(0, side), side)
+        if base.edges and rng.random() < 0.35:
+            shared = rng.sample(sorted(base.edges), rng.randint(1, len(base)))
+            kept = [e for e in sorted(other.edges)
+                    if all(e.left != f.left and e.right != f.right for f in shared)]
+            other = rk.validate_matching(kept + shared)
+        records.append([plain(rk.augmenting_paths(base, other)),
+                        plain(rk.augmenting_paths(other, base))])
+    return records
+
+
+def solver_section(draws: int, seed: int = 12) -> list:
+    """Mixed families with repeated members at every target, uniform
+    families of 2n-2 members through the classifier, and residue multisets
+    of 2n-2 elements through the EGZ classifier."""
+    rng = random.Random(seed)
+    records = []
+    for _ in range(draws):
+        side = rng.randint(1, 4)
+        members: list[rk.Matching] = []
+        for _ in range(rng.randint(1, 6)):
+            if members and rng.random() < 0.3:
+                members.append(members[rng.randrange(len(members))])
+            else:
+                members.append(_matching(rng, rng.randint(0, min(3, side)), side))
+        family = rk.MatchingFamily(tuple(members))
+        records.append([outcome(lambda: rk.find_rainbow_matching(family, t))
+                        for t in range(len(family) + 2)])
+        n = rng.randint(2, 4)
+        spec = rk.GenSpec.family_uniform(n, 2 * n - 2, n + rng.randint(0, 1),
+                                         rng.getrandbits(63))
+        records.append(outcome(lambda: rk.classify_family(rk.generate(spec))))
+        n = rng.randint(2, 6)
+        multiset = rk.ResidueMultiset(
+            n, tuple(rng.randrange(n) for _ in range(2 * n - 2)))
+        records.append(outcome(lambda: rk.classify_multiset(multiset)))
+    return records
+
+
+def campaign_section(runs) -> list:
+    records = []
+    for theorem, kwargs in runs:
+        report = run_campaign(theorem, **kwargs).to_obj()
+        del report["elapsed"]
+        records.append(report)
+    return records
+
+
+def workload_section(seeds=(1, 8191)) -> list:
+    sys.path.insert(0, str(BENCH))
+    import checks
+    from workloads import WORKLOADS
+
+    records = []
+    for name in sorted(WORKLOADS):
+        for seed in seeds:
+            for case in WORKLOADS[name](rk, seed):
+                out = case.call()
+                try:
+                    verdict = case.check(out)
+                except checks.Missing as exc:
+                    verdict = f"missing: {exc}"
+                records.append([name, seed, plain(out), verdict])
+    return records
+
+
+def slice_records() -> list:
+    """The pinned slice: seeded streams and small campaigns, no benchmark
+    import, a few seconds."""
+    return [augmenting_section(5000), solver_section(500),
+            campaign_section(SLICE_CAMPAIGNS)]
+
+
+def main() -> None:
+    sections = {
+        "workloads": workload_section,
+        "campaigns": lambda: campaign_section(CAMPAIGNS),
+        "augmenting": lambda: augmenting_section(100_000),
+        "solver": lambda: solver_section(3000),
+        "slice": slice_records,
+    }
+    for name, build in sections.items():
+        print(name, digest(build()), flush=True)
+
+
+if __name__ == "__main__":
+    main()
