@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .errors import BudgetExceeded, PreconditionError
+from .errors import BudgetExceeded, DichotomyViolation, PreconditionError
 from .graph_core import MatchingFamily, edge, rainbow_is_valid, validate_matching
 from .network_paths import (
     SINK,
@@ -23,7 +23,6 @@ from .network_paths import (
     PathGroup,
     PathGroupFamily,
     colored_path_conforms,
-    is_regimented,
     reachable_witness_set,
     verify_regimented_dichotomy,
     Regimentation,
@@ -244,7 +243,7 @@ def _run_counting(n, samples, exhaustive, seed, budget):
             continue
         ok = all(
             colored_path_conforms(path, family) and node in exact
-            and (path.nodes[-1] == node if len(path.nodes) > 1 else node == "s")
+            and path.target == node
             for node, path in witnesses.items())
         if not ok:
             violations += 1
@@ -262,8 +261,9 @@ def _all_simple_paths(inner: int) -> list[NetPath]:
 
 def _run_dichotomy(n, samples, exhaustive, seed, budget):
     """Multisets of exactly as many source-sink paths as inner nodes in use:
-    exactly one of (regimented, oracle finds a multicolored source-sink path)
-    holds, and verify_regimented_dichotomy agrees."""
+    verify_regimented_dichotomy calls each one regimented exactly when the
+    oracle finds no multicolored source-sink path, and otherwise returns a
+    conforming path."""
     checked = violations = 0
     # _all_simple_paths(inner) lists one path per ordered choice of inner nodes
     _charge_enumerations(((sum(math.perm(inner, r) for r in range(inner + 1)), inner)
@@ -276,18 +276,18 @@ def _run_dichotomy(n, samples, exhaustive, seed, budget):
             if used != full:
                 continue
             checked += 1
-            regimentation = is_regimented(multiset)
             family = PathGroupFamily(tuple(PathGroup((p,)) for p in multiset))
             reaches_sink = SINK in brute_mc_path(family, budget)
-            if (regimentation is None) == (not reaches_sink):
+            try:
+                outcome = verify_regimented_dichotomy(multiset)
+            except DichotomyViolation:
                 violations += 1
                 continue
-            outcome = verify_regimented_dichotomy(multiset)
-            if regimentation is not None:
-                if not isinstance(outcome, Regimentation):
-                    violations += 1
-            elif isinstance(outcome, Regimentation) or not colored_path_conforms(
-                    outcome, family):
+            if isinstance(outcome, Regimentation):
+                sound = not reaches_sink
+            else:
+                sound = reaches_sink and colored_path_conforms(outcome, family)
+            if not sound:
                 violations += 1
     return checked, violations, {"max_inner": n, "mode": "exhaustive"}
 

@@ -89,7 +89,10 @@ def network_from_obj(obj: Any) -> PathGroupFamily:
 
 
 def network_to_obj(family: PathGroupFamily) -> list:
-    return [[list(p.nodes) for p in group.paths] for group in family.groups]
+    """Each group at its input position, so ``source_indices`` round-trips."""
+    at = dict(zip(family.source_indices, family.groups))
+    return [[list(p.nodes) for p in at[i].paths] if i in at else []
+            for i in range(max(at, default=-1) + 1)]
 
 
 def matrix_from_obj(obj: Any) -> SymbolMatrix:

@@ -434,9 +434,10 @@ def verify_regimented_dichotomy(
 
     Requires exactly as many paths as distinct inner nodes in use. Regimented
     multisets admit no multicolored source-sink path, and non-regimented ones
-    always admit one, searched with each path as its own singleton group, so
-    witness colors index the paths in input order. Both sides failing would
-    be a bug and raises DichotomyViolation.
+    always admit one: the first in exhaustive order (the contraction needs
+    more paths than inner nodes), with each path as its own singleton group,
+    so witness colors index the paths in input order. Both sides failing
+    would be a bug and raises DichotomyViolation.
     """
     plist = list(paths)
     used = len({v for p in plist for v in p.inner_nodes})
@@ -447,7 +448,7 @@ def verify_regimented_dichotomy(
     if regimentation is not None:
         return regimentation
     family = PathGroupFamily(tuple(PathGroup((p,)) for p in plist))
-    witness = find_multicolored_st_path(family, used)
+    witness = next(iter_multicolored_st_paths(family), None)
     if witness is None:
         raise DichotomyViolation("multiset is neither regimented nor traversable")
     return witness

@@ -3,14 +3,13 @@ transversals and zero-sum sub-multisets of residues."""
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .errors import GuaranteeViolation, PreconditionError, RowDuplicateError, TheoremViolation
-from .graph_core import MatchingFamily, edge, validate_matching
-from .rainbow_solver import find_rainbow_matching
+from .errors import GuaranteeViolation, PreconditionError, RowDuplicateError
+from .graph_core import MatchingFamily, RainbowMatching, edge, validate_matching
+from .rainbow_solver import HasRainbow, classify_family, find_rainbow_matching
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,20 +52,17 @@ class Transversal:
         return len(self.entries)
 
 
-def transversal_is_valid(matrix: SymbolMatrix, transversal: Transversal,
-                         full: bool = True) -> bool:
-    """Check the three distinctness constraints (and fullness) from scratch."""
+def transversal_is_valid(matrix: SymbolMatrix, transversal: Transversal) -> bool:
+    """Check the three distinctness constraints and fullness from scratch."""
     entries = sorted(transversal.entries)
     if not all(0 <= r < matrix.rows and 0 <= c < matrix.cols for r, c in entries):
         return False
     rows = [r for r, _ in entries]
     cols = [c for _, c in entries]
     symbols = [matrix.cells[r][c] for r, c in entries]
-    distinct = (len(set(rows)) == len(rows) and len(set(cols)) == len(cols)
-                and len(set(symbols)) == len(symbols))
-    if full:
-        return distinct and len(entries) == min(matrix.rows, matrix.cols)
-    return distinct
+    return (len(set(rows)) == len(rows) and len(set(cols)) == len(cols)
+            and len(set(symbols)) == len(symbols)
+            and len(entries) == min(matrix.rows, matrix.cols))
 
 
 def matrix_to_family(matrix: SymbolMatrix) -> MatchingFamily:
@@ -87,15 +83,13 @@ def find_transversal(matrix: SymbolMatrix) -> Optional[Transversal]:
 
     Each rainbow edge, column j matched to a symbol and colored by row i,
     pulls back to the entry (i, j). Success is guaranteed once the row count
-    reaches twice the column count minus one; a miss there raises
-    GuaranteeViolation. The pulled-back entries are revalidated from scratch.
+    reaches twice the column count minus one; there the solver's size
+    threshold holds, so a miss raises GuaranteeViolation from the solver. The
+    pulled-back entries are revalidated from scratch.
     """
     target = min(matrix.rows, matrix.cols)
     rainbow = find_rainbow_matching(matrix_to_family(matrix), target)
     if rainbow is None:
-        if matrix.rows >= 2 * matrix.cols - 1:
-            raise GuaranteeViolation(
-                "row count reaches the transversal guarantee but none was found")
         return None
     result = Transversal(frozenset((row, e.left.index) for row, e in rainbow.entries))
     if not transversal_is_valid(matrix, result):
@@ -142,16 +136,19 @@ def find_zero_sum_subset(multiset: ResidueMultiset) -> Optional[tuple[int, ...]]
     Solved as a full rainbow matching on the shift family: such a matching
     covers every left and every right residue exactly once, so the chosen
     shifts telescope to zero mod n. Guaranteed to exist from 2n-1 elements
-    up; a miss there raises GuaranteeViolation. The witness is re-verified
-    (size, sum, sub-multiset) before it is returned.
+    up; there the solver's size threshold holds, so a miss raises
+    GuaranteeViolation from the solver. The witness is re-verified (size,
+    sum, sub-multiset) before it is returned.
     """
+    rainbow = find_rainbow_matching(egz_family(multiset), multiset.modulus)
+    return None if rainbow is None else _zero_sum_witness(multiset, rainbow)
+
+
+def _zero_sum_witness(multiset: ResidueMultiset,
+                      rainbow: RainbowMatching) -> tuple[int, ...]:
+    """The residues behind a full rainbow matching of the shift family,
+    sorted, after checking size, sum and sub-multiset from scratch."""
     n = multiset.modulus
-    rainbow = find_rainbow_matching(egz_family(multiset), n)
-    if rainbow is None:
-        if len(multiset) >= 2 * n - 1:
-            raise GuaranteeViolation(
-                "enough residues for the zero-sum guarantee but none was found")
-        return None
     witness = tuple(sorted(multiset.elements[c] for c in rainbow.colors))
     if (len(witness) != n or sum(witness) % n != 0
             or Counter(witness) - Counter(multiset.elements)):
@@ -177,8 +174,9 @@ def classify_multiset(multiset: ResidueMultiset) -> MultisetClassification:
     """Find a zero-sum sub-multiset or certify the unique blocking shape.
 
     A multiset of 2n-2 residues with no zero-sum sub-multiset of size n must
-    be n-1 copies each of two residues whose difference is coprime to n.
-    Anything else failing the solver raises TheoremViolation (a bug flag).
+    be n-1 copies each of two residues whose difference is coprime to n,
+    which is exactly when classify_family finds the shift family's split
+    2n-cycle. Anything else failing the solver raises TheoremViolation.
     """
     n = multiset.modulus
     if n < 2:
@@ -186,12 +184,9 @@ def classify_multiset(multiset: ResidueMultiset) -> MultisetClassification:
     if len(multiset) != 2 * n - 2:
         raise PreconditionError(
             f"need exactly {2 * n - 2} elements, got {len(multiset)}")
-    witness = find_zero_sum_subset(multiset)
-    if witness is not None:
-        return HasZeroSum(witness)
-    counts = Counter(multiset.elements)
-    if len(counts) == 2:
-        (low, c_low), (high, c_high) = sorted(counts.items())
-        if c_low == c_high == n - 1 and math.gcd(high - low, n) == 1:
-            return ExtremalPair(low, high)
-    raise TheoremViolation("no zero-sum sub-multiset and no blocking pair shape")
+    verdict = classify_family(egz_family(multiset))
+    if isinstance(verdict, HasRainbow):
+        return HasZeroSum(_zero_sum_witness(multiset, verdict.witness))
+    low, high = sorted(multiset.elements[min(colors)]
+                       for colors in (verdict.even_colors, verdict.odd_colors))
+    return ExtremalPair(low, high)

@@ -1,6 +1,6 @@
 import pytest
 
-from rainbowkit import BudgetExceeded, PreconditionError
+from rainbowkit import BudgetExceeded, PreconditionError, Regimentation
 from rainbowkit import campaigns
 from rainbowkit.campaigns import THEOREMS, run_campaign
 
@@ -68,6 +68,16 @@ class TestRunCampaign:
         assert run_campaign(theorem, budget=total, **kwargs).instances_checked == checked
         with pytest.raises(BudgetExceeded, match=f"^{total} multisets exceed"):
             run_campaign(theorem, budget=total - 1, **kwargs)
+
+    def test_dichotomy_counts_each_wrong_verdict(self, monkeypatch):
+        monkeypatch.setattr(campaigns, "verify_regimented_dichotomy",
+                            lambda paths: Regimentation(()))
+        report = run_campaign("dichotomy", n=3)
+        # the regimented multisets cut the inner nodes into ordered runs:
+        # 1, 1, 3 and 13 ways for 0-3 inner nodes; every other one is
+        # traversable, so calling it regimented is one violation each
+        assert report.instances_checked == 734
+        assert report.violations == 734 - 18
 
     def test_every_name_has_a_runner(self):
         assert set(THEOREMS) == {

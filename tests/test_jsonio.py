@@ -1,6 +1,16 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rainbowkit import InputError, build_family, edge
+from rainbowkit import (
+    InputError,
+    MatchingFamily,
+    NetPath,
+    ResidueMultiset,
+    SymbolMatrix,
+    build_family,
+    edge,
+    validate_matching,
+)
 from rainbowkit import jsonio
 from conftest import path
 
@@ -77,3 +87,73 @@ class TestWitnessSerialization:
         witness = find_multicolored_st_path(fam, 1)
         obj = jsonio.colored_path_to_obj(witness, fam.source_indices)
         assert obj == {"nodes": ["s", 0, "t"], "colors": [1, 2]}
+
+
+@st.composite
+def families(draw):
+    """0-5 matchings of size 0-4 on at most 5 vertices a side."""
+    side = draw(st.integers(1, 5))
+    members = []
+    for _ in range(draw(st.integers(0, 5))):
+        lefts = draw(st.permutations(range(side)))
+        rights = draw(st.permutations(range(side)))
+        size = draw(st.integers(0, side))
+        members.append(validate_matching(map(edge, lefts[:size], rights[:size])))
+    return MatchingFamily(tuple(members))
+
+
+@st.composite
+def networks(draw):
+    """0-4 groups, each cutting a shuffled run of up to 5 inner nodes into
+    innerly disjoint paths (an empty run is the direct path), some groups
+    with the direct path besides, and some groups empty."""
+    groups = []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.integers(0, 3)) == 0:
+            groups.append([])
+            continue
+        order = draw(st.permutations(range(5)))[:draw(st.integers(0, 5))]
+        cuts = []
+        if len(order) > 1:
+            cuts = sorted(draw(st.sets(st.integers(1, len(order) - 1))))
+        runs = [order[a:b] for a, b in zip([0, *cuts], [*cuts, len(order)])]
+        paths = [NetPath(("s", *run, "t")) for run in runs]
+        if draw(st.booleans()):
+            paths.append(NetPath(("s", "t")))
+        groups.append(paths)
+    return build_family(groups)
+
+
+@st.composite
+def matrices(draw):
+    cols = draw(st.integers(1, 4))
+    row = st.lists(st.integers(-3, 9), min_size=cols, max_size=cols, unique=True)
+    return SymbolMatrix(tuple(map(tuple, draw(st.lists(row, min_size=1, max_size=5)))))
+
+
+@st.composite
+def multisets(draw):
+    n = draw(st.integers(1, 8))
+    return ResidueMultiset(n, tuple(draw(st.lists(st.integers(0, n - 1), max_size=12))))
+
+
+class TestRoundTripProperty:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(families())
+    def test_family(self, fam):
+        assert jsonio.family_from_obj(jsonio.family_to_obj(fam)) == fam
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(networks())
+    def test_network(self, fam):
+        assert jsonio.network_from_obj(jsonio.network_to_obj(fam)) == fam
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(matrices())
+    def test_matrix(self, matrix):
+        assert jsonio.matrix_from_obj(jsonio.matrix_to_obj(matrix)) == matrix
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(multisets())
+    def test_multiset(self, multiset):
+        assert jsonio.multiset_from_obj(jsonio.multiset_to_obj(multiset)) == multiset

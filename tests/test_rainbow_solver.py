@@ -187,6 +187,18 @@ class TestAgainstOracle:
             if mine is not None:
                 assert len(mine) == target and rainbow_is_valid(mine, fam)
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(small_families())
+    def test_never_beyond_networkx_maximum_matching(self, fam):
+        nx = pytest.importorskip("networkx")
+        union = nx.Graph()
+        union.add_edges_from(e.vertices for member in fam for e in member)
+        largest = len(nx.max_weight_matching(union, maxcardinality=True))
+        for target in range(len(fam) + 2):
+            found = find_rainbow_matching(fam, target)
+            # hence a target above the maximum matching size finds nothing
+            assert found is None or len(found) == target <= largest
+
 
 @st.composite
 def families_with_assignments(draw):
@@ -251,6 +263,13 @@ class TestDriskoCondition:
     def test_target_beyond_count(self):
         with pytest.raises(PreconditionError):
             drisko_condition([2, 2], 3)
+
+    def test_uniform_threshold_is_doubled_count(self):
+        # the guarantee of find_transversal and find_zero_sum_subset: c-edge
+        # members, r of them, reach target c exactly from 2c-1 members up
+        for c in range(1, 41):
+            for r in range(c, 41):
+                assert drisko_condition([c] * r, c) == (r >= 2 * c - 1)
 
     def test_negative_summands_count(self):
         # sizes 1 and 5 with target 3: first two summands are -1 and 3

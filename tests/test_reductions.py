@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 
@@ -6,6 +7,7 @@ import pytest
 from rainbowkit import (
     ExtremalPair,
     GenSpec,
+    GuaranteeViolation,
     HasZeroSum,
     PreconditionError,
     ResidueMultiset,
@@ -23,6 +25,7 @@ from rainbowkit import (
     transversal_is_valid,
     validate_matching,
 )
+from rainbowkit import rainbow_solver
 
 
 class TestSymbolMatrix:
@@ -147,8 +150,27 @@ class TestClassifyMultiset:
             classify_multiset(ResidueMultiset(3, (0, 0, 1)))
 
     def test_exhaustive_small_dichotomy(self):
-        for n in (2, 3, 4):
+        for n in (2, 3, 4, 5):
             for multiset in enumerate_multisets(n, 2 * n - 2):
                 verdict = classify_multiset(multiset)
                 feasible = brute_zero_sum(multiset) is not None
                 assert isinstance(verdict, HasZeroSum) == feasible
+                counts = Counter(multiset.elements)
+                pair = sorted(counts)
+                blocking = (len(pair) == 2 and counts[pair[0]] == n - 1
+                            and math.gcd(pair[1] - pair[0], n) == 1)
+                if blocking:
+                    assert verdict == ExtremalPair(*pair)
+                else:
+                    assert isinstance(verdict, HasZeroSum)
+
+
+class TestGuaranteeOwnedBySolver:
+    def test_miss_at_the_guarantee_raises(self, monkeypatch):
+        # a search that finds nothing: the solver's size threshold holds on
+        # both uniform families, so the solver itself raises
+        monkeypatch.setattr(rainbow_solver, "_grow", lambda *args: None)
+        with pytest.raises(GuaranteeViolation):
+            find_transversal(SymbolMatrix(((1, 2), (1, 2), (2, 1))))
+        with pytest.raises(GuaranteeViolation):
+            find_zero_sum_subset(ResidueMultiset(3, (0, 0, 1, 1, 2)))

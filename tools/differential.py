@@ -16,6 +16,8 @@ Sections:
   matchings with 1-9 vertices a side;
 - ``solver``: ``find_rainbow_matching`` at every target, ``classify_family``
   and ``classify_multiset`` on seeded streams;
+- ``witnesses``: ``reachable_witness_set`` on a seeded stream of generated
+  networks;
 - ``slice``: the smaller, self-contained run that the test suite pins
   (``tests/test_differential.py``).
 
@@ -152,6 +154,18 @@ def solver_section(draws: int, seed: int = 12) -> list:
     return records
 
 
+def witness_section(draws: int, seed: int = 13) -> list:
+    """``reachable_witness_set`` on generated networks of 1-7 inner nodes,
+    1-4 groups and 1-3 paths a group."""
+    rng = random.Random(seed)
+    records = []
+    for _ in range(draws):
+        spec = rk.GenSpec.network(rng.randint(1, 7), rng.randint(1, 4),
+                                  rng.randint(1, 3), rng.getrandbits(63))
+        records.append(outcome(lambda: rk.reachable_witness_set(rk.generate(spec))))
+    return records
+
+
 def campaign_section(runs) -> list:
     records = []
     for theorem, kwargs in runs:
@@ -192,6 +206,7 @@ def main() -> None:
         "campaigns": lambda: campaign_section(CAMPAIGNS),
         "augmenting": lambda: augmenting_section(100_000),
         "solver": lambda: solver_section(3000),
+        "witnesses": lambda: witness_section(20_000),
         "slice": slice_records,
     }
     for name, build in sections.items():
