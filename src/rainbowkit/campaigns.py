@@ -318,6 +318,8 @@ def _check_classification(family: MatchingFamily, n: int, budget: int) -> bool:
     oracle_found = brute_rainbow(family, n, budget)
     try:
         verdict = classify_family(family)
+    except BudgetExceeded:
+        raise
     except Exception:
         return False
     if isinstance(verdict, ExtremalCycle):
@@ -373,6 +375,8 @@ def _run_egz_extremal(n, samples, exhaustive, seed, budget):
             oracle_found = brute_zero_sum(multiset, budget)
             try:
                 verdict = classify_multiset(multiset)
+            except BudgetExceeded:
+                raise
             except Exception:
                 violations += 1
                 continue

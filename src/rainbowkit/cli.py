@@ -145,7 +145,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if witness is None:
         print("infeasible")
         return EXIT_INFEASIBLE
-    _emit(jsonio.colored_path_to_obj(witness, network.source_indices))
+    _emit(jsonio.colored_path_to_obj(witness))
     return EXIT_OK
 
 

@@ -67,8 +67,8 @@ class Meter:
     def __init__(self, budget: int) -> None:
         self.left = budget
 
-    def spend(self, amount: int = 1) -> None:
-        self.left -= amount
+    def spend(self) -> None:
+        self.left -= 1
         if self.left < 0:
             raise BudgetExceeded("step budget exhausted")
 

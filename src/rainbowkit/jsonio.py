@@ -6,6 +6,8 @@ Instance schemas (UTF-8 JSON files):
   edge is ``[left_index, right_index]``.
 * network family: array of groups; a group is an array of paths; a path is
   an array of nodes, each ``"s"``, ``"t"``, or a non-negative inner index.
+  A group's position is its color, so witness colors index this array; an
+  empty group keeps its position and colors nothing.
 * matrix: ``{"rows": m, "cols": n, "cells": [[...], ...]}`` with integer
   symbols, distinct within each row.
 * residue multiset: ``{"n": modulus, "elements": [...]}``.
@@ -89,10 +91,7 @@ def network_from_obj(obj: Any) -> PathGroupFamily:
 
 
 def network_to_obj(family: PathGroupFamily) -> list:
-    """Each group at its input position, so ``source_indices`` round-trips."""
-    at = dict(zip(family.source_indices, family.groups))
-    return [[list(p.nodes) for p in at[i].paths] if i in at else []
-            for i in range(max(at, default=-1) + 1)]
+    return [[list(p.nodes) for p in g.paths] for g in family.groups]
 
 
 def matrix_from_obj(obj: Any) -> SymbolMatrix:
@@ -154,11 +153,8 @@ def zero_sum_to_obj(witness: tuple[int, ...]) -> dict:
     return {"elements": list(witness)}
 
 
-def colored_path_to_obj(path: ColoredPath, source_indices: tuple[int, ...]) -> dict:
-    """Serialize a witness path, mapping group positions back to the positions
-    the groups held in the input file."""
-    return {"nodes": list(path.nodes),
-            "colors": [source_indices[c] for c in path.colors]}
+def colored_path_to_obj(path: ColoredPath) -> dict:
+    return {"nodes": list(path.nodes), "colors": list(path.colors)}
 
 
 def _vertex_to_obj(v: Vertex) -> list:

@@ -15,10 +15,12 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import (
+    DEFAULT_BUDGET,
     DichotomyViolation,
     GuaranteeViolation,
     InnerOverlapError,
     MalformedPathError,
+    Meter,
     PreconditionError,
 )
 
@@ -109,11 +111,6 @@ class PathGroupFamily:
     """An ordered list of path groups; group positions act as colors."""
 
     groups: tuple[PathGroup, ...]
-    source_indices: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.source_indices:
-            object.__setattr__(self, "source_indices", tuple(range(len(self.groups))))
 
     def __len__(self) -> int:
         return len(self.groups)
@@ -134,25 +131,20 @@ class PathGroupFamily:
 def build_family(groups: Iterable[Iterable[NetPath]]) -> PathGroupFamily:
     """Validate and normalize raw path groups into a family.
 
-    Groups are sets: exact duplicate paths collapse to one copy, and empty
-    groups are dropped entirely since they can color nothing;
-    ``source_indices`` keeps the input position of each surviving group. Two
-    distinct paths of one group sharing an inner vertex raise
+    Groups are sets: exact duplicate paths collapse to one copy. Every group
+    keeps its input position as its color; an empty group colors nothing.
+    Two distinct paths of one group sharing an inner vertex raise
     InnerOverlapError naming the group and the vertex.
     """
     kept: list[PathGroup] = []
-    indices: list[int] = []
     for pos, raw in enumerate(groups):
         paths = sorted(raw, key=NetPath.key)
         unique = [p for i, p in enumerate(paths) if i == 0 or p != paths[i - 1]]
-        if not unique:
-            continue
         try:
             kept.append(PathGroup(tuple(unique)))
         except InnerOverlapError as exc:
             raise InnerOverlapError(pos, exc.vertex) from None
-        indices.append(pos)
-    return PathGroupFamily(tuple(kept), tuple(indices))
+    return PathGroupFamily(tuple(kept))
 
 
 @dataclass(frozen=True, slots=True)
@@ -373,8 +365,11 @@ def iter_multicolored_st_paths(family: PathGroupFamily) -> Iterator[ColoredPath]
     """Yield every multicolored source-to-sink path, in lexicographic order.
 
     Order: by node sequence under the source/inner/sink order, then by color
-    sequence. Exhaustive backtracking; meant for small networks.
+    sequence. Exhaustive backtracking; meant for small networks. Each edge
+    the search steps along costs one step of ``DEFAULT_BUDGET``; running out
+    raises BudgetExceeded.
     """
+    meter = Meter(DEFAULT_BUDGET)
     options = _edge_options(_groups(family))
     nodes: list[NetNode] = [SOURCE]
     colors: list[int] = []
@@ -388,6 +383,7 @@ def iter_multicolored_st_paths(family: PathGroupFamily) -> Iterator[ColoredPath]
         for v, c in options.get(u, ()):
             if v in on_path or c in used:
                 continue
+            meter.spend()
             nodes.append(v)
             colors.append(c)
             on_path.add(v)

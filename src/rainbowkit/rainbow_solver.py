@@ -41,15 +41,13 @@ class NetworkTranslation:
     """Bookkeeping that links a contracted network back to the bipartite graph.
 
     ``matched_edges`` lists the current rainbow edges in order; inner node i
-    of the network stands for ``matched_edges[i]``. ``colors`` maps group
-    positions back to family colors. ``pullback`` maps, per group, each
-    network edge to the graph edges behind it: one edge for an edge into or
-    out of an inner node, and every single-edge augmenting path, sorted, for
-    the direct source-sink edge.
+    of the network stands for ``matched_edges[i]``. ``pullback`` maps, per
+    color, each network edge to the graph edges behind it: one edge for an
+    edge into or out of an inner node, and every single-edge augmenting path,
+    sorted, for the direct source-sink edge.
     """
 
     matched_edges: tuple[Edge, ...]
-    colors: tuple[int, ...]
     pullback: tuple[_Pullback, ...]
 
 
@@ -67,7 +65,8 @@ def build_contracted_network(
     a path that is a single edge becomes the direct source->sink edge. Since
     the augmenting paths of one color are vertex disjoint, each group is
     innerly disjoint, and only the direct edge can be shared by several paths
-    of a color. Colors with no augmenting path are dropped.
+    of a color. Group c of the network is color c of the family; it is empty
+    when c is in ``assignment`` or has no augmenting path.
 
     Returns the network family, the inner node count, and the translation
     needed to pull a network witness back to graph edges.
@@ -77,36 +76,31 @@ def build_contracted_network(
     node_of = {e: i for i, e in enumerate(matched)}
 
     # colors holding equal members share one walk and one translation
-    translated: dict[Matching, Optional[_Translated]] = {}
-    groups: list[PathGroup] = []
-    colors: list[int] = []
-    pullbacks: list[_Pullback] = []
+    translated: dict[Matching, _Translated] = {}
+    found: list[_Translated] = []
     for color, member in enumerate(family):
         if color in assignment:
+            found.append(_EMPTY)
             continue
         if member not in translated:
             translated[member] = _translate(base, member, node_of)
-        found = translated[member]
-        if found is None:
-            continue
-        group, pullback = found
-        groups.append(group)
-        colors.append(color)
-        pullbacks.append(pullback)
+        found.append(translated[member])
 
-    translation = NetworkTranslation(matched, tuple(colors), tuple(pullbacks))
-    return PathGroupFamily(tuple(groups)), len(matched), translation
+    groups, pullbacks = zip(*found) if found else ((), ())
+    translation = NetworkTranslation(matched, pullbacks)
+    return PathGroupFamily(groups), len(matched), translation
 
 
 _Pullback = dict[tuple[NetNode, NetNode], tuple[Edge, ...]]
 _Translated = tuple[PathGroup, _Pullback]
+_EMPTY: _Translated = (PathGroup(()), {})
 
 
 def _translate(
     base: Matching, member: Matching, node_of: dict[Edge, int]
-) -> Optional[_Translated]:
-    """One member's network group and pull-back map, or None when it has no
-    augmenting path."""
+) -> _Translated:
+    """One member's network group and pull-back map, both empty when it has
+    no augmenting path."""
     pullback: _Pullback = {}
     direct: list[Edge] = []
     nets: list[NetPath] = []
@@ -122,8 +116,6 @@ def _translate(
     if direct:
         nets.append(NetPath((SOURCE, SINK)))
         pullback[(SOURCE, SINK)] = tuple(sorted(direct))
-    if not nets:
-        return None
     return PathGroup(tuple(sorted(nets, key=NetPath.key))), pullback
 
 
@@ -235,8 +227,7 @@ def _expand_pullbacks(nodes, net_colors, translation):
 def _apply_step(assignment, nodes, net_colors, new_edges, translation):
     removed = {translation.matched_edges[v] for v in nodes[1:-1]}
     grown = {c: e for c, e in assignment.items() if e not in removed}
-    for group_pos, e in zip(net_colors, new_edges):
-        grown[translation.colors[group_pos]] = e
+    grown.update(zip(net_colors, new_edges))
     # one more edge, and the edges still form a matching
     assert len(grown) == len(assignment) + 1
     assert len({e.left.index for e in grown.values()}) == len(grown)

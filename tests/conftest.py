@@ -1,6 +1,14 @@
 import pytest
+from hypothesis import strategies as st
 
-from rainbowkit import MatchingFamily, edge, make_path, validate_matching
+from rainbowkit import (
+    MatchingFamily,
+    NetPath,
+    build_family,
+    edge,
+    make_path,
+    validate_matching,
+)
 
 
 @pytest.fixture
@@ -30,3 +38,25 @@ def c6_family(even3, odd3):
 
 def path(*nodes):
     return make_path(nodes)
+
+
+@st.composite
+def networks(draw):
+    """0-4 groups, each cutting a shuffled run of up to 5 inner nodes into
+    innerly disjoint paths (an empty run is the direct path), some groups
+    with the direct path besides, and some groups empty."""
+    groups = []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.integers(0, 3)) == 0:
+            groups.append([])
+            continue
+        order = draw(st.permutations(range(5)))[:draw(st.integers(0, 5))]
+        cuts = []
+        if len(order) > 1:
+            cuts = sorted(draw(st.sets(st.integers(1, len(order) - 1))))
+        runs = [order[a:b] for a, b in zip([0, *cuts], [*cuts, len(order)])]
+        paths = [NetPath(("s", *run, "t")) for run in runs]
+        if draw(st.booleans()):
+            paths.append(NetPath(("s", "t")))
+        groups.append(paths)
+    return build_family(groups)

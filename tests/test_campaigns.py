@@ -1,7 +1,13 @@
 import pytest
 
-from rainbowkit import BudgetExceeded, PreconditionError, Regimentation
+from rainbowkit import (
+    BudgetExceeded,
+    PreconditionError,
+    Regimentation,
+    TheoremViolation,
+)
 from rainbowkit import campaigns
+from rainbowkit.errors import Meter
 from rainbowkit.campaigns import THEOREMS, run_campaign
 
 
@@ -78,6 +84,29 @@ class TestRunCampaign:
         # traversable, so calling it regimented is one violation each
         assert report.instances_checked == 734
         assert report.violations == 734 - 18
+
+    @pytest.mark.parametrize("theorem,kwargs,classifier", [
+        ("extremal", {"n": 2, "exhaustive": True}, "classify_family"),
+        ("egz-extremal", {"n": 3, "exhaustive": True}, "classify_multiset"),
+    ])
+    def test_classifier_out_of_budget_is_not_a_violation(self, monkeypatch, theorem,
+                                                          kwargs, classifier):
+        monkeypatch.setattr(campaigns, classifier, lambda instance: Meter(0).spend())
+        with pytest.raises(BudgetExceeded, match="^step budget exhausted$"):
+            run_campaign(theorem, **kwargs)
+
+    @pytest.mark.parametrize("theorem,kwargs,classifier,checked", [
+        ("extremal", {"n": 2, "exhaustive": True}, "classify_family", 171),
+        ("egz-extremal", {"n": 3, "exhaustive": True}, "classify_multiset", 18),
+    ])
+    def test_classifier_failure_is_a_violation(self, monkeypatch, theorem, kwargs,
+                                               classifier, checked):
+        def fail(instance):
+            raise TheoremViolation("no verdict")
+
+        monkeypatch.setattr(campaigns, classifier, fail)
+        report = run_campaign(theorem, **kwargs)
+        assert (report.instances_checked, report.violations) == (checked, checked)
 
     def test_every_name_has_a_runner(self):
         assert set(THEOREMS) == {

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from rainbowkit import campaigns, network_paths
 from rainbowkit.cli import main
+from rainbowkit.errors import Meter
 
 
 def run_cli(capsys, *argv):
@@ -74,6 +76,22 @@ class TestSolve:
         assert code == 0
         assert json.loads(out) == {"nodes": ["s", 0, "t"], "colors": [0, 1]}
 
+    def test_mcpath_colors_count_empty_groups(self, tmp_path, capsys):
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps([[], [["s", 0, "t"]], [], [["s", 0, "t"]], []]))
+        code, out, _ = run_cli(capsys, "solve", "mcpath", "--input", str(net))
+        assert code == 0
+        assert json.loads(out) == {"nodes": ["s", 0, "t"], "colors": [1, 3]}
+
+    def test_mcpath_budget_exit_three(self, tmp_path, capsys, monkeypatch):
+        # six copies of one path through six inner nodes: no witness, and a
+        # search of thousands of steps to refute it
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps([[["s", *range(6), "t"]]] * 6))
+        monkeypatch.setattr(network_paths, "DEFAULT_BUDGET", 100)
+        code, out, err = run_cli(capsys, "solve", "mcpath", "--input", str(net))
+        assert (code, out, err) == (3, "", "budget: step budget exhausted\n")
+
 
 class TestVerify:
     def test_small_campaign_report(self, capsys):
@@ -104,6 +122,15 @@ class TestVerify:
             code, out, err = run_cli(capsys, "verify", *argv)
             assert (code, out) == (3, ""), argv
             assert err == f"budget: {total} multisets exceed the budget\n"
+
+    @pytest.mark.parametrize("classifier,argv", [
+        ("classify_family", ("extremal", "--n", "2", "--exhaustive")),
+        ("classify_multiset", ("egz-extremal", "--n", "3", "--exhaustive")),
+    ])
+    def test_classifier_budget_exit_three(self, capsys, monkeypatch, classifier, argv):
+        monkeypatch.setattr(campaigns, classifier, lambda instance: Meter(0).spend())
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, out, err) == (3, "", "budget: step budget exhausted\n")
 
     @pytest.mark.parametrize("argv", [
         ("drisko", "--n", "0", "--samples", "0"),

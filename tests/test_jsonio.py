@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from rainbowkit import (
     InputError,
     MatchingFamily,
-    NetPath,
     ResidueMultiset,
     SymbolMatrix,
     build_family,
@@ -12,7 +11,7 @@ from rainbowkit import (
     validate_matching,
 )
 from rainbowkit import jsonio
-from conftest import path
+from conftest import networks, path
 
 
 class TestFamilyRoundTrip:
@@ -81,11 +80,11 @@ class TestWitnessSerialization:
         assert jsonio.rainbow_to_obj(rm) == {
             "size": 2, "assignment": [[0, [1, 1]], [1, [0, 2]]]}
 
-    def test_colored_path_maps_source_indices(self):
-        fam = build_family([[], [path("s", 0, "t")], [path("s", 0, "t")]])
+    def test_colored_path_colors_are_input_positions(self):
+        fam = jsonio.network_from_obj([[], [["s", 0, "t"]], [["s", 0, "t"]]])
         from rainbowkit import find_multicolored_st_path
         witness = find_multicolored_st_path(fam, 1)
-        obj = jsonio.colored_path_to_obj(witness, fam.source_indices)
+        obj = jsonio.colored_path_to_obj(witness)
         assert obj == {"nodes": ["s", 0, "t"], "colors": [1, 2]}
 
 
@@ -100,28 +99,6 @@ def families(draw):
         size = draw(st.integers(0, side))
         members.append(validate_matching(map(edge, lefts[:size], rights[:size])))
     return MatchingFamily(tuple(members))
-
-
-@st.composite
-def networks(draw):
-    """0-4 groups, each cutting a shuffled run of up to 5 inner nodes into
-    innerly disjoint paths (an empty run is the direct path), some groups
-    with the direct path besides, and some groups empty."""
-    groups = []
-    for _ in range(draw(st.integers(0, 4))):
-        if draw(st.integers(0, 3)) == 0:
-            groups.append([])
-            continue
-        order = draw(st.permutations(range(5)))[:draw(st.integers(0, 5))]
-        cuts = []
-        if len(order) > 1:
-            cuts = sorted(draw(st.sets(st.integers(1, len(order) - 1))))
-        runs = [order[a:b] for a, b in zip([0, *cuts], [*cuts, len(order)])]
-        paths = [NetPath(("s", *run, "t")) for run in runs]
-        if draw(st.booleans()):
-            paths.append(NetPath(("s", "t")))
-        groups.append(paths)
-    return build_family(groups)
 
 
 @st.composite

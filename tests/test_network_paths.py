@@ -2,8 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rainbowkit import (
+    BudgetExceeded,
     ColoredPath,
     GenSpec,
     InnerOverlapError,
@@ -25,7 +27,8 @@ from rainbowkit import (
     reachable_witness_set,
     verify_regimented_dichotomy,
 )
-from conftest import path
+from rainbowkit import network_paths
+from conftest import networks, path
 
 
 class TestNetPath:
@@ -48,7 +51,7 @@ class TestBuildFamily:
     def test_single_path(self):
         fam = build_family([[path("s", 0, "t")]])
         assert fam.total_paths == 1
-        assert fam.source_indices == (0,)
+        assert fam.groups == (PathGroup((path("s", 0, "t"),)),)
 
     def test_disjoint_interiors_accepted(self):
         fam = build_family([[path("s", 0, "t"), path("s", 1, "t")]])
@@ -68,10 +71,14 @@ class TestBuildFamily:
         fam = build_family([[path("s", "t"), path("s", "t")]])
         assert fam.groups[0].paths == (path("s", "t"),)
 
-    def test_empty_groups_dropped_with_flag(self):
-        fam = build_family([[], [path("s", 0, "t")]])
-        assert len(fam.groups) == 1
-        assert fam.source_indices == (1,)
+    def test_empty_groups_kept_in_place(self):
+        fam = build_family([[], [path("s", 0, "t")], [], [path("s", 0, "t")]])
+        empty, full = PathGroup(()), PathGroup((path("s", 0, "t"),))
+        assert fam.groups == (empty, full, empty, full)
+        assert fam.total_paths == 2
+        # the empty groups color nothing; the witness colors are input positions
+        witness = find_multicolored_st_path(fam, 1)
+        assert (witness.nodes, witness.colors) == (("s", 0, "t"), (1, 3))
 
 
 class TestColoredPath:
@@ -228,6 +235,54 @@ class TestFindMulticoloredStPath:
         all_paths = list(iter_multicolored_st_paths(fam))
         assert {(p.nodes, p.colors) for p in all_paths} == {
             (("s", 0, "t"), (0, 1)), (("s", 0, "t"), (1, 0))}
+
+
+class TestExhaustiveBudget:
+    def test_one_step_per_extension(self, monkeypatch):
+        # three copies of a 4-edge path: 3 + 6 + 6 extensions, none reaching t
+        fam = build_family([[path("s", 0, 1, 2, "t")]] * 3)
+        monkeypatch.setattr(network_paths, "DEFAULT_BUDGET", 15)
+        assert list(iter_multicolored_st_paths(fam)) == []
+        assert find_multicolored_st_path(fam, 3) is None
+        monkeypatch.setattr(network_paths, "DEFAULT_BUDGET", 14)
+        with pytest.raises(BudgetExceeded):
+            list(iter_multicolored_st_paths(fam))
+        with pytest.raises(BudgetExceeded):
+            find_multicolored_st_path(fam, 3)
+
+
+@st.composite
+def padded_families(draw):
+    """A drawn network, the same groups with 0-2 empty ones inserted at each
+    gap, and each group's position in the padded family."""
+    fam = draw(networks())
+    padded, positions = [], []
+    for group in fam.groups:
+        padded += [[]] * draw(st.integers(0, 2))
+        positions.append(len(padded))
+        padded.append(group.paths)
+    padded += [[]] * draw(st.integers(0, 2))
+    return fam, build_family(padded), positions
+
+
+def _relabel(path, positions):
+    return ColoredPath(path.nodes, tuple(positions[c] for c in path.colors))
+
+
+class TestEmptyGroupPadding:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(padded_families())
+    def test_padding_only_relabels_witness_colors(self, drawn):
+        fam, padded, positions = drawn
+        inner = len(fam.inner_nodes)
+        found = find_multicolored_st_path(fam, inner)
+        assert find_multicolored_st_path(padded, inner) == (
+            None if found is None else _relabel(found, positions))
+        assert list(iter_multicolored_st_paths(padded)) == [
+            _relabel(w, positions) for w in iter_multicolored_st_paths(fam)]
+        for search in (reachable_witness_set, brute_mc_path):
+            assert search(padded) == {
+                node: _relabel(w, positions) for node, w in search(fam).items()}
 
 
 class TestRegimented:

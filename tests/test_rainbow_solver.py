@@ -10,6 +10,7 @@ from rainbowkit import (
     HasRainbow,
     Matching,
     MatchingFamily,
+    PathGroup,
     PreconditionError,
     augmenting_paths,
     brute_rainbow,
@@ -38,27 +39,32 @@ class TestBuildContractedNetwork:
         assert [tuple(p.nodes for p in g.paths) for g in network.groups] == [
             (("s", "t"),)]
         assert translation.pullback[0] == {("s", "t"): (edge(0, 0),)}
-        # every color represented: an empty network over the one matched edge
+        # every color represented: one empty group over the one matched edge
         network, inner, translation = build_contracted_network(
             family([edge(0, 0)]), {0: edge(0, 0)})
-        assert (network.groups, inner, translation.colors) == ((), 1, ())
+        assert (network.groups, inner, translation.pullback) == (
+            (PathGroup(()),), 1, ({},))
 
     def test_one_matched_edge_translates_long_path(self):
         fam = family([edge(0, 1), edge(1, 0)], [edge(0, 0)], [edge(2, 2)])
         network, inner, translation = build_contracted_network(fam, {1: edge(0, 0)})
         assert inner == 1
-        assert translation.colors == (0, 2)
-        assert tuple(p.nodes for p in network.groups[0].paths) == (("s", 0, "t"),)
-        assert translation.pullback[0][("s", 0)] == (edge(1, 0),)
-        assert translation.pullback[0][(0, "t")] == (edge(0, 1),)
+        # group c is color c; the represented color 1 keeps an empty group
+        assert [tuple(p.nodes for p in g.paths) for g in network.groups] == [
+            (("s", 0, "t"),), (), (("s", "t"),)]
+        assert translation.pullback == (
+            {("s", 0): (edge(1, 0),), (0, "t"): (edge(0, 1),)},
+            {},
+            {("s", "t"): (edge(2, 2),)})
 
     def test_cycle_color_contributes_no_paths(self, even3, odd3):
         fam = MatchingFamily((even3, even3, even3, odd3))
         current = {0: edge(0, 0), 1: edge(1, 1), 2: edge(2, 2)}
         network, inner, translation = build_contracted_network(fam, current)
         assert inner == 3
-        assert network.groups == ()
-        assert translation.colors == ()
+        # colors 0-2 are represented and color 3 has no augmenting path
+        assert network.groups == (PathGroup(()),) * 4
+        assert translation.pullback == ({},) * 4
 
     def test_equal_members_share_one_walk(self, monkeypatch):
         walked = []
@@ -77,12 +83,11 @@ class TestBuildContractedNetwork:
         assert walked == [fam[0], fam[3]]
         assert inner == 1
         assert [tuple(p.nodes for p in g.paths) for g in network.groups] == [
-            (("s", 0, "t"), ("s", "t"))] * 3 + [(("s", "t"),)]
+            (("s", 0, "t"), ("s", "t"))] * 3 + [(("s", "t"),), ()]
         assert translation.matched_edges == (edge(0, 0),)
-        assert translation.colors == (0, 1, 2, 3)
         assert translation.pullback == (
             {("s", 0): (edge(1, 0),), (0, "t"): (edge(0, 1),),
-             ("s", "t"): (edge(2, 2),)},) * 3 + ({("s", "t"): (edge(1, 1),)},)
+             ("s", "t"): (edge(2, 2),)},) * 3 + ({("s", "t"): (edge(1, 1),)}, {})
 
 
 class TestFindRainbowMatching:
@@ -223,18 +228,18 @@ class TestPullback:
         base = Matching(frozenset(assignment.values()))
         assert translation.matched_edges == tuple(sorted(assignment.values()))
         assert inner == len(assignment)
-        assert translation.colors == tuple(
-            c for c in range(len(fam))
-            if c not in assignment and augmenting_paths(base, fam[c]))
-        assert len(translation.pullback) == len(network.groups)
-        for g, pullback in enumerate(translation.pullback):
-            member = fam[translation.colors[g]]
+        assert len(network.groups) == len(translation.pullback) == len(fam)
+        for c, pullback in enumerate(translation.pullback):
+            member = fam[c]
+            if c in assignment or not augmenting_paths(base, member):
+                assert network.groups[c].paths == () and pullback == {}
+                continue
             pulled = [e for edges in pullback.values() for e in edges]
             assert all(e in member for e in pulled)
             assert sorted(pulled) == sorted(
                 e for alt in augmenting_paths(base, member) for e in alt.edges[0::2])
             assert all(list(edges) == sorted(edges) for edges in pullback.values())
-            assert {ne for p in network.groups[g].paths for ne in p.edges} == set(pullback)
+            assert {ne for p in network.groups[c].paths for ne in p.edges} == set(pullback)
 
 
 class TestBudget:

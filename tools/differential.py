@@ -18,6 +18,9 @@ Sections:
   and ``classify_multiset`` on seeded streams;
 - ``witnesses``: ``reachable_witness_set`` on a seeded stream of generated
   networks;
+- ``mcpath``: ``rainbowkit solve mcpath`` (its exit code, stdout and
+  stderr) on network files written by hand from generated networks, some
+  groups doubled and empty groups inserted at seeded positions;
 - ``slice``: the smaller, self-contained run that the test suite pins
   (``tests/test_differential.py``).
 
@@ -28,14 +31,18 @@ digests depend on what the code returns and not on hashing.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import random
 import sys
+import tempfile
 from pathlib import Path
 
 import rainbowkit as rk
+from rainbowkit import cli
 from rainbowkit.campaigns import run_campaign
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -166,6 +173,34 @@ def witness_section(draws: int, seed: int = 13) -> list:
     return records
 
 
+def mcpath_section(draws: int, seed: int = 14) -> list:
+    """``solve mcpath`` on generated networks of 1-6 inner nodes, 1-4 groups
+    and 1-2 paths a group; half of them list every group twice, which puts
+    most of those past the constructive threshold, and 0-2 empty groups go
+    in at each gap."""
+    rng = random.Random(seed)
+    records = []
+    with tempfile.TemporaryDirectory() as tmp:
+        net = Path(tmp) / "net.json"
+        for _ in range(draws):
+            spec = rk.GenSpec.network(rng.randint(1, 6), rng.randint(1, 4),
+                                      rng.randint(1, 2), rng.getrandbits(63))
+            groups = [[list(p.nodes) for p in g.paths] for g in rk.generate(spec).groups]
+            if rng.random() < 0.5:
+                groups += groups
+            padded: list = []
+            for group in groups:
+                padded += [[]] * rng.randint(0, 2)
+                padded.append(group)
+            padded += [[]] * rng.randint(0, 2)
+            net.write_text(json.dumps(padded))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(["solve", "mcpath", "--input", str(net)])
+            records.append([code, out.getvalue(), err.getvalue()])
+    return records
+
+
 def campaign_section(runs) -> list:
     records = []
     for theorem, kwargs in runs:
@@ -207,6 +242,7 @@ def main() -> None:
         "augmenting": lambda: augmenting_section(100_000),
         "solver": lambda: solver_section(3000),
         "witnesses": lambda: witness_section(20_000),
+        "mcpath": lambda: mcpath_section(5000),
         "slice": slice_records,
     }
     for name, build in sections.items():
