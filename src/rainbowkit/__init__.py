@@ -76,6 +76,7 @@ from .oracle import (
     GenSpec,
     brute_mc_path,
     brute_rainbow,
+    brute_reaches_sink,
     brute_zero_sum,
     canonical_cycle_family,
     enumerate_matchings,

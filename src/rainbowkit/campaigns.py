@@ -18,7 +18,6 @@ from typing import Iterable, Iterator, Optional
 from .errors import BudgetExceeded, DichotomyViolation, PreconditionError
 from .graph_core import MatchingFamily, edge, rainbow_is_valid, validate_matching
 from .network_paths import (
-    SINK,
     NetPath,
     PathGroup,
     PathGroupFamily,
@@ -32,6 +31,7 @@ from .oracle import (
     GenSpec,
     brute_mc_path,
     brute_rainbow,
+    brute_reaches_sink,
     brute_zero_sum,
     canonical_cycle_family,
     enumerate_matchings,
@@ -269,17 +269,21 @@ def _run_dichotomy(n, samples, exhaustive, seed, budget):
     _charge_enumerations(((sum(math.perm(inner, r) for r in range(inner + 1)), inner)
                           for inner in range(n + 1)), budget)
     for inner in range(0, n + 1):
-        pool = _all_simple_paths(inner)
-        full = frozenset(range(inner))
+        # each path with its inner-node bitmask and its singleton group
+        pool = [(sum(1 << v for v in p.nodes[1:-1]), p, PathGroup((p,)))
+                for p in _all_simple_paths(inner)]
+        full = (1 << inner) - 1
         for multiset in itertools.combinations_with_replacement(pool, inner):
-            used = frozenset(v for p in multiset for v in p.inner_nodes)
+            used = 0
+            for mask, _, _ in multiset:
+                used |= mask
             if used != full:
                 continue
             checked += 1
-            family = PathGroupFamily(tuple(PathGroup((p,)) for p in multiset))
-            reaches_sink = SINK in brute_mc_path(family, budget)
+            family = PathGroupFamily(tuple(group for _, _, group in multiset))
+            reaches_sink = brute_reaches_sink(family, budget)
             try:
-                outcome = verify_regimented_dichotomy(multiset)
+                outcome = verify_regimented_dichotomy(p for _, p, _ in multiset)
             except DichotomyViolation:
                 violations += 1
                 continue

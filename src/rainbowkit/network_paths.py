@@ -10,8 +10,10 @@ to rebuild a witness.
 
 from __future__ import annotations
 
+import math
 from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import (
@@ -30,13 +32,15 @@ SINK = "t"
 NetNode = Union[str, int]
 
 
-def node_key(node: NetNode) -> tuple[int, int]:
-    """Total order: source first, inner nodes by index, sink last."""
+def node_key(node: NetNode) -> float:
+    """Total order as one number: the source is -1, an inner node is its
+    index and the sink is infinity, so the source comes first and the sink
+    last."""
     if node == SOURCE:
-        return (0, 0)
+        return -1
     if node == SINK:
-        return (2, 0)
-    return (1, node)
+        return math.inf
+    return node
 
 
 def _is_inner(node: object) -> bool:
@@ -72,8 +76,14 @@ class NetPath:
     def edge_count(self) -> int:
         return len(self.nodes) - 1
 
-    def key(self) -> tuple[tuple[int, int], ...]:
-        return tuple(node_key(v) for v in self.nodes)
+    def key(self) -> tuple[float, ...]:
+        """The inner nodes, then infinity for the sink.
+
+        Every path starts at the source and ends at the sink, so comparing
+        keys compares node sequences under the ``node_key`` order: paths sort
+        by their inner nodes, and a path sorts before each of its extensions.
+        """
+        return self.nodes[1:-1] + (math.inf,)
 
     def __repr__(self) -> str:
         return "->".join(str(v) for v in self.nodes)
@@ -86,7 +96,7 @@ def make_path(nodes: Iterable[NetNode]) -> NetPath:
 def _inner_conflict(paths: Iterable[NetPath]) -> Optional[int]:
     seen: set[int] = set()
     for p in paths:
-        for v in sorted(p.inner_nodes):
+        for v in sorted(p.nodes[1:-1]):
             if v in seen:
                 return v
             seen.add(v)
@@ -101,6 +111,8 @@ class PathGroup:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "paths", tuple(self.paths))
+        if len(self.paths) < 2:
+            return  # a simple path shares no inner vertex with itself
         conflict = _inner_conflict(self.paths)
         if conflict is not None:
             raise InnerOverlapError(None, conflict)
@@ -203,13 +215,14 @@ def _groups(family: PathGroupFamily) -> _Groups:
 
 def _edge_options(groups: _Groups) -> dict[NetNode, list[tuple[NetNode, int]]]:
     """Every colored edge leaving each node, sorted by head then color."""
-    options: dict[NetNode, list[tuple[NetNode, int]]] = {}
+    edges: set[tuple[float, float, int, NetNode, NetNode]] = set()
     for color, paths in groups:
         for p in paths:
-            for u, v in p.edges:
-                options.setdefault(u, []).append((v, color))
-    for u in options:
-        options[u] = sorted(set(options[u]), key=lambda vc: (node_key(vc[0]), vc[1]))
+            keys = (-1,) + p.key()  # the node_key of every node
+            edges.update(zip(keys, keys[1:], repeat(color), p.nodes, p.nodes[1:]))
+    options: dict[NetNode, list[tuple[NetNode, int]]] = {}
+    for _, _, color, u, v in sorted(edges):
+        options.setdefault(u, []).append((v, color))
     return options
 
 
@@ -373,28 +386,27 @@ def iter_multicolored_st_paths(family: PathGroupFamily) -> Iterator[ColoredPath]
     options = _edge_options(_groups(family))
     nodes: list[NetNode] = [SOURCE]
     colors: list[int] = []
-    on_path: set[NetNode] = {SOURCE}
     used: set[int] = set()
-
-    def walk(u: NetNode) -> Iterator[ColoredPath]:
-        if u == SINK:
-            yield ColoredPath(tuple(nodes), tuple(colors))
-            return
-        for v, c in options.get(u, ()):
-            if v in on_path or c in used:
+    # one iterator over the unexplored options of each node on the path
+    stack = [iter(options.get(SOURCE, ()))]
+    while stack:
+        for v, c in stack[-1]:
+            if v in nodes or c in used:
                 continue
             meter.spend()
+            if v == SINK:
+                yield ColoredPath(tuple(nodes) + (SINK,), tuple(colors) + (c,))
+                continue
             nodes.append(v)
             colors.append(c)
-            on_path.add(v)
             used.add(c)
-            yield from walk(v)
-            nodes.pop()
-            colors.pop()
-            on_path.remove(v)
-            used.remove(c)
-
-    yield from walk(SOURCE)
+            stack.append(iter(options.get(v, ())))
+            break
+        else:
+            stack.pop()
+            if colors:
+                nodes.pop()
+                used.remove(colors.pop())
 
 
 @dataclass(frozen=True, slots=True)
@@ -418,7 +430,8 @@ def is_regimented(paths: Iterable[NetPath]) -> Optional[Regimentation]:
     for rep in reps:
         if counter[rep] != rep.edge_count - 1:
             return None
-    if _inner_conflict(reps) is not None:
+    inner = [rep.nodes[1:-1] for rep in reps]
+    if len(set().union(*inner)) != sum(map(len, inner)):
         return None
     return Regimentation(tuple((rep, counter[rep]) for rep in reps))
 
@@ -436,7 +449,7 @@ def verify_regimented_dichotomy(
     would be a bug and raises DichotomyViolation.
     """
     plist = list(paths)
-    used = len({v for p in plist for v in p.inner_nodes})
+    used = len({v for p in plist for v in p.nodes[1:-1]})
     if len(plist) != used:
         raise PreconditionError(
             f"need exactly {used} paths for {used} inner nodes, got {len(plist)}")

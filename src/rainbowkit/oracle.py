@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
@@ -34,7 +33,6 @@ from .network_paths import (
     NetPath,
     PathGroupFamily,
     build_family,
-    node_key,
 )
 from .reductions import ResidueMultiset, SymbolMatrix
 
@@ -78,6 +76,51 @@ def brute_rainbow(family: MatchingFamily, size: int,
     return None
 
 
+# per reached node: the color mask of each state on it -> (predecessor, color)
+_Links = dict[NetNode, dict[int, tuple[NetNode, int]]]
+
+
+def _first_reached(family: PathGroupFamily, budget: int,
+                   links: _Links) -> Iterator[tuple[NetNode, int]]:
+    """Breadth-first over (node, used-color bitmask) states from the source;
+    yield each node other than the source, with the mask of the state that
+    first reaches it, when that state is found.
+
+    ``links`` fills with each reached state's predecessor node and the color
+    of the edge taken from it; the predecessor's mask is the state's mask
+    without that color. Every option examined costs one step of ``budget``.
+    Options are walked as sorted lists, so the order, and with it the step at
+    which the budget runs out, is the same under every hash seed.
+    """
+    edges: set[tuple[float, float, int, NetNode, NetNode]] = set()
+    for color, group in enumerate(family.groups):
+        for p in group.paths:
+            keys = (-1,) + p.key()  # the node_key of every node
+            edges.update(zip(keys, keys[1:], itertools.repeat(color),
+                             p.nodes, p.nodes[1:]))
+    options: dict[NetNode, list[tuple[NetNode, int, int, dict]]] = {}
+    for _, _, color, u, v in sorted(edges):
+        options.setdefault(u, []).append(
+            (v, color, 1 << color, links.setdefault(v, {})))
+    left = budget
+    queue = [(SOURCE, 0)]
+    # the sink has no options, so its states cost no step once queued
+    for u, used in queue:
+        for v, c, bit, into in options.get(u, ()):
+            left -= 1
+            if left < 0:
+                raise BudgetExceeded("step budget exhausted")
+            if used & bit:
+                continue
+            mask = used | bit
+            if mask in into:
+                continue
+            into[mask] = (u, c)
+            if len(into) == 1:
+                yield v, mask
+            queue.append((v, mask))
+
+
 def brute_mc_path(family: PathGroupFamily,
                   budget: int = DEFAULT_BUDGET) -> dict[NetNode, ColoredPath]:
     """Exact reachability: every node with some multicolored path from the
@@ -88,34 +131,30 @@ def brute_mc_path(family: PathGroupFamily,
     loops), so node revisits need no tracking; the first witness recorded per
     node is shortest and therefore simple.
     """
-    meter = Meter(budget)
-    options: dict[NetNode, list[tuple[NetNode, int]]] = {}
-    for color, group in enumerate(family.groups):
-        for p in group.paths:
-            for u, v in p.edges:
-                options.setdefault(u, []).append((v, color))
-    for u in options:
-        options[u] = sorted(set(options[u]), key=lambda vc: (node_key(vc[0]), vc[1]))
-
+    links: _Links = {}
+    firsts = list(_first_reached(family, budget, links))
     witness = {SOURCE: ColoredPath((SOURCE,), ())}
-    queue: deque = deque([(SOURCE, frozenset(), (SOURCE,), ())])
-    visited = {(SOURCE, frozenset())}
-    while queue:
-        u, used, nodes, colors = queue.popleft()
-        for v, c in options.get(u, ()):
-            meter.spend()
-            if c in used:
-                continue
-            state = (v, used | {c})
-            if state in visited:
-                continue
-            visited.add(state)
-            grown = nodes + (v,), colors + (c,)
-            if v not in witness:
-                witness[v] = ColoredPath(*grown)
-            if v != SINK:
-                queue.append((v, state[1], *grown))
+    for v, used in firsts:
+        node = v
+        nodes: list[NetNode] = [node]
+        colors: list[int] = []
+        while node != SOURCE:
+            node, c = links[node][used]
+            used ^= 1 << c
+            nodes.append(node)
+            colors.append(c)
+        witness[v] = ColoredPath(tuple(reversed(nodes)), tuple(reversed(colors)))
     return witness
+
+
+def brute_reaches_sink(family: PathGroupFamily,
+                       budget: int = DEFAULT_BUDGET) -> bool:
+    """Whether some multicolored path runs from the source to the sink.
+
+    The same search as ``brute_mc_path``, stopped at the first state on the
+    sink, with no witness built.
+    """
+    return any(v == SINK for v, _ in _first_reached(family, budget, {}))
 
 
 def brute_zero_sum(multiset: ResidueMultiset,

@@ -24,6 +24,7 @@ from rainbowkit import (
     is_regimented,
     iter_multicolored_st_paths,
     make_path,
+    NetPath,
     reachable_witness_set,
     verify_regimented_dichotomy,
 )
@@ -45,6 +46,25 @@ class TestNetPath:
     def test_inner_nodes_are_integers(self):
         with pytest.raises(MalformedPathError):
             make_path(["s", "x", "t"])
+
+
+def _pair_key(node):
+    """The (rank, index) node order that the scalar ``node_key`` encodes."""
+    return (0, 0) if node == SOURCE else (2, 0) if node == SINK else (1, node)
+
+
+_nodes = st.one_of(st.sampled_from([SOURCE, SINK]), st.integers(0, 8))
+_paths = st.permutations(range(6)).flatmap(
+    lambda order: st.integers(0, 6).map(lambda r: NetPath(("s", *order[:r], "t"))))
+
+
+class TestScalarOrder:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.lists(_nodes, max_size=12), st.lists(_paths, max_size=12))
+    def test_equals_the_pair_order(self, nodes, paths):
+        assert sorted(nodes, key=network_paths.node_key) == sorted(nodes, key=_pair_key)
+        assert sorted(paths, key=NetPath.key) == sorted(
+            paths, key=lambda p: tuple(_pair_key(v) for v in p.nodes))
 
 
 class TestBuildFamily:

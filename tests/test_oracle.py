@@ -1,17 +1,28 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import rainbowkit
 
 from rainbowkit import (
     BudgetExceeded,
     GenSpec,
     InfeasibleSpec,
     MatchingFamily,
+    NetPath,
+    PathGroup,
+    PathGroupFamily,
     ResidueMultiset,
     SINK,
     SOURCE,
     brute_mc_path,
     brute_rainbow,
+    brute_reaches_sink,
     brute_zero_sum,
     build_family,
     canonical_cycle_family,
@@ -22,7 +33,7 @@ from rainbowkit import (
     generate,
     validate_matching,
 )
-from conftest import path
+from conftest import networks, path
 
 
 class TestBruteRainbow:
@@ -68,6 +79,72 @@ class TestBruteMcPath:
             [[path("s", 0, "t")], [path("s", 0, "t")], [path("s", "t")]])
         reach = brute_mc_path(fam)
         assert reach[SINK].nodes == (SOURCE, SINK)
+
+
+def _singletons(raw) -> PathGroupFamily:
+    return PathGroupFamily(tuple(PathGroup((NetPath(nodes),)) for nodes in raw))
+
+
+# Two five-path dichotomy multisets, the first traversable and the second
+# regimented, with the exact step counts at which the search completes and at
+# which it first reaches the sink (never, for the regimented one).
+TRAVERSABLE = (("s", 0, 1, 2, 3, 4, "t"), ("s", 4, 3, 2, 1, 0, "t"),
+               ("s", 2, 0, 4, "t"), ("s", 1, 3, "t"), ("s", 3, 1, 4, "t"))
+REGIMENTED = (("s", 2, 0, "t"),) * 2 + (("s", 1, 4, 3, "t"),) * 3
+
+
+class TestOracleBudget:
+    @pytest.mark.parametrize("raw, complete, to_sink",
+                             [(TRAVERSABLE, 123, 8), (REGIMENTED, 32, 32)],
+                             ids=["traversable", "regimented"])
+    def test_one_step_per_option_examined(self, raw, complete, to_sink):
+        fam = _singletons(raw)
+        reach = brute_mc_path(fam, complete)
+        with pytest.raises(BudgetExceeded):
+            brute_mc_path(fam, complete - 1)
+        assert brute_reaches_sink(fam, to_sink) == (SINK in reach)
+        with pytest.raises(BudgetExceeded):
+            brute_reaches_sink(fam, to_sink - 1)
+
+    def test_sink_threshold_ignores_the_hash_seed(self):
+        script = (
+            "from rainbowkit import BudgetExceeded, NetPath, PathGroup, PathGroupFamily\n"
+            "from rainbowkit import brute_reaches_sink\n"
+            f"fam = PathGroupFamily(tuple(PathGroup((NetPath(p),)) for p in {TRAVERSABLE!r}))\n"
+            "for budget in range(20):\n"
+            "    try:\n"
+            "        print(budget, brute_reaches_sink(fam, budget))\n"
+            "        break\n"
+            "    except BudgetExceeded:\n"
+            "        pass\n")
+        src = Path(rainbowkit.__file__).resolve().parents[1]
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src))
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs == ["8 True\n"] * 2
+
+
+@st.composite
+def dichotomy_multisets(draw):
+    """As many source-sink paths as inner nodes, 1-5 of them, using every
+    inner node, each path its own group."""
+    inner = draw(st.integers(1, 5))
+    interior = st.permutations(range(inner)).flatmap(
+        lambda order: st.integers(0, inner).map(lambda r: order[:r]))
+    raw = draw(st.lists(interior, min_size=inner, max_size=inner).filter(
+        lambda runs: len({v for run in runs for v in run}) == inner))
+    return _singletons(("s", *run, "t") for run in raw)
+
+
+class TestBruteReachesSink:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.one_of(networks(), dichotomy_multisets()))
+    def test_agrees_with_the_witness_map(self, fam):
+        assert brute_reaches_sink(fam) == (SINK in brute_mc_path(fam))
 
 
 class TestBruteZeroSum:

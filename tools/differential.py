@@ -21,6 +21,9 @@ Sections:
 - ``mcpath``: ``rainbowkit solve mcpath`` (its exit code, stdout and
   stderr) on network files written by hand from generated networks, some
   groups doubled and empty groups inserted at seeded positions;
+- ``oracle``: ``brute_mc_path``'s whole witness map, in insertion order, on
+  generated networks (half with every group doubled) and on dichotomy
+  multisets of 4 and 5 inner nodes; the sink-only query must agree with it;
 - ``slice``: the smaller, self-contained run that the test suite pins
   (``tests/test_differential.py``).
 
@@ -35,6 +38,7 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import random
 import sys
@@ -201,6 +205,53 @@ def mcpath_section(draws: int, seed: int = 14) -> list:
     return records
 
 
+def _dichotomy_multiset(rng: random.Random, inner: int) -> list[rk.NetPath]:
+    """``inner`` source-sink paths that use every inner node: a quarter
+    regimented (each run of a shuffled node order, as many copies as its
+    length), the rest drawn uniformly from all simple paths."""
+    if rng.random() < 0.25:
+        order = rng.sample(range(inner), inner)
+        cuts = sorted(rng.sample(range(1, inner), rng.randint(0, inner - 1)))
+        runs = [order[a:b] for a, b in zip([0, *cuts], [*cuts, inner])]
+        paths = [rk.NetPath(("s", *run, "t")) for run in runs for _ in run]
+        rng.shuffle(paths)
+        return paths
+    pool = [interior for r in range(inner + 1)
+            for interior in itertools.permutations(range(inner), r)]
+    while True:
+        drawn = [rng.choice(pool) for _ in range(inner)]
+        if len({v for interior in drawn for v in interior}) == inner:
+            return [rk.NetPath(("s", *interior, "t")) for interior in drawn]
+
+
+def oracle_section(draws: int, seed: int = 15) -> list:
+    """``brute_mc_path`` on generated networks of 1-7 inner nodes, 1-4 groups
+    and 1-3 paths a group, every group listed twice in half of them, and on
+    dichotomy multisets of 4 or 5 inner nodes as singleton groups. Each
+    record is the witness map in insertion order; the sink-only query is
+    checked against it where the tree has one."""
+    reaches_sink = getattr(rk, "brute_reaches_sink", None)
+    rng = random.Random(seed)
+    records = []
+    for i in range(draws):
+        if i % 2:
+            family = rk.PathGroupFamily(tuple(
+                rk.PathGroup((p,)) for p in _dichotomy_multiset(rng, rng.randint(4, 5))))
+        else:
+            spec = rk.GenSpec.network(rng.randint(1, 7), rng.randint(1, 4),
+                                      rng.randint(1, 3), rng.getrandbits(63))
+            groups = rk.generate(spec).groups
+            if rng.random() < 0.5:
+                groups += groups
+            family = rk.PathGroupFamily(groups)
+        reach = rk.brute_mc_path(family)
+        if reaches_sink is not None:
+            assert reaches_sink(family) == (rk.SINK in reach), family
+        records.append([[node, list(w.nodes), list(w.colors)]
+                        for node, w in reach.items()])
+    return records
+
+
 def campaign_section(runs) -> list:
     records = []
     for theorem, kwargs in runs:
@@ -243,6 +294,7 @@ def main() -> None:
         "solver": lambda: solver_section(3000),
         "witnesses": lambda: witness_section(20_000),
         "mcpath": lambda: mcpath_section(5000),
+        "oracle": lambda: oracle_section(20_000),
         "slice": slice_records,
     }
     for name, build in sections.items():
