@@ -1,6 +1,9 @@
 """Verification campaigns: each runs one guarantee over many instances and
 counts violations.
 
+A runner returns its report parameters and a lazy stream with one fault count
+per checked instance (a bool, or the number of verdict sources that answered
+wrongly); ``run_campaign`` alone counts the instances and sums the faults.
 Reports are deterministic given the seed (instance streams derive from one
 seeded generator), so repeating a campaign reproduces it byte for byte apart
 from the elapsed field.
@@ -12,8 +15,8 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from dataclasses import asdict, dataclass
+from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceeded, DichotomyViolation, PreconditionError
 from .graph_core import MatchingFamily, edge, rainbow_is_valid, validate_matching
@@ -62,14 +65,7 @@ class CampaignReport:
     parameters: dict
 
     def to_obj(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "instances_checked": self.instances_checked,
-            "violations": self.violations,
-            "elapsed": self.elapsed,
-            "seed": self.seed,
-            "parameters": self.parameters,
-        }
+        return asdict(self)
 
 
 def run_campaign(theorem: str, *, n: Optional[int] = None,
@@ -106,18 +102,16 @@ def run_campaign(theorem: str, *, n: Optional[int] = None,
     if samples is not None and samples < 1:
         raise PreconditionError(f"samples must be positive, got {samples}")
     start = time.perf_counter()
-    checked, violations, parameters = runner(n, samples, exhaustive, seed, budget)
+    parameters, faults = runner(n, samples, exhaustive, seed, budget)
+    checked = violations = 0
+    for fault in faults:
+        checked += 1
+        violations += fault
     elapsed = time.perf_counter() - start
     if checked == 0:
         raise PreconditionError(f"{theorem} checked no instances")
     return CampaignReport(theorem, checked, violations, round(elapsed, 3),
                           seed, parameters)
-
-
-def _seeds(seed: int, count: int) -> Iterator[int]:
-    rng = random.Random(seed)
-    for _ in range(count):
-        yield rng.getrandbits(63)
 
 
 def _charge_enumerations(sizes: Iterable[tuple[int, int]], budget: int) -> None:
@@ -127,6 +121,21 @@ def _charge_enumerations(sizes: Iterable[tuple[int, int]], budget: int) -> None:
         total = math.comb(kinds + k - 1, k)
         if total > budget:
             raise BudgetExceeded(f"{total} multisets exceed the budget")
+
+
+def _rainbow_fault(found, family: MatchingFamily, size: int) -> bool:
+    """True unless ``found`` is a valid rainbow matching of ``size`` edges."""
+    return found is None or len(found) != size or not rainbow_is_valid(found, family)
+
+
+def _verdict(classify, instance):
+    """``classify(instance)``, or None when it raises anything but BudgetExceeded."""
+    try:
+        return classify(instance)
+    except BudgetExceeded:
+        raise
+    except Exception:
+        return None
 
 
 def _uniform_families(n, count, samples, exhaustive, seed, budget):
@@ -140,115 +149,91 @@ def _uniform_families(n, count, samples, exhaustive, seed, budget):
         families = map(MatchingFamily,
                        itertools.combinations_with_replacement(pool, count))
         return families, {"n": n, "mode": "exhaustive", "side": n + 1}
-    families = (generate(GenSpec.family_uniform(n, count, n + 1, s))
-                for s in _seeds(seed, samples))
+    rng = random.Random(seed)
+    families = (generate(GenSpec.family_uniform(n, count, n + 1, rng.getrandbits(63)))
+                for _ in range(samples))
     return families, {"n": n, "mode": "sampled", "samples": samples, "side": n + 1}
 
 
 def _run_drisko(n, samples, exhaustive, seed, budget):
     """Every family of 2n-1 matchings of size n has a rainbow matching of
     size n; witnesses are revalidated."""
-    checked = violations = 0
     families, params = _uniform_families(n, 2 * n - 1, samples, exhaustive, seed, budget)
-    for family in families:
-        found = find_rainbow_matching(family, n)
-        checked += 1
-        if found is None or len(found) != n or not rainbow_is_valid(found, family):
-            violations += 1
-    return checked, violations, params
+    return params, (_rainbow_fault(find_rainbow_matching(family, n), family, n)
+                    for family in families)
 
 
 def _run_sharpness(n, samples, exhaustive, seed, budget):
     """The canonical 2n-cycle family of 2n-2 matchings is infeasible at
-    target n, per both the solver and the oracle."""
-    checked = violations = 0
-    for k in range(2, n + 1):
-        family = canonical_cycle_family(k)
-        checked += 1
-        if find_rainbow_matching(family, k) is not None:
-            violations += 1
-        if brute_rainbow(family, k, budget) is not None:
-            violations += 1
-    return checked, violations, {"n_max": n}
+    target n, per both the solver and the oracle (one fault each)."""
+    def faults():
+        for k in range(2, n + 1):
+            family = canonical_cycle_family(k)
+            yield ((find_rainbow_matching(family, k) is not None)
+                   + (brute_rainbow(family, k, budget) is not None))
+    return {"n_max": n}, faults()
 
 
 def _run_general(n, samples, exhaustive, seed, budget):
     """Mixed-size families: whenever the sorted-size threshold holds the
     solver must produce a rainbow matching of the target size; otherwise its
     feasibility verdict must match the brute-force oracle."""
-    max_size = n
-    checked = violations = 0
-    rng = random.Random(seed)
-    for _ in range(samples):
-        m = rng.randint(1, 9)
-        sizes = [rng.randint(1, max_size) for _ in range(m)]
-        side = max(sizes) + rng.randint(0, 2)
-        family = generate(GenSpec.family_mixed(tuple(sizes), side, rng.getrandbits(63)))
-        target = rng.randint(1, min(m, max_size))
-        found = find_rainbow_matching(family, target)
-        checked += 1
-        if found is not None and (
-                len(found) != target or not rainbow_is_valid(found, family)):
-            violations += 1
-            continue
-        if drisko_condition(family.sizes, target):
-            if found is None:
-                violations += 1
-        elif (found is None) != (brute_rainbow(family, target, budget) is None):
-            violations += 1
-    return checked, violations, {"samples": samples, "max_size": max_size, "max_m": 9}
+    def faults():
+        rng = random.Random(seed)
+        for _ in range(samples):
+            m = rng.randint(1, 9)
+            sizes = [rng.randint(1, n) for _ in range(m)]
+            side = max(sizes) + rng.randint(0, 2)
+            family = generate(GenSpec.family_mixed(tuple(sizes), side, rng.getrandbits(63)))
+            target = rng.randint(1, min(m, n))
+            found = find_rainbow_matching(family, target)
+            if found is not None and _rainbow_fault(found, family, target):
+                yield True
+            elif drisko_condition(family.sizes, target):
+                yield found is None
+            else:
+                yield (found is None) != (brute_rainbow(family, target, budget) is None)
+    return {"samples": samples, "max_size": n, "max_m": 9}, faults()
 
 
 def _run_bgs(n, samples, exhaustive, seed, budget):
     """Uniform families at the floor((k+2)n/(k+1)) - (k+1) member count have
     a rainbow matching of size n-k, for k in {1, 2}."""
-    checked = violations = 0
-    rng = random.Random(seed)
     combos = [(nn, k) for k in (1, 2) for nn in range(2, n + 1)
               if (k + 2) * nn // (k + 1) - (k + 1) >= 1 and nn - k >= 1]
-    for _ in range(samples):
-        nn, k = combos[rng.randrange(len(combos))]
-        m = (k + 2) * nn // (k + 1) - (k + 1)
-        family = generate(GenSpec.family_uniform(nn, m, nn + 1, rng.getrandbits(63)))
-        target = nn - k
-        checked += 1
-        if not drisko_condition(family.sizes, target):
-            violations += 1
-            continue
-        found = find_rainbow_matching(family, target)
-        if found is None or len(found) != target or not rainbow_is_valid(found, family):
-            violations += 1
-    return checked, violations, {"samples": samples, "n_max": n, "k": [1, 2]}
+
+    def faults():
+        rng = random.Random(seed)
+        for _ in range(samples):
+            nn, k = combos[rng.randrange(len(combos))]
+            m = (k + 2) * nn // (k + 1) - (k + 1)
+            family = generate(GenSpec.family_uniform(nn, m, nn + 1, rng.getrandbits(63)))
+            target = nn - k
+            yield (not drisko_condition(family.sizes, target)
+                   or _rainbow_fault(find_rainbow_matching(family, target), family, target))
+    return {"samples": samples, "n_max": n, "k": [1, 2]}, faults()
 
 
 def _run_counting(n, samples, exhaustive, seed, budget):
     """Constructive reachability: the witness set is valid, lies inside the
     oracle's exact reachable set, and outnumbers the paths."""
-    max_inner = n
-    checked = violations = 0
-    rng = random.Random(seed)
-    for _ in range(samples):
-        spec = GenSpec.network(
-            inner=rng.randint(1, max_inner),
-            groups=rng.randint(1, 3),
-            paths_per_group=rng.randint(1, 2),
-            seed=rng.getrandbits(63),
-        )
-        family = generate(spec)
-        witnesses = reachable_witness_set(family)
-        exact = brute_mc_path(family, budget)
-        checked += 1
-        if len(witnesses) <= family.total_paths:
-            violations += 1
-            continue
-        ok = all(
-            colored_path_conforms(path, family) and node in exact
-            and path.target == node
-            for node, path in witnesses.items())
-        if not ok:
-            violations += 1
-    return checked, violations, {"samples": samples, "max_inner": max_inner,
-                                 "max_paths": 6}
+    def faults():
+        rng = random.Random(seed)
+        for _ in range(samples):
+            spec = GenSpec.network(
+                inner=rng.randint(1, n),
+                groups=rng.randint(1, 3),
+                paths_per_group=rng.randint(1, 2),
+                seed=rng.getrandbits(63),
+            )
+            family = generate(spec)
+            witnesses = reachable_witness_set(family)
+            exact = brute_mc_path(family, budget)
+            yield len(witnesses) <= family.total_paths or not all(
+                colored_path_conforms(path, family) and node in exact
+                and path.target == node
+                for node, path in witnesses.items())
+    return {"samples": samples, "max_inner": n, "max_paths": 6}, faults()
 
 
 def _all_simple_paths(inner: int) -> list[NetPath]:
@@ -264,36 +249,34 @@ def _run_dichotomy(n, samples, exhaustive, seed, budget):
     verify_regimented_dichotomy calls each one regimented exactly when the
     oracle finds no multicolored source-sink path, and otherwise returns a
     conforming path."""
-    checked = violations = 0
     # _all_simple_paths(inner) lists one path per ordered choice of inner nodes
     _charge_enumerations(((sum(math.perm(inner, r) for r in range(inner + 1)), inner)
                           for inner in range(n + 1)), budget)
-    for inner in range(0, n + 1):
-        # each path with its inner-node bitmask and its singleton group
-        pool = [(sum(1 << v for v in p.nodes[1:-1]), p, PathGroup((p,)))
-                for p in _all_simple_paths(inner)]
-        full = (1 << inner) - 1
-        for multiset in itertools.combinations_with_replacement(pool, inner):
-            used = 0
-            for mask, _, _ in multiset:
-                used |= mask
-            if used != full:
-                continue
-            checked += 1
-            family = PathGroupFamily(tuple(group for _, _, group in multiset))
-            reaches_sink = brute_reaches_sink(family, budget)
-            try:
-                outcome = verify_regimented_dichotomy(p for _, p, _ in multiset)
-            except DichotomyViolation:
-                violations += 1
-                continue
-            if isinstance(outcome, Regimentation):
-                sound = not reaches_sink
-            else:
-                sound = reaches_sink and colored_path_conforms(outcome, family)
-            if not sound:
-                violations += 1
-    return checked, violations, {"max_inner": n, "mode": "exhaustive"}
+
+    def faults():
+        for inner in range(0, n + 1):
+            # each path with its inner-node bitmask and its singleton group
+            pool = [(sum(1 << v for v in p.nodes[1:-1]), p, PathGroup((p,)))
+                    for p in _all_simple_paths(inner)]
+            full = (1 << inner) - 1
+            for multiset in itertools.combinations_with_replacement(pool, inner):
+                used = 0
+                for mask, _, _ in multiset:
+                    used |= mask
+                if used != full:
+                    continue
+                family = PathGroupFamily(tuple(group for _, _, group in multiset))
+                reaches_sink = brute_reaches_sink(family, budget)
+                try:
+                    outcome = verify_regimented_dichotomy(p for _, p, _ in multiset)
+                except DichotomyViolation:
+                    yield True
+                    continue
+                if isinstance(outcome, Regimentation):
+                    yield reaches_sink
+                else:
+                    yield not (reaches_sink and colored_path_conforms(outcome, family))
+    return {"max_inner": n, "mode": "exhaustive"}, faults()
 
 
 def _six_cycle_splits(side: int) -> list[tuple]:
@@ -320,11 +303,8 @@ def _check_classification(family: MatchingFamily, n: int, budget: int) -> bool:
     """True when classify_family agrees with brute feasibility and any
     extremal verdict is structurally sound."""
     oracle_found = brute_rainbow(family, n, budget)
-    try:
-        verdict = classify_family(family)
-    except BudgetExceeded:
-        raise
-    except Exception:
+    verdict = _verdict(classify_family, family)
+    if verdict is None:
         return False
     if isinstance(verdict, ExtremalCycle):
         if oracle_found is not None:
@@ -337,7 +317,6 @@ def _check_classification(family: MatchingFamily, n: int, budget: int) -> bool:
 def _run_extremal(n, samples, exhaustive, seed, budget):
     """No-rainbow families of 2n-2 size-n matchings are exactly the split
     cycles; classify_family never falls through."""
-    checked = violations = 0
     families, params = _uniform_families(n, 2 * n - 2, samples, exhaustive, seed, budget)
     if not exhaustive:
         params["cycle_sweep"] = n == 3
@@ -345,77 +324,70 @@ def _run_extremal(n, samples, exhaustive, seed, budget):
             families = itertools.chain(families, (
                 MatchingFamily((even,) * even_count + (odd,) * (4 - even_count))
                 for even, odd in _six_cycle_splits(4) for even_count in range(0, 5)))
-    for family in families:
-        checked += 1
-        if not _check_classification(family, n, budget):
-            violations += 1
-    return checked, violations, params
+    return params, (not _check_classification(family, n, budget) for family in families)
+
+
+def _residue_multisets(ns: Sequence[int], extra: int, budget: int):
+    """Every multiset of 2k + extra residues mod k for each k in ``ns``, as
+    one lazy stream; every enumeration is charged before the first."""
+    _charge_enumerations(((k, 2 * k + extra) for k in ns), budget)
+    return itertools.chain.from_iterable(
+        enumerate_multisets(k, 2 * k + extra, budget) for k in ns)
 
 
 def _run_egz(n, samples, exhaustive, seed, budget):
     """Every multiset of 2n-1 residues mod n has a zero-sum sub-multiset of
     size n; witnesses are revalidated and feasibility matches the oracle."""
-    checked = violations = 0
-    ns = range(1, n + 1) if exhaustive else [n]
-    _charge_enumerations(((k, 2 * k - 1) for k in ns), budget)
-    for k in ns:
-        for multiset in enumerate_multisets(k, 2 * k - 1, budget):
-            checked += 1
-            witness = find_zero_sum_subset(multiset)
-            if witness is None or brute_zero_sum(multiset, budget) is None:
-                violations += 1
-    return checked, violations, {"n_max": n, "mode": "exhaustive"}
+    multisets = _residue_multisets(range(1, n + 1) if exhaustive else [n], -1, budget)
+    return {"n_max": n, "mode": "exhaustive"}, (
+        find_zero_sum_subset(multiset) is None or brute_zero_sum(multiset, budget) is None
+        for multiset in multisets)
 
 
 def _run_egz_extremal(n, samples, exhaustive, seed, budget):
     """Multisets of 2n-2 residues with no zero-sum sub-multiset are exactly
     the coprime-difference double piles."""
-    checked = violations = 0
-    ns = range(2, n + 1) if exhaustive else [n]
-    _charge_enumerations(((k, 2 * k - 2) for k in ns), budget)
-    for k in ns:
-        for multiset in enumerate_multisets(k, 2 * k - 2, budget):
-            checked += 1
+    multisets = _residue_multisets(range(2, n + 1) if exhaustive else [n], -2, budget)
+
+    def faults():
+        for multiset in multisets:
+            k = multiset.modulus
             oracle_found = brute_zero_sum(multiset, budget)
-            try:
-                verdict = classify_multiset(multiset)
-            except BudgetExceeded:
-                raise
-            except Exception:
-                violations += 1
-                continue
-            if isinstance(verdict, ExtremalPair):
+            verdict = _verdict(classify_multiset, multiset)
+            if verdict is None:
+                yield True
+            elif isinstance(verdict, ExtremalPair):
                 counts = {verdict.low: 0, verdict.high: 0}
                 for v in multiset.elements:
                     counts[v] = counts.get(v, 0) + 1
                 shape_ok = (counts[verdict.low] == counts[verdict.high] == k - 1
                             and math.gcd(verdict.high - verdict.low, k) == 1)
-                if oracle_found is not None or not shape_ok:
-                    violations += 1
-            elif oracle_found is None:
-                violations += 1
-    return checked, violations, {"n_max": n, "mode": "exhaustive"}
+                yield oracle_found is not None or not shape_ok
+            else:
+                yield oracle_found is None
+    return {"n_max": n, "mode": "exhaustive"}, faults()
 
 
 def _run_transversal(n, samples, exhaustive, seed, budget):
     """Row-distinct matrices with 2n-1 rows and n columns always have a full
     transversal satisfying all three distinctness constraints."""
-    checked = violations = 0
-    rng = random.Random(seed)
-    for _ in range(samples):
-        cols = rng.randint(1, n)
-        symbols = cols + rng.randint(0, 2)
-        spec = GenSpec.matrix(2 * cols - 1, cols, symbols, rng.getrandbits(63))
-        matrix = generate(spec)
-        found = find_transversal(matrix)
-        checked += 1
-        if found is None or not transversal_is_valid(matrix, found):
-            violations += 1
-    return checked, violations, {"samples": samples, "n_max": n}
+    def faults():
+        rng = random.Random(seed)
+        for _ in range(samples):
+            cols = rng.randint(1, n)
+            symbols = cols + rng.randint(0, 2)
+            spec = GenSpec.matrix(2 * cols - 1, cols, symbols, rng.getrandbits(63))
+            matrix = generate(spec)
+            found = find_transversal(matrix)
+            yield found is None or not transversal_is_valid(matrix, found)
+    return {"samples": samples, "n_max": n}, faults()
 
 
 # name -> (runner, default n, smallest n, default samples or None when the
-# campaign draws nothing, whether it has an exhaustive mode)
+# campaign draws nothing, whether it has an exhaustive mode); a runner takes
+# (n, samples, exhaustive, seed, budget) and returns (parameters, faults),
+# one fault count per checked instance, which run_campaign counts and sums
+# (enumerations are charged before it returns)
 _RUNNERS = {
     "drisko": (_run_drisko, 3, 1, 1000, True),
     "general": (_run_general, 5, 1, 1000, False),

@@ -102,8 +102,17 @@ def _parse_counted(raw: str, where: str, count: int) -> tuple[int, ...]:
     return values
 
 
-def _multiset_argument(args: argparse.Namespace) -> ResidueMultiset:
+def _refuse_unread(args: argparse.Namespace, run: str, *flags: str) -> None:
+    """Raise InputError naming the first of ``flags`` given to a run that
+    would not read it."""
+    for flag in flags:
+        if getattr(args, flag[2:]) is not None:
+            raise InputError(f"{run} ignores {flag}")
+
+
+def _multiset_argument(args: argparse.Namespace, run: str) -> ResidueMultiset:
     if args.input:
+        _refuse_unread(args, f"{run} with --input", "--n", "--elements")
         return jsonio.multiset_from_obj(_load(args.input))
     if args.n is None or args.elements is None:
         raise InputError("need either --input or both --n and --elements")
@@ -111,41 +120,34 @@ def _multiset_argument(args: argparse.Namespace) -> ResidueMultiset:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    if args.kind != "egz" and not args.input:
-        raise InputError(f"solve {args.kind} needs --input")
+    run = f"solve {args.kind}"
+    if args.kind != "rainbow":
+        _refuse_unread(args, run, "--target")
+    if args.kind != "egz":
+        _refuse_unread(args, run, "--n", "--elements")
+        if not args.input:
+            raise InputError(f"{run} needs --input")
     if args.kind == "rainbow":
         family = jsonio.family_from_obj(_load(args.input))
         if args.target is None:
             raise InputError("solve rainbow needs --target")
         found = find_rainbow_matching(family, args.target, _budget())
-        if found is None:
-            print("infeasible")
-            return EXIT_INFEASIBLE
-        _emit(jsonio.rainbow_to_obj(found))
-        return EXIT_OK
-    if args.kind == "transversal":
-        matrix = jsonio.matrix_from_obj(_load(args.input))
-        found = find_transversal(matrix)
-        if found is None:
-            print("infeasible")
-            return EXIT_INFEASIBLE
-        _emit(jsonio.transversal_to_obj(found))
-        return EXIT_OK
-    if args.kind == "egz":
-        multiset = _multiset_argument(args)
-        witness = find_zero_sum_subset(multiset)
-        if witness is None:
-            print("infeasible")
-            return EXIT_INFEASIBLE
-        _emit(jsonio.zero_sum_to_obj(witness))
-        return EXIT_OK
-    assert args.kind == "mcpath"
-    network = jsonio.network_from_obj(_load(args.input))
-    witness = find_multicolored_st_path(network, len(network.inner_nodes))
-    if witness is None:
+        to_obj = jsonio.rainbow_to_obj
+    elif args.kind == "transversal":
+        found = find_transversal(jsonio.matrix_from_obj(_load(args.input)))
+        to_obj = jsonio.transversal_to_obj
+    elif args.kind == "egz":
+        found = find_zero_sum_subset(_multiset_argument(args, run))
+        to_obj = jsonio.zero_sum_to_obj
+    else:
+        assert args.kind == "mcpath"
+        network = jsonio.network_from_obj(_load(args.input))
+        found = find_multicolored_st_path(network, len(network.inner_nodes))
+        to_obj = jsonio.colored_path_to_obj
+    if found is None:
         print("infeasible")
         return EXIT_INFEASIBLE
-    _emit(jsonio.colored_path_to_obj(witness))
+    _emit(to_obj(found))
     return EXIT_OK
 
 
@@ -171,6 +173,10 @@ def _generate_spec(args: argparse.Namespace):
     if len(chosen) != 1:
         raise InputError("pick exactly one instance kind to generate")
     kind = chosen[0]
+    if kind != "canonical":
+        _refuse_unread(args, "generate without --canonical", "--n")
+    if kind != "family_mixed":
+        _refuse_unread(args, "generate without --family-mixed", "--side")
     if kind == "canonical":
         if args.canonical != "c2n":
             raise InputError(f"unknown canonical instance {args.canonical!r}")
@@ -212,13 +218,14 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     if args.kind == "family":
+        _refuse_unread(args, "classify family", "--n", "--elements")
         if not args.input:
             raise InputError("classify family needs --input")
         verdict = classify_family(jsonio.family_from_obj(_load(args.input)))
         _emit(jsonio.family_classification_to_obj(verdict))
         return EXIT_OK
     assert args.kind == "multiset"
-    verdict = classify_multiset(_multiset_argument(args))
+    verdict = classify_multiset(_multiset_argument(args, "classify multiset"))
     _emit(jsonio.multiset_classification_to_obj(verdict))
     return EXIT_OK
 

@@ -2,8 +2,8 @@
 
 Instance schemas (UTF-8 JSON files):
 
-* matching family: array of matchings; a matching is an array of edges; an
-  edge is ``[left_index, right_index]``.
+* matching family: array of matchings; a matching is an array of edges,
+  none listed twice; an edge is ``[left_index, right_index]``.
 * network family: array of groups; a group is an array of paths; a path is
   an array of nodes, each ``"s"``, ``"t"``, or a non-negative inner index.
   A group's position is its color, so witness colors index this array; an
@@ -49,7 +49,7 @@ def family_from_obj(obj: Any) -> MatchingFamily:
     members = []
     for i, raw in enumerate(obj):
         _require(isinstance(raw, list), f"family[{i}]", "expected an array of edges")
-        edges = []
+        edges: dict = {}  # edge -> position of its first listing
         for j, pair in enumerate(raw):
             where = f"family[{i}][{j}]"
             _require(isinstance(pair, list) and len(pair) == 2, where,
@@ -57,7 +57,8 @@ def family_from_obj(obj: Any) -> MatchingFamily:
             left = _int(pair[0], where)
             right = _int(pair[1], where)
             _require(left >= 0 and right >= 0, where, "indices must be non-negative")
-            edges.append(edge(left, right))
+            first = edges.setdefault(edge(left, right), j)
+            _require(first == j, where, f"repeats the edge family[{i}][{first}]")
         try:
             members.append(validate_matching(edges))
         except OverlapError as exc:

@@ -288,7 +288,7 @@ def reachable_witness_set(family: PathGroupFamily) -> dict[NetNode, ColoredPath]
         for p in paths:
             z = p.nodes[1]
             if z not in raw:
-                raw[z] = ((SOURCE, z) if z != SINK else (SOURCE, SINK), (color,))
+                raw[z] = ((SOURCE, z), (color,))
     _close_witnesses(raw, groups)
     return {node: ColoredPath(nodes, colors) for node, (nodes, colors) in raw.items()}
 

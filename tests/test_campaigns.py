@@ -3,6 +3,7 @@ import pytest
 from rainbowkit import (
     BudgetExceeded,
     PreconditionError,
+    RainbowMatching,
     Regimentation,
     TheoremViolation,
 )
@@ -44,7 +45,7 @@ class TestRunCampaign:
 
     def test_report_without_instances_refused(self, monkeypatch):
         monkeypatch.setitem(campaigns._RUNNERS, "egz",
-                            (lambda *args: (0, 0, {}), 6, 1, None, True))
+                            (lambda *args: ({}, ()), 6, 1, None, True))
         with pytest.raises(PreconditionError, match="no instances"):
             run_campaign("egz")
 
@@ -107,6 +108,35 @@ class TestRunCampaign:
         monkeypatch.setattr(campaigns, classifier, fail)
         report = run_campaign(theorem, **kwargs)
         assert (report.instances_checked, report.violations) == (checked, checked)
+
+    @pytest.mark.parametrize("theorem,kwargs,patches,expected", [
+        ("drisko", {"n": 2, "samples": 50, "seed": 1},
+         {"find_rainbow_matching": None}, (50, 50)),
+        ("general", {"samples": 50, "seed": 2},
+         {"find_rainbow_matching": None}, (50, 47)),
+        ("general", {"samples": 50, "seed": 2},
+         {"find_rainbow_matching": RainbowMatching(())}, (50, 50)),
+        ("bgs", {"n": 4, "samples": 50, "seed": 3},
+         {"find_rainbow_matching": None}, (50, 50)),
+        ("counting", {"samples": 50, "seed": 4},
+         {"reachable_witness_set": {}}, (50, 50)),
+        ("egz", {"n": 3, "exhaustive": True},
+         {"find_zero_sum_subset": None}, (26, 26)),
+        ("transversal", {"n": 3, "samples": 50, "seed": 5},
+         {"find_transversal": None}, (50, 50)),
+        ("sharpness", {"n": 3},
+         {"find_rainbow_matching": object(), "brute_rainbow": object()}, (2, 4)),
+        ("sharpness", {"n": 3}, {"find_rainbow_matching": object()}, (2, 2)),
+    ])
+    def test_each_wrong_answer_counts(self, monkeypatch, theorem, kwargs, patches,
+                                      expected):
+        # each patched verdict source answers the same wrong thing every time;
+        # general keeps the instances the brute oracle also calls infeasible
+        # and sharpness charges the solver and the oracle one fault each
+        for name, answer in patches.items():
+            monkeypatch.setattr(campaigns, name, lambda *args, answer=answer: answer)
+        report = run_campaign(theorem, **kwargs)
+        assert (report.instances_checked, report.violations) == expected
 
     def test_every_name_has_a_runner(self):
         assert set(THEOREMS) == {

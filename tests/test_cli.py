@@ -47,6 +47,14 @@ class TestSolve:
         assert out == ""
         assert "repeats symbol" in err
 
+    def test_repeated_edge_exit_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps([[[0, 0], [0, 0]], [[1, 1]], [[0, 1]]]))
+        code, out, err = run_cli(capsys, "solve", "rainbow", "--input", str(bad),
+                                 "--target", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: family[0][1]: repeats the edge family[0][0]\n"
+
     @pytest.mark.parametrize("content,message", [
         (b"\xff\xfe[[", "not UTF-8 text at byte 0: invalid start byte"),
         (b"[" * 100000, "JSON nested too deeply"),
@@ -263,6 +271,42 @@ class TestClassify:
                                  "--elements", "0,0")
         assert (code, out) == (2, "")
         assert err == "error: need exactly 4 elements, got 2\n"
+
+
+class TestUnreadFlags:
+    @pytest.mark.parametrize("argv,run,flag", [
+        (("solve", "rainbow", "--input", "{family}", "--target", "1", "--n", "3"),
+         "solve rainbow", "--n"),
+        (("solve", "transversal", "--input", "{family}", "--target", "1"),
+         "solve transversal", "--target"),
+        (("solve", "egz", "--n", "3", "--elements", "0,1,1,2,2", "--target", "3"),
+         "solve egz", "--target"),
+        (("solve", "mcpath", "--input", "{family}", "--elements", "0"),
+         "solve mcpath", "--elements"),
+        (("solve", "egz", "--input", "{multiset}", "--n", "3"),
+         "solve egz with --input", "--n"),
+        (("classify", "multiset", "--input", "{multiset}", "--n", "3",
+          "--elements", "0,0,1,1"), "classify multiset with --input", "--n"),
+        (("classify", "multiset", "--input", "{multiset}", "--elements", "0,0,1,1"),
+         "classify multiset with --input", "--elements"),
+        (("classify", "family", "--input", "{family}", "--n", "3"),
+         "classify family", "--n"),
+        (("generate", "--family-uniform", "2,3,3", "--n", "3"),
+         "generate without --canonical", "--n"),
+        (("generate", "--canonical", "c2n", "--n", "3", "--side", "4"),
+         "generate without --family-mixed", "--side"),
+    ], ids=["solve-rainbow-n", "solve-transversal-target", "solve-egz-target",
+            "solve-mcpath-elements", "solve-egz-input-n", "classify-multiset-input-n",
+            "classify-multiset-input-elements", "classify-family-n",
+            "generate-n", "generate-side"])
+    def test_exit_two_naming_the_flag(self, tmp_path, capsys, argv, run, flag):
+        files = {"family": tmp_path / "family.json", "multiset": tmp_path / "multiset.json"}
+        files["family"].write_text(json.dumps([[[0, 0]], [[1, 1]]]))
+        files["multiset"].write_text(json.dumps({"n": 3, "elements": [0, 0, 1, 1]}))
+        argv = [arg.format(**files) for arg in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {run} ignores {flag}\n"
 
 
 class TestListFlags:

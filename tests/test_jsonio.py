@@ -19,6 +19,11 @@ class TestFamilyRoundTrip:
         obj = jsonio.family_to_obj(c6_family)
         assert jsonio.family_from_obj(obj) == c6_family
 
+    def test_repeated_edge_refused(self):
+        with pytest.raises(InputError) as info:
+            jsonio.family_from_obj([[[0, 0], [1, 1]], [[1, 1], [0, 2], [1, 1]]])
+        assert str(info.value) == "family[1][2]: repeats the edge family[1][0]"
+
     def test_overlap_reported_with_member_index(self):
         with pytest.raises(InputError, match=r"family\[1\]"):
             jsonio.family_from_obj([[[0, 0]], [[0, 0], [0, 1]]])
