@@ -79,9 +79,10 @@ def run_campaign(theorem: str, *, n: Optional[int] = None,
     raises PreconditionError, and so do a flag the run would not read
     (``exhaustive`` for a campaign without that mode, ``samples`` or
     ``seed`` for a run that draws nothing) and a run that checks no instance
-    at all. ``budget`` bounds each brute-force oracle call and the size of
-    each exhaustive enumeration; every size is charged before the first
-    instance, and one over budget raises BudgetExceeded.
+    at all. ``budget`` bounds each brute-force oracle call, the size of each
+    exhaustive enumeration and the largest instance a sampled run can draw;
+    every size is charged before the first instance, and one over budget
+    raises BudgetExceeded.
     """
     if theorem not in _RUNNERS:
         raise PreconditionError(f"unknown theorem {theorem!r}; pick one of {THEOREMS}")
@@ -114,13 +115,17 @@ def run_campaign(theorem: str, *, n: Optional[int] = None,
                           seed, parameters)
 
 
+def _charge(total: int, unit: str, budget: int) -> None:
+    """Refuse a run before it starts when ``total`` ``unit`` exceed ``budget``."""
+    if total > budget:
+        raise BudgetExceeded(f"{total} {unit} exceed the budget")
+
+
 def _charge_enumerations(sizes: Iterable[tuple[int, int]], budget: int) -> None:
-    """Refuse a run before it starts when one of its enumerations, the
-    k-multisets of ``kinds`` items for each ``(kinds, k)``, exceeds ``budget``."""
+    """Charge each enumeration, the k-multisets of ``kinds`` items for each
+    ``(kinds, k)``, before the first."""
     for kinds, k in sizes:
-        total = math.comb(kinds + k - 1, k)
-        if total > budget:
-            raise BudgetExceeded(f"{total} multisets exceed the budget")
+        _charge(math.comb(kinds + k - 1, k), "multisets", budget)
 
 
 def _rainbow_fault(found, family: MatchingFamily, size: int) -> bool:
@@ -149,6 +154,7 @@ def _uniform_families(n, count, samples, exhaustive, seed, budget):
         families = map(MatchingFamily,
                        itertools.combinations_with_replacement(pool, count))
         return families, {"n": n, "mode": "exhaustive", "side": n + 1}
+    _charge(count * n, "edges", budget)
     rng = random.Random(seed)
     families = (generate(GenSpec.family_uniform(n, count, n + 1, rng.getrandbits(63)))
                 for _ in range(samples))
@@ -178,6 +184,8 @@ def _run_general(n, samples, exhaustive, seed, budget):
     """Mixed-size families: whenever the sorted-size threshold holds the
     solver must produce a rainbow matching of the target size; otherwise its
     feasibility verdict must match the brute-force oracle."""
+    _charge(9 * n, "edges", budget)
+
     def faults():
         rng = random.Random(seed)
         for _ in range(samples):
@@ -199,6 +207,7 @@ def _run_general(n, samples, exhaustive, seed, budget):
 def _run_bgs(n, samples, exhaustive, seed, budget):
     """Uniform families at the floor((k+2)n/(k+1)) - (k+1) member count have
     a rainbow matching of size n-k, for k in {1, 2}."""
+    _charge((3 * n // 2 - 2) * n, "edges", budget)
     combos = [(nn, k) for k in (1, 2) for nn in range(2, n + 1)
               if (k + 2) * nn // (k + 1) - (k + 1) >= 1 and nn - k >= 1]
 
@@ -217,6 +226,8 @@ def _run_bgs(n, samples, exhaustive, seed, budget):
 def _run_counting(n, samples, exhaustive, seed, budget):
     """Constructive reachability: the witness set is valid, lies inside the
     oracle's exact reachable set, and outnumbers the paths."""
+    _charge(n, "inner nodes", budget)
+
     def faults():
         rng = random.Random(seed)
         for _ in range(samples):
@@ -371,6 +382,8 @@ def _run_egz_extremal(n, samples, exhaustive, seed, budget):
 def _run_transversal(n, samples, exhaustive, seed, budget):
     """Row-distinct matrices with 2n-1 rows and n columns always have a full
     transversal satisfying all three distinctness constraints."""
+    _charge((2 * n - 1) * n, "cells", budget)
+
     def faults():
         rng = random.Random(seed)
         for _ in range(samples):
@@ -387,7 +400,7 @@ def _run_transversal(n, samples, exhaustive, seed, budget):
 # campaign draws nothing, whether it has an exhaustive mode); a runner takes
 # (n, samples, exhaustive, seed, budget) and returns (parameters, faults),
 # one fault count per checked instance, which run_campaign counts and sums
-# (enumerations are charged before it returns)
+# (every size is charged before it returns)
 _RUNNERS = {
     "drisko": (_run_drisko, 3, 1, 1000, True),
     "general": (_run_general, 5, 1, 1000, False),

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import (
     DEFAULT_BUDGET,
@@ -27,6 +27,7 @@ from .graph_core import (
 from .network_paths import (
     SINK,
     SOURCE,
+    ColoredPath,
     NetNode,
     NetPath,
     PathGroup,
@@ -132,7 +133,9 @@ def find_rainbow_matching(
     the color that supplied its network edge. Dead ends backtrack over the
     remaining multicolored paths and pull-back choices, so the search is
     exhaustive: None means no rainbow matching of the requested size exists.
-    States are memoized up to permuting colors of identical matchings.
+    A state's memo key is the set of (first color of its member's class, edge)
+    pairs, so states that differ only by permuting colors of identical
+    matchings share one entry.
 
     Each visited search state costs one step of ``budget``; running out
     raises BudgetExceeded. Raises GuaranteeViolation when the sorted-size
@@ -145,9 +148,8 @@ def find_rainbow_matching(
         return RainbowMatching(())
     result = None
     if size <= len(family):
-        canon = _state_canonicalizer(family)
-        dead: set[tuple[tuple[int, Edge], ...]] = set()
-        result = _grow(family, {}, size, canon, dead, Meter(budget))
+        first = {c: cols[0] for cols in _member_classes(family).values() for c in cols}
+        result = _grow(family, {}, size, first, set(), Meter(budget))
         if result is None and drisko_condition(family.sizes, size):
             raise GuaranteeViolation(
                 "size-threshold condition holds but the search failed")
@@ -156,83 +158,53 @@ def find_rainbow_matching(
     return result
 
 
-def _state_canonicalizer(
-    family: MatchingFamily,
-) -> Callable[[dict[int, Edge]], tuple[tuple[int, Edge], ...]]:
-    """Quotient states by swapping colors that hold identical matchings."""
-    class_of = {c: cols for cols in _member_classes(family).values() for c in cols}
-
-    def canon(assignment: dict[int, Edge]) -> tuple[tuple[int, Edge], ...]:
-        chosen: dict[int, list[Edge]] = {}
-        for c, e in assignment.items():
-            chosen.setdefault(class_of[c][0], []).append(e)
-        out: list[tuple[int, Edge]] = []
-        for first, edges in chosen.items():
-            out.extend(zip(class_of[first], sorted(edges)))
-        out.sort()
-        return tuple(out)
-
-    return canon
-
-
-def _member_classes(family: MatchingFamily) -> dict[tuple[Edge, ...], list[int]]:
-    """The colors of each distinct member, keyed by its sorted edges."""
-    classes: dict[tuple[Edge, ...], list[int]] = {}
+def _member_classes(family: MatchingFamily) -> dict[Matching, list[int]]:
+    """The colors of each distinct member, keyed by the member, in order of
+    first appearance."""
+    classes: dict[Matching, list[int]] = {}
     for color, member in enumerate(family):
-        classes.setdefault(member.key(), []).append(color)
+        classes.setdefault(member, []).append(color)
     return classes
 
 
-def _grow(family, assignment, target, canon, dead, meter) -> Optional[RainbowMatching]:
+def _grow(family, assignment, target, first, dead, meter) -> Optional[RainbowMatching]:
     meter.spend()
     if len(assignment) == target:
         return RainbowMatching(tuple(assignment.items()))
-    key = canon(assignment)
+    # the set of (class, edge) pairs: colors of one class are interchangeable
+    key = frozenset((first[c], e) for c, e in assignment.items())
     if key in dead:
         return None
     network, inner_count, translation = build_contracted_network(family, assignment)
-    for nodes, net_colors, new_edges in _augmentation_steps(
-            network, inner_count, translation):
-        child = _apply_step(assignment, nodes, net_colors, new_edges, translation)
-        result = _grow(family, child, target, canon, dead, meter)
-        if result is not None:
-            return result
+    for witness in _witnesses(network, inner_count):
+        removed = {translation.matched_edges[v] for v in witness.nodes[1:-1]}
+        kept = {c: e for c, e in assignment.items() if e not in removed}
+        choices = (translation.pullback[c][step]
+                   for step, c in zip(witness.edges, witness.colors))
+        for new_edges in itertools.product(*choices):
+            child = dict(kept)
+            child.update(zip(witness.colors, new_edges))
+            # one more edge, and the edges still form a matching
+            assert len(child) == len(assignment) + 1
+            assert len({e.left.index for e in child.values()}) == len(child)
+            assert len({e.right.index for e in child.values()}) == len(child)
+            result = _grow(family, child, target, first, dead, meter)
+            if result is not None:
+                return result
     dead.add(key)
     return None
 
 
-def _augmentation_steps(
-    network: PathGroupFamily, inner_count: int, translation: NetworkTranslation
-) -> Iterator[tuple[tuple[NetNode, ...], tuple[int, ...], tuple[Edge, ...]]]:
-    """Candidate augmentations: the constructed witness first, then every
-    other multicolored path, each expanded over its pull-back choices."""
-    first: Optional[tuple[tuple[NetNode, ...], tuple[int, ...]]] = None
+def _witnesses(network: PathGroupFamily, inner_count: int) -> Iterator[ColoredPath]:
+    """Candidate augmentations: the constructed witness first when the network
+    holds more paths than matched edges, then every other multicolored path."""
+    constructed = None
     if network.total_paths > inner_count:
-        witness = find_multicolored_st_path(network, inner_count)
-        first = (witness.nodes, witness.colors)
-        yield from _expand_pullbacks(witness.nodes, witness.colors, translation)
+        constructed = find_multicolored_st_path(network, inner_count)
+        yield constructed
     for witness in iter_multicolored_st_paths(network):
-        if (witness.nodes, witness.colors) == first:
-            continue
-        yield from _expand_pullbacks(witness.nodes, witness.colors, translation)
-
-
-def _expand_pullbacks(nodes, net_colors, translation):
-    choices = (translation.pullback[c][ne]
-               for ne, c in zip(zip(nodes, nodes[1:]), net_colors))
-    for edges in itertools.product(*choices):
-        yield nodes, net_colors, edges
-
-
-def _apply_step(assignment, nodes, net_colors, new_edges, translation):
-    removed = {translation.matched_edges[v] for v in nodes[1:-1]}
-    grown = {c: e for c, e in assignment.items() if e not in removed}
-    grown.update(zip(net_colors, new_edges))
-    # one more edge, and the edges still form a matching
-    assert len(grown) == len(assignment) + 1
-    assert len({e.left.index for e in grown.values()}) == len(grown)
-    assert len({e.right.index for e in grown.values()}) == len(grown)
-    return grown
+        if witness != constructed:
+            yield witness
 
 
 def drisko_condition(sizes: Iterable[int], size: int) -> bool:

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import os
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rainbowkit import campaigns, network_paths
 from rainbowkit.cli import main
@@ -130,6 +135,21 @@ class TestVerify:
             code, out, err = run_cli(capsys, "verify", *argv)
             assert (code, out) == (3, ""), argv
             assert err == f"budget: {total} multisets exceed the budget\n"
+
+    @pytest.mark.parametrize("argv,total", [
+        (("drisko", "--n", "1000000"), "1999999000000 edges"),
+        (("extremal", "--n", "100000"), "19999800000 edges"),
+        (("general", "--n", "1000000000"), "9000000000 edges"),
+        (("bgs", "--n", "1000000000"), "1499999998000000000 edges"),
+        (("counting", "--n", "1000000000"), "1000000000 inner nodes"),
+        (("transversal", "--n", "1000000000"), "1999999999000000000 cells"),
+    ], ids=["drisko", "extremal", "general", "bgs", "counting", "transversal"])
+    def test_oversized_sample_exit_three(self, capsys, argv, total):
+        # the largest instance a run can draw is charged before the first
+        # draw, so nothing of that size is ever built
+        code, out, err = run_cli(capsys, "verify", *argv, "--samples", "1")
+        assert (code, out) == (3, "")
+        assert err == f"budget: {total} exceed the budget\n"
 
     @pytest.mark.parametrize("classifier,argv", [
         ("classify_family", ("extremal", "--n", "2", "--exhaustive")),
@@ -328,3 +348,78 @@ class TestListFlags:
     def test_empty_string_is_the_empty_list(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "egz", "--n", "2", "--elements", "")
         assert (code, out) == (1, "infeasible\n")
+
+
+# instance files for the fuzz below: instances of each kind, the same with
+# one value anywhere in them replaced by any JSON value, and any text
+_scalars = st.one_of(st.none(), st.booleans(), st.integers(-2, 6), st.floats(),
+                     st.sampled_from(["s", "t", "", "n"]))
+_json = st.recursive(_scalars, lambda inner: st.one_of(
+    st.lists(inner, max_size=5),
+    st.dictionaries(st.sampled_from(["n", "elements", "rows", "cols", "cells"]),
+                    inner, max_size=5)), max_leaves=10)
+
+
+def _spots(obj, at=()):
+    """The position of ``obj`` and of every value inside it."""
+    yield at
+    if isinstance(obj, (list, dict)):
+        for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from _spots(value, (*at, key))
+
+
+def _replaced(obj, at, value):
+    """A copy of ``obj`` with ``value`` at the position ``at``."""
+    if not at:
+        return value
+    copy = list(obj) if isinstance(obj, list) else dict(obj)
+    copy[at[0]] = _replaced(obj[at[0]], at[1:], value)
+    return copy
+
+
+def _files(instances):
+    corrupted = instances.flatmap(lambda obj: st.builds(
+        _replaced, st.just(obj), st.sampled_from(list(_spots(obj))), _json))
+    return st.one_of(instances, corrupted, _json).map(json.dumps) | st.text(max_size=12)
+
+
+# 2n-2 or 2n-1 perfect matchings on n vertices a side
+_family = st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.permutations(range(n)).map(lambda p: [[i, p[i]] for i in range(n)]),
+    min_size=2 * n - 2, max_size=2 * n - 1))
+_network = st.lists(st.lists(
+    st.lists(st.integers(0, 3), max_size=3, unique=True).map(lambda mid: ["s", *mid, "t"]),
+    max_size=3), max_size=5)
+_matrix = st.integers(1, 3).flatmap(lambda cols: st.fixed_dictionaries({
+    "rows": st.just(2 * cols - 1), "cols": st.just(cols),
+    "cells": st.lists(st.lists(st.integers(0, cols + 1), min_size=cols, max_size=cols,
+                               unique=True), min_size=2 * cols - 1, max_size=2 * cols - 1)}))
+_multiset = st.integers(1, 5).flatmap(lambda n: st.fixed_dictionaries({
+    "n": st.just(n), "elements": st.lists(st.integers(0, n - 1), min_size=2 * n - 2,
+                                          max_size=2 * n - 1)}))
+_runs = st.one_of(
+    *(st.tuples(targets.map(lambda t: ("solve", "rainbow", "--target", t)), _files(_family))
+      for targets in (st.sampled_from("1234"), st.text(max_size=3))),
+    *(st.tuples(st.just(command), _files(instances)) for command, instances in (
+        (("solve", "transversal"), _matrix),
+        (("solve", "egz"), _multiset),
+        (("solve", "mcpath"), _network),
+        (("classify", "family"), _family),
+        (("classify", "multiset"), _multiset))))
+
+
+class TestMalformedInstanceFiles:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(run=_runs)
+    def test_every_file_maps_to_an_exit_code(self, tmp_path_factory, run):
+        command, text = run
+        instance = tmp_path_factory.getbasetemp() / "instance.json"
+        instance.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ, {"RAINBOWKIT_BUDGET": "2"}), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main([*command, "--input", str(instance)])
+            except SystemExit as exc:  # argparse refusing a flag value
+                code = exc.code
+        assert code in (0, 1, 2, 3), (code, err.getvalue())

@@ -12,6 +12,7 @@ from rainbowkit import (
     MatchingFamily,
     PathGroup,
     PreconditionError,
+    ResidueMultiset,
     augmenting_paths,
     brute_rainbow,
     build_contracted_network,
@@ -19,6 +20,7 @@ from rainbowkit import (
     classify_family,
     drisko_condition,
     edge,
+    egz_family,
     enumerate_matchings,
     find_rainbow_matching,
     rainbow_is_valid,
@@ -30,6 +32,12 @@ from rainbowkit.rainbow_solver import _cycle_split
 
 def family(*member_lists):
     return MatchingFamily(tuple(validate_matching(m) for m in member_lists))
+
+
+def _interleaved(fam):
+    """The members of a split cycle family, even and odd alternating."""
+    half = len(fam) // 2
+    return tuple(m for pair in zip(fam.members[:half], fam.members[half:]) for m in pair)
 
 
 class TestBuildContractedNetwork:
@@ -249,6 +257,19 @@ class TestBudget:
         assert find_rainbow_matching(fam, 5, budget=2581) is None
         with pytest.raises(BudgetExceeded):
             find_rainbow_matching(fam, 5, budget=2580)
+
+    @pytest.mark.parametrize("fam,target,states", [
+        (MatchingFamily(_interleaved(canonical_cycle_family(4))), 4, 377),
+        (MatchingFamily(_interleaved(canonical_cycle_family(5))), 5, 2581),
+        (egz_family(ResidueMultiset(5, (0,) * 4 + (1,) * 4)), 5, 2581),
+    ], ids=["cycle-8-interleaved", "cycle-10-interleaved", "egz-piles-5"])
+    def test_memo_merges_classes_of_non_adjacent_colors(self, fam, target, states):
+        # identical members need not sit at neighboring colors for their
+        # states to share a memo entry: these visit as many states as the
+        # split cycle of the same size
+        assert find_rainbow_matching(fam, target, budget=states) is None
+        with pytest.raises(BudgetExceeded):
+            find_rainbow_matching(fam, target, budget=states - 1)
 
     def test_trivial_targets_spend_nothing(self):
         assert len(find_rainbow_matching(family([edge(0, 0)]), 0, budget=0)) == 0

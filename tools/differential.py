@@ -16,6 +16,10 @@ Sections:
   matchings with 1-9 vertices a side;
 - ``solver``: ``find_rainbow_matching`` at every target, ``classify_family``
   and ``classify_multiset`` on seeded streams;
+- ``search``: with each outcome, the states the rainbow search visited and
+  the networks it built, on a seeded stream of families with many repeated
+  members at every target and on the split cycles of 4-10 vertices in two
+  member orders through ``classify_family``;
 - ``witnesses``: ``reachable_witness_set`` on a seeded stream of generated
   networks;
 - ``mcpath``: ``rainbowkit solve mcpath`` (its exit code, stdout and
@@ -46,7 +50,7 @@ import tempfile
 from pathlib import Path
 
 import rainbowkit as rk
-from rainbowkit import cli
+from rainbowkit import cli, rainbow_solver
 from rainbowkit.campaigns import run_campaign
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -137,6 +141,19 @@ def augmenting_section(pairs: int, seed: int = 11) -> list:
     return records
 
 
+def _repeating_family(rng: random.Random, most: int, repeat: float) -> rk.MatchingFamily:
+    """1 to ``most`` members of size 0-3 on 1-4 vertices a side, each after
+    the first a copy of an earlier one with probability ``repeat``."""
+    side = rng.randint(1, 4)
+    members: list[rk.Matching] = []
+    for _ in range(rng.randint(1, most)):
+        if members and rng.random() < repeat:
+            members.append(members[rng.randrange(len(members))])
+        else:
+            members.append(_matching(rng, rng.randint(0, min(3, side)), side))
+    return rk.MatchingFamily(tuple(members))
+
+
 def solver_section(draws: int, seed: int = 12) -> list:
     """Mixed families with repeated members at every target, uniform
     families of 2n-2 members through the classifier, and residue multisets
@@ -144,14 +161,7 @@ def solver_section(draws: int, seed: int = 12) -> list:
     rng = random.Random(seed)
     records = []
     for _ in range(draws):
-        side = rng.randint(1, 4)
-        members: list[rk.Matching] = []
-        for _ in range(rng.randint(1, 6)):
-            if members and rng.random() < 0.3:
-                members.append(members[rng.randrange(len(members))])
-            else:
-                members.append(_matching(rng, rng.randint(0, min(3, side)), side))
-        family = rk.MatchingFamily(tuple(members))
+        family = _repeating_family(rng, 6, 0.3)
         records.append([outcome(lambda: rk.find_rainbow_matching(family, t))
                         for t in range(len(family) + 2)])
         n = rng.randint(2, 4)
@@ -162,6 +172,55 @@ def solver_section(draws: int, seed: int = 12) -> list:
         multiset = rk.ResidueMultiset(
             n, tuple(rng.randrange(n) for _ in range(2 * n - 2)))
         records.append(outcome(lambda: rk.classify_multiset(multiset)))
+    return records
+
+
+def counted_outcome(call) -> list:
+    """``outcome(call)``, then the states the rainbow search visited and the
+    networks it built during the call.
+
+    The solver charges its meter once per visited state, so its ``Meter`` is
+    rebound for the call to a subclass that counts ``spend`` calls; meters of
+    other modules are not touched. ``build_contracted_network`` is wrapped
+    under the name the solver calls it by."""
+    counts = [0, 0]
+    meter, build = rainbow_solver.Meter, rainbow_solver.build_contracted_network
+
+    class CountingMeter(meter):
+        __slots__ = ()
+
+        def spend(self) -> None:
+            counts[0] += 1
+            super().spend()
+
+    def counted_build(*args):
+        counts[1] += 1
+        return build(*args)
+
+    rainbow_solver.Meter, rainbow_solver.build_contracted_network = CountingMeter, counted_build
+    try:
+        return [outcome(call), *counts]
+    finally:
+        rainbow_solver.Meter, rainbow_solver.build_contracted_network = meter, build
+
+
+def search_section(draws: int, seed: int = 16) -> list:
+    """Families of 1-7 members, each after the first a copy of an earlier one
+    with probability one half, at every target; then ``classify_family`` on
+    the split cycles for n = 2-5, with the even and odd members first grouped
+    and then alternating."""
+    rng = random.Random(seed)
+    records = []
+    for _ in range(draws):
+        family = _repeating_family(rng, 7, 0.5)
+        records.append([counted_outcome(lambda: rk.find_rainbow_matching(family, t))
+                        for t in range(len(family) + 2)])
+    for n in range(2, 6):
+        members = rk.canonical_cycle_family(n).members
+        alternating = tuple(m for pair in zip(members[:n - 1], members[n - 1:])
+                            for m in pair)
+        records += [counted_outcome(lambda: rk.classify_family(rk.MatchingFamily(order)))
+                    for order in (members, alternating)]
     return records
 
 
@@ -292,6 +351,7 @@ def main() -> None:
         "campaigns": lambda: campaign_section(CAMPAIGNS),
         "augmenting": lambda: augmenting_section(100_000),
         "solver": lambda: solver_section(3000),
+        "search": lambda: search_section(3000),
         "witnesses": lambda: witness_section(20_000),
         "mcpath": lambda: mcpath_section(5000),
         "oracle": lambda: oracle_section(20_000),
