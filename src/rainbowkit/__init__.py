@@ -18,7 +18,6 @@ from .errors import (
     TheoremViolation,
 )
 from .graph_core import (
-    AlternatingPath,
     Edge,
     Matching,
     MatchingFamily,

@@ -18,7 +18,7 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import BudgetExceeded, DichotomyViolation, PreconditionError
+from .errors import BudgetExceeded, DichotomyViolation, PreconditionError, charge
 from .graph_core import MatchingFamily, edge, rainbow_is_valid, validate_matching
 from .network_paths import (
     NetPath,
@@ -115,17 +115,11 @@ def run_campaign(theorem: str, *, n: Optional[int] = None,
                           seed, parameters)
 
 
-def _charge(total: int, unit: str, budget: int) -> None:
-    """Refuse a run before it starts when ``total`` ``unit`` exceed ``budget``."""
-    if total > budget:
-        raise BudgetExceeded(f"{total} {unit} exceed the budget")
-
-
 def _charge_enumerations(sizes: Iterable[tuple[int, int]], budget: int) -> None:
     """Charge each enumeration, the k-multisets of ``kinds`` items for each
     ``(kinds, k)``, before the first."""
     for kinds, k in sizes:
-        _charge(math.comb(kinds + k - 1, k), "multisets", budget)
+        charge(math.comb(kinds + k - 1, k), "multisets", budget)
 
 
 def _rainbow_fault(found, family: MatchingFamily, size: int) -> bool:
@@ -154,7 +148,7 @@ def _uniform_families(n, count, samples, exhaustive, seed, budget):
         families = map(MatchingFamily,
                        itertools.combinations_with_replacement(pool, count))
         return families, {"n": n, "mode": "exhaustive", "side": n + 1}
-    _charge(count * n, "edges", budget)
+    charge(count * n, "edges", budget)
     rng = random.Random(seed)
     families = (generate(GenSpec.family_uniform(n, count, n + 1, rng.getrandbits(63)))
                 for _ in range(samples))
@@ -184,7 +178,7 @@ def _run_general(n, samples, exhaustive, seed, budget):
     """Mixed-size families: whenever the sorted-size threshold holds the
     solver must produce a rainbow matching of the target size; otherwise its
     feasibility verdict must match the brute-force oracle."""
-    _charge(9 * n, "edges", budget)
+    charge(9 * n, "edges", budget)
 
     def faults():
         rng = random.Random(seed)
@@ -207,7 +201,7 @@ def _run_general(n, samples, exhaustive, seed, budget):
 def _run_bgs(n, samples, exhaustive, seed, budget):
     """Uniform families at the floor((k+2)n/(k+1)) - (k+1) member count have
     a rainbow matching of size n-k, for k in {1, 2}."""
-    _charge((3 * n // 2 - 2) * n, "edges", budget)
+    charge((3 * n // 2 - 2) * n, "edges", budget)
     combos = [(nn, k) for k in (1, 2) for nn in range(2, n + 1)
               if (k + 2) * nn // (k + 1) - (k + 1) >= 1 and nn - k >= 1]
 
@@ -226,7 +220,7 @@ def _run_bgs(n, samples, exhaustive, seed, budget):
 def _run_counting(n, samples, exhaustive, seed, budget):
     """Constructive reachability: the witness set is valid, lies inside the
     oracle's exact reachable set, and outnumbers the paths."""
-    _charge(n, "inner nodes", budget)
+    charge(n, "inner nodes", budget)
 
     def faults():
         rng = random.Random(seed)
@@ -382,7 +376,7 @@ def _run_egz_extremal(n, samples, exhaustive, seed, budget):
 def _run_transversal(n, samples, exhaustive, seed, budget):
     """Row-distinct matrices with 2n-1 rows and n columns always have a full
     transversal satisfying all three distinctness constraints."""
-    _charge((2 * n - 1) * n, "cells", budget)
+    charge((2 * n - 1) * n, "cells", budget)
 
     def faults():
         rng = random.Random(seed)

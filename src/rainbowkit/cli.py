@@ -12,7 +12,8 @@ violations, 2 malformed input or impossible generator spec, 3 step budget
 exhausted, 4 internal invariant failure (never expected). Results go to
 stdout as JSON with sorted keys; diagnostics go to stderr. The environment
 variable RAINBOWKIT_BUDGET overrides the default step budget of the
-brute-force oracles in ``verify`` and of the search in ``solve rainbow``.
+brute-force oracles in ``verify``, of the search in ``solve rainbow`` and of
+the instance sizes ``generate`` may build.
 
 Instance file schemas are documented in ``rainbowkit.jsonio``.
 """
@@ -34,8 +35,9 @@ from .errors import (
     InputError,
     RainbowkitError,
     TheoremViolation,
+    charge,
 )
-from .network_paths import find_multicolored_st_path
+from .network_paths import SINK, colored_path_conforms, find_multicolored_st_path
 from .oracle import DEFAULT_BUDGET, GenSpec, canonical_cycle_family, generate
 from .rainbow_solver import classify_family, find_rainbow_matching
 from .reductions import (
@@ -143,6 +145,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         assert args.kind == "mcpath"
         network = jsonio.network_from_obj(_load(args.input))
         found = find_multicolored_st_path(network, len(network.inner_nodes))
+        if found is not None and not (
+                found.target == SINK and colored_path_conforms(found, network)):
+            raise GuaranteeViolation(f"witness {found!r} is not a multicolored path")
         to_obj = jsonio.colored_path_to_obj
     if found is None:
         print("infeasible")
@@ -164,6 +169,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report.violations == 0 else EXIT_INFEASIBLE
 
 
+def _charge_sizes(total: int, unit: str, *sizes: int) -> None:
+    """Charge ``total`` against the budget before anything is built; a spec
+    with a size below 1 is left to the generator, which refuses it."""
+    if min(sizes, default=1) >= 1:
+        charge(total, unit, _budget())
+
+
 def _generate_spec(args: argparse.Namespace):
     chosen = [
         name for name in
@@ -182,23 +194,33 @@ def _generate_spec(args: argparse.Namespace):
             raise InputError(f"unknown canonical instance {args.canonical!r}")
         if args.n is None:
             raise InputError("--canonical c2n needs --n")
+        _charge_sizes((2 * args.n - 2) * args.n, "edges", args.n)
         return jsonio.family_to_obj(canonical_cycle_family(args.n))
     if kind == "family_uniform":
         n, m, side = _parse_counted(args.family_uniform, "--family-uniform", 3)
+        _charge_sizes(n * m, "edges", n, m)
         return jsonio.family_to_obj(generate(GenSpec.family_uniform(n, m, side, args.seed)))
     if kind == "family_mixed":
         sizes = _parse_elements(args.family_mixed, "--family-mixed")
         if args.side is None:
             raise InputError("--family-mixed needs --side")
+        _charge_sizes(sum(sizes), "edges", *sizes)
         return jsonio.family_to_obj(generate(GenSpec.family_mixed(sizes, args.side, args.seed)))
     if kind == "network":
         inner, groups, per_group = _parse_counted(args.network, "--network", 3)
+        # the generator trims the path counts by scanning every group once per
+        # path it drops, and gives each group its own shuffled copy of the
+        # inner nodes
+        _charge_sizes(groups * (groups * per_group + inner), "steps",
+                      inner, groups, per_group)
         return jsonio.network_to_obj(generate(GenSpec.network(inner, groups, per_group, args.seed)))
     if kind == "multiset":
         n, size = _parse_counted(args.multiset, "--multiset", 2)
+        _charge_sizes(size, "residues", n, size)
         return jsonio.multiset_to_obj(generate(GenSpec.multiset(n, size, args.seed)))
     assert kind == "matrix"
     m, n, symbols = _parse_counted(args.matrix, "--matrix", 3)
+    _charge_sizes(m * n, "cells", m, n)
     return jsonio.matrix_to_obj(generate(GenSpec.matrix(m, n, symbols, args.seed)))
 
 

@@ -73,6 +73,13 @@ class Meter:
             raise BudgetExceeded("step budget exhausted")
 
 
+def charge(total: int, unit: str, budget: int) -> None:
+    """Refuse a computation before it starts when ``total`` ``unit`` exceed
+    ``budget``."""
+    if total > budget:
+        raise BudgetExceeded(f"{total} {unit} exceed the budget")
+
+
 class InfeasibleSpec(RainbowkitError):
     """The requested instance shape cannot be realized."""
 

@@ -163,21 +163,14 @@ def rainbow_is_valid(rainbow: RainbowMatching, family: MatchingFamily) -> bool:
     return all(0 <= c < len(family) and e in family[c] for c, e in rainbow.entries)
 
 
-@dataclass(frozen=True, slots=True)
-class AlternatingPath:
-    """A simple path whose edges alternate in and out of a base matching."""
-
-    vertices: tuple[Vertex, ...]
-    edges: tuple[Edge, ...]
-
-
 def edge_map(m: Matching) -> dict[Vertex, Edge]:
     """Map each vertex the matching covers to its one edge."""
     return {v: e for e in m.edges for v in e.vertices}
 
 
-def augmenting_paths(base: Matching, other: Matching) -> tuple[AlternatingPath, ...]:
-    """All vertex-disjoint augmenting paths for ``base`` inside ``base | other``.
+def augmenting_paths(base: Matching, other: Matching) -> tuple[tuple[Edge, ...], ...]:
+    """All vertex-disjoint augmenting paths for ``base`` inside ``base | other``,
+    each as its tuple of edges.
 
     Each path starts at a left vertex ``base`` leaves free, alternates an
     ``other`` edge and a ``base`` edge, and ends at a right vertex ``base``
@@ -191,17 +184,14 @@ def augmenting_paths(base: Matching, other: Matching) -> tuple[AlternatingPath, 
     other_at_left = {e.left.index: e for e in other.edges}
     paths = []
     for start in sorted(other_at_left.keys() - base_lefts):
-        first = other_at_left[start]
-        verts, edges = [first.left], []
-        e: Optional[Edge] = first
+        edges: list[Edge] = []
+        e: Optional[Edge] = other_at_left[start]
         while e is not None:
             edges.append(e)
-            verts.append(e.right)
             f = base_at_right.get(e.right.index)
             if f is None:
-                paths.append(AlternatingPath(tuple(verts), tuple(edges)))
+                paths.append(tuple(edges))
                 break
             edges.append(f)
-            verts.append(f.left)
             e = other_at_left.get(f.left.index)
     return tuple(paths)

@@ -124,12 +124,6 @@ class PathGroupFamily:
 
     groups: tuple[PathGroup, ...]
 
-    def __len__(self) -> int:
-        return len(self.groups)
-
-    def __getitem__(self, color: int) -> PathGroup:
-        return self.groups[color]
-
     @property
     def total_paths(self) -> int:
         return sum(len(g.paths) for g in self.groups)
@@ -161,27 +155,11 @@ def build_family(groups: Iterable[Iterable[NetPath]]) -> PathGroupFamily:
 
 @dataclass(frozen=True, slots=True)
 class ColoredPath:
-    """A simple path from the source carrying one distinct group index per edge."""
+    """A path from the source with one group index per edge: a plain record,
+    which ``colored_path_conforms`` checks against a family."""
 
     nodes: tuple[NetNode, ...]
     colors: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        nodes = tuple(self.nodes)
-        colors = tuple(self.colors)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "colors", colors)
-        if not nodes or nodes[0] != SOURCE:
-            raise MalformedPathError(f"colored path must start at the source, got {nodes!r}")
-        if len(colors) != len(nodes) - 1:
-            raise MalformedPathError("need exactly one color per edge")
-        if len(set(nodes)) != len(nodes):
-            raise MalformedPathError(f"repeated node in colored path {nodes!r}")
-        if any(not _is_inner(v) for v in nodes[1:-1]) or (
-                len(nodes) > 1 and nodes[-1] != SINK and not _is_inner(nodes[-1])):
-            raise MalformedPathError(f"bad node in colored path {nodes!r}")
-        if len(set(colors)) != len(colors):
-            raise MalformedPathError("a color repeats along the path")
 
     @property
     def edges(self) -> tuple[tuple[NetNode, NetNode], ...]:
@@ -196,8 +174,15 @@ class ColoredPath:
 
 
 def colored_path_conforms(path: ColoredPath, family: PathGroupFamily) -> bool:
-    """True iff every edge of ``path`` lies on some path of its assigned group."""
-    for e, c in zip(path.edges, path.colors):
+    """True iff ``path`` is a multicolored path of ``family``: it starts at
+    the source, has one color per edge, repeats no node and no color, and
+    every edge lies on some path of its color's group."""
+    nodes, colors = path.nodes, path.colors
+    if not nodes or nodes[0] != SOURCE or len(colors) != len(nodes) - 1:
+        return False
+    if len(set(nodes)) != len(nodes) or len(set(colors)) != len(colors):
+        return False
+    for e, c in zip(path.edges, colors):
         if not 0 <= c < len(family.groups):
             return False
         if not any(e in p.edges for p in family.groups[c].paths):
@@ -205,7 +190,6 @@ def colored_path_conforms(path: ColoredPath, family: PathGroupFamily) -> bool:
     return True
 
 
-_Raw = tuple[tuple[NetNode, ...], tuple[int, ...]]
 _Groups = list[tuple[int, tuple[NetPath, ...]]]
 
 
@@ -253,15 +237,14 @@ def _contract(
     return contracted, starts_by_color
 
 
-def _unwind(raw: _Raw, starts_by_color: dict[int, dict[NetNode, NetNode]],
-            pivot_color: int) -> _Raw:
+def _unwind(path: ColoredPath, starts_by_color: dict[int, dict[NetNode, NetNode]],
+            pivot_color: int) -> ColoredPath:
     """Undo one contraction: prepend the replaced source edge, colored by the
     pivot group, unless the witness left from the source itself."""
-    nodes, colors = raw
-    replaced = starts_by_color[colors[0]][nodes[1]]
+    replaced = starts_by_color[path.colors[0]][path.nodes[1]]
     if replaced == SOURCE:
-        return raw
-    return ((SOURCE, replaced) + nodes[1:], (pivot_color,) + colors)
+        return path
+    return ColoredPath((SOURCE, replaced) + path.nodes[1:], (pivot_color,) + path.colors)
 
 
 def reachable_witness_set(family: PathGroupFamily) -> dict[NetNode, ColoredPath]:
@@ -283,46 +266,46 @@ def reachable_witness_set(family: PathGroupFamily) -> dict[NetNode, ColoredPath]
     smaller than the family.
     """
     groups = _groups(family)
-    raw = _witnesses(groups)
+    wit = _witnesses(groups)
     for color, paths in groups:
         for p in paths:
             z = p.nodes[1]
-            if z not in raw:
-                raw[z] = ((SOURCE, z), (color,))
-    _close_witnesses(raw, groups)
-    return {node: ColoredPath(nodes, colors) for node, (nodes, colors) in raw.items()}
+            if z not in wit:
+                wit[z] = ColoredPath((SOURCE, z), (color,))
+    _close_witnesses(wit, groups)
+    return wit
 
 
-def _close_witnesses(raw: dict[NetNode, _Raw], groups: _Groups) -> None:
+def _close_witnesses(wit: dict[NetNode, ColoredPath], groups: _Groups) -> None:
     """Grow the witness map to a fixpoint: extend any witness by one edge of
     any group it does not use yet. Each node keeps its first witness."""
     options = _edge_options(groups)
-    queue = deque(sorted(raw, key=node_key))
+    queue = deque(sorted(wit, key=node_key))
     while queue:
         u = queue.popleft()
-        nodes, colors = raw[u]
+        nodes, colors = wit[u].nodes, wit[u].colors
         for v, c in options.get(u, ()):
-            if v not in raw and c not in colors and v not in nodes:
-                raw[v] = (nodes + (v,), colors + (c,))
+            if v not in wit and c not in colors and v not in nodes:
+                wit[v] = ColoredPath(nodes + (v,), colors + (c,))
                 queue.append(v)
 
 
-def _witnesses(groups: _Groups) -> dict[NetNode, _Raw]:
+def _witnesses(groups: _Groups) -> dict[NetNode, ColoredPath]:
+    wit = {SOURCE: ColoredPath((SOURCE,), ())}
     if not groups:
-        return {SOURCE: ((SOURCE,), ())}
+        return wit
     pivot_color, pivot_paths = groups[0]
     x_inner = sorted({p.nodes[1] for p in pivot_paths if p.nodes[1] != SINK})
     contracted, starts_by_color = _contract(groups[1:], set(x_inner))
-    wit: dict[NetNode, _Raw] = {SOURCE: ((SOURCE,), ())}
     for x in x_inner:
-        wit[x] = ((SOURCE, x), (pivot_color,))
-    for node, raw in _witnesses(contracted).items():
+        wit[x] = ColoredPath((SOURCE, x), (pivot_color,))
+    for node, path in _witnesses(contracted).items():
         if node != SOURCE:
-            wit[node] = _unwind(raw, starts_by_color, pivot_color)
+            wit[node] = _unwind(path, starts_by_color, pivot_color)
     # a path of a later group stepping from a contracted node straight to the
     # sink became the direct edge there, so the recursion already holds it
     if SINK not in wit and any(p.edge_count == 1 for p in pivot_paths):
-        wit[SINK] = ((SOURCE, SINK), (pivot_color,))
+        wit[SINK] = ColoredPath((SOURCE, SINK), (pivot_color,))
     return wit
 
 
@@ -344,31 +327,26 @@ def find_multicolored_st_path(
     if inner_count < used:
         raise PreconditionError(
             f"inner_count {inner_count} is below the {used} inner nodes in use")
-    if family.total_paths > inner_count:
-        found = _contraction_st_path(_groups(family))
-        if found is None:
-            raise GuaranteeViolation(
-                "more paths than inner nodes but no multicolored witness was built")
-        return ColoredPath(*found)
-    for witness in iter_multicolored_st_paths(family):
-        return witness
-    return None
+    if family.total_paths <= inner_count:
+        return next(iter_multicolored_st_paths(family), None)
+    found = _contraction_st_path(_groups(family))
+    if found is None:
+        raise GuaranteeViolation(
+            "more paths than inner nodes but no multicolored witness was built")
+    return found
 
 
-def _contraction_st_path(groups: _Groups) -> Optional[_Raw]:
+def _contraction_st_path(groups: _Groups) -> Optional[ColoredPath]:
     if not groups:
         return None
     for color, paths in groups:
         if any(p.edge_count == 1 for p in paths):
-            return ((SOURCE, SINK), (color,))
+            return ColoredPath((SOURCE, SINK), (color,))
+    # no group has a direct edge, so contracting the pivot's first nodes can
+    # merge two paths of a group only into the direct edge, which the next
+    # level returns at once; otherwise the group sizes carry over exactly
     pivot_color, pivot_paths = groups[0]
     removed = {p.nodes[1] for p in pivot_paths}
-    for color, paths in groups[1:]:
-        for p in sorted(paths, key=NetPath.key):
-            if p.nodes[-2] in removed:
-                return ((SOURCE, p.nodes[-2], SINK), (pivot_color, color))
-    # no direct edges and no sink edges out of the contracted set anywhere, so
-    # contracting loses no paths and the group sizes carry over exactly
     contracted, starts_by_color = _contract(groups[1:], removed)
     sub = _contraction_st_path(contracted)
     return None if sub is None else _unwind(sub, starts_by_color, pivot_color)

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from .errors import DEFAULT_BUDGET, BudgetExceeded, InfeasibleSpec, Meter, PreconditionError
+from .errors import DEFAULT_BUDGET, BudgetExceeded, InfeasibleSpec, Meter, PreconditionError, charge
 from .graph_core import (
     Edge,
     Matching,
@@ -176,9 +176,7 @@ def enumerate_multisets(n: int, size: int,
     """Every multiset of the given size over the residues mod n, ascending."""
     if n < 1 or size < 0:
         raise PreconditionError("need a positive modulus and non-negative size")
-    total = math.comb(size + n - 1, n - 1)
-    if total > budget:
-        raise BudgetExceeded(f"{total} multisets exceed the budget")
+    charge(math.comb(size + n - 1, n - 1), "multisets", budget)
     for combo in itertools.combinations_with_replacement(range(n), size):
         yield ResidueMultiset(n, combo)
 
@@ -307,11 +305,9 @@ def _gen_network(rng: random.Random, inner: int, groups: int,
         largest = max(range(len(wanted)), key=lambda i: (wanted[i], i))
         wanted[largest] -= 1
     wanted = [w for w in wanted if w > 0]
-    total = sum(wanted)
-    if total == 0:
-        return build_family([])
-    exits = rng.sample(range(inner), total)
-    shared = [v for v in range(inner) if v not in exits]
+    exits = rng.sample(range(inner), sum(wanted))
+    private = set(exits)
+    shared = [v for v in range(inner) if v not in private]
     raw: list[list[NetPath]] = []
     taken = 0
     for count in wanted:

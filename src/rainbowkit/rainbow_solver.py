@@ -107,11 +107,11 @@ def _translate(
     nets: list[NetPath] = []
     for alt in augmenting_paths(base, member):
         # augmenting paths start at their left endpoint, outside the matching
-        free = alt.edges[0::2]
+        free = alt[0::2]
         if len(free) == 1:
             direct.append(free[0])
             continue
-        net = NetPath((SOURCE, *(node_of[e] for e in alt.edges[1::2]), SINK))
+        net = NetPath((SOURCE, *(node_of[e] for e in alt[1::2]), SINK))
         nets.append(net)
         pullback.update(zip(net.edges, ((e,) for e in free)))
     if direct:

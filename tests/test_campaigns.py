@@ -2,14 +2,18 @@ import pytest
 
 from rainbowkit import (
     BudgetExceeded,
+    ColoredPath,
+    DichotomyViolation,
     PreconditionError,
     RainbowMatching,
     Regimentation,
     TheoremViolation,
+    build_family,
 )
 from rainbowkit import campaigns
 from rainbowkit.errors import Meter
 from rainbowkit.campaigns import THEOREMS, run_campaign
+from conftest import path
 
 
 class TestRunCampaign:
@@ -127,16 +131,39 @@ class TestRunCampaign:
         ("sharpness", {"n": 3},
          {"find_rainbow_matching": object(), "brute_rainbow": object()}, (2, 4)),
         ("sharpness", {"n": 3}, {"find_rainbow_matching": object()}, (2, 2)),
+        ("dichotomy", {"n": 3},
+         {"verify_regimented_dichotomy": DichotomyViolation("neither")}, (734, 734)),
     ])
     def test_each_wrong_answer_counts(self, monkeypatch, theorem, kwargs, patches,
                                       expected):
-        # each patched verdict source answers the same wrong thing every time;
-        # general keeps the instances the brute oracle also calls infeasible
-        # and sharpness charges the solver and the oracle one fault each
+        # each patched verdict source answers the same wrong thing every time
+        # (an exception is raised instead); general keeps the instances the
+        # brute oracle also calls infeasible and sharpness charges the solver
+        # and the oracle one fault each
+        def wrong(answer):
+            def call(*args):
+                if isinstance(answer, Exception):
+                    raise answer
+                return answer
+            return call
+
         for name, answer in patches.items():
-            monkeypatch.setattr(campaigns, name, lambda *args, answer=answer: answer)
+            monkeypatch.setattr(campaigns, name, wrong(answer))
         report = run_campaign(theorem, **kwargs)
         assert (report.instances_checked, report.violations) == expected
+
+    @pytest.mark.parametrize("colors,violations", [((0, 1), 0), ((0, 0), 5)])
+    def test_malformed_counting_witness_is_a_violation(self, monkeypatch, colors,
+                                                       violations):
+        # two copies of s->0->t: the sink is reachable and three witnesses
+        # outnumber the two paths, so only the colors decide the verdict
+        family = build_family([[path("s", 0, "t")], [path("s", 0, "t")]])
+        witnesses = {"s": ColoredPath(("s",), ()), 0: ColoredPath(("s", 0), (0,)),
+                     "t": ColoredPath(("s", 0, "t"), colors)}
+        monkeypatch.setattr(campaigns, "generate", lambda spec: family)
+        monkeypatch.setattr(campaigns, "reachable_witness_set", lambda fam: witnesses)
+        report = run_campaign("counting", samples=5, seed=1)
+        assert (report.instances_checked, report.violations) == (5, violations)
 
     def test_every_name_has_a_runner(self):
         assert set(THEOREMS) == {

@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rainbowkit import campaigns, network_paths
+from rainbowkit import ColoredPath, campaigns, cli, network_paths
 from rainbowkit.cli import main
 from rainbowkit.errors import Meter
 
@@ -104,6 +104,21 @@ class TestSolve:
         monkeypatch.setattr(network_paths, "DEFAULT_BUDGET", 100)
         code, out, err = run_cli(capsys, "solve", "mcpath", "--input", str(net))
         assert (code, out, err) == (3, "", "budget: step budget exhausted\n")
+
+    @pytest.mark.parametrize("witness", [
+        ColoredPath(("s", 0, "t"), (0, 0)),
+        ColoredPath(("s", 0, "t"), (0, 2)),
+        ColoredPath(("s", 0), (0,)),
+    ], ids=["repeated-color", "no-such-group", "stops-short"])
+    def test_mcpath_nonconforming_witness_exit_four(self, tmp_path, capsys,
+                                                    monkeypatch, witness):
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps([[["s", 0, "t"]], [["s", 0, "t"]]]))
+        monkeypatch.setattr(cli, "find_multicolored_st_path", lambda *args: witness)
+        code, out, err = run_cli(capsys, "solve", "mcpath", "--input", str(net))
+        assert (code, out) == (4, "")
+        assert err.startswith("internal invariant failure: ")
+        assert err.count("\n") == 1
 
 
 class TestVerify:
@@ -237,6 +252,36 @@ class TestGenerate:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: cannot write {target}: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,total", [
+        (("--multiset", "3,1000000000"), "1000000000 residues"),
+        (("--canonical", "c2n", "--n", "100000"), "19999800000 edges"),
+        (("--network", "1,20000,1"), "400020000 steps"),
+        (("--network", "1000000000,1,1"), "1000000001 steps"),
+        (("--family-uniform", "4000,4000,4000"), "16000000 edges"),
+        (("--family-mixed", "6000000,6000000", "--side", "6000000"), "12000000 edges"),
+        (("--matrix", "4000,4000,4000"), "16000000 cells"),
+    ], ids=["multiset", "canonical", "network-groups", "network-inner",
+            "family-uniform", "family-mixed", "matrix"])
+    def test_oversized_spec_exit_three(self, capsys, monkeypatch, argv, total):
+        # sizes are charged before the generator runs
+        def refuse(*args):
+            raise AssertionError("generation started")
+
+        monkeypatch.setattr(cli, "generate", refuse)
+        monkeypatch.setattr(cli, "canonical_cycle_family", refuse)
+        code, out, err = run_cli(capsys, "generate", *argv)
+        assert (code, out) == (3, "")
+        assert err == f"budget: {total} exceed the budget\n"
+
+    def test_charge_at_the_budget_generates(self, capsys, monkeypatch):
+        # (2n - 2) * n = 24 edges for n = 4: at the budget it runs, one below
+        # it is refused
+        monkeypatch.setenv("RAINBOWKIT_BUDGET", "24")
+        assert run_cli(capsys, "generate", "--canonical", "c2n", "--n", "4")[0] == 0
+        monkeypatch.setenv("RAINBOWKIT_BUDGET", "23")
+        assert run_cli(capsys, "generate", "--canonical", "c2n", "--n", "4") == (
+            3, "", "budget: 24 edges exceed the budget\n")
 
     def test_infeasible_spec_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "generate", "--family-uniform", "4,1,3")

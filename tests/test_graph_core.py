@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rainbowkit import (
-    AlternatingPath,
     Edge,
     Matching,
     OverlapError,
@@ -41,10 +40,23 @@ def matching_pairs(draw):
     return matching(), matching()
 
 
+def walk(edges):
+    """The vertex sequence of a path given as its edges: the first edge's
+    left end, then the far end of each edge in turn."""
+    verts = [edges[0].left]
+    for e in edges:
+        verts.append(e.right if verts[-1] == e.left else e.left)
+    return tuple(verts)
+
+
+def walked(paths):
+    """Each path as its (vertex walk, edges) pair."""
+    return tuple((walk(p), p) for p in paths)
+
+
 def alt_path(verts, edges):
-    return AlternatingPath(
-        tuple(Vertex(Side.LEFT if s == "L" else Side.RIGHT, i) for s, i in verts),
-        tuple(edge(*e) for e in edges))
+    return (tuple(Vertex(Side.LEFT if s == "L" else Side.RIGHT, i) for s, i in verts),
+            tuple(edge(*e) for e in edges))
 
 
 def vertex_fields(e):
@@ -115,6 +127,10 @@ class TestRainbowMatching:
         with pytest.raises(ValueError):
             RainbowMatching(((0, edge(0, 0)), (0, edge(1, 1))))
 
+    def test_edge_under_two_colors_rejected(self):
+        with pytest.raises(ValueError, match="an edge appears twice"):
+            RainbowMatching(((0, edge(0, 0)), (1, edge(0, 0))))
+
     def test_overlapping_range_rejected(self):
         with pytest.raises(OverlapError):
             RainbowMatching(((0, edge(0, 0)), (1, edge(0, 1))))
@@ -124,12 +140,12 @@ class TestAugmentingPaths:
     def test_empty_base_single_edge(self):
         paths = augmenting_paths(validate_matching([]), validate_matching([edge(0, 0)]))
         assert len(paths) == 1
-        assert paths[0].edges == (edge(0, 0),)
+        assert paths[0] == (edge(0, 0),)
 
     def test_three_edge_path(self):
         base = validate_matching([edge(0, 0)])
         other = validate_matching([edge(0, 1), edge(1, 0)])
-        assert augmenting_paths(base, other) == (alt_path(
+        assert walked(augmenting_paths(base, other)) == (alt_path(
             [("L", 1), ("R", 0), ("L", 0), ("R", 1)], [(1, 0), (0, 0), (0, 1)]),)
 
     def test_cycle_union_has_no_augmenting_path(self, even3, odd3):
@@ -144,8 +160,8 @@ class TestAugmentingPaths:
             assert len(paths) >= len(h) - len(g)
             seen = set()
             for p in paths:
-                assert not seen & set(p.vertices)
-                seen |= set(p.vertices)
+                assert not seen & set(walk(p))
+                seen |= set(walk(p))
 
     def test_paths_join_free_vertices_and_grow_the_base(self):
         rng = random.Random(13)
@@ -153,10 +169,10 @@ class TestAugmentingPaths:
             g = random_matching(rng, 6, rng.randint(0, 3))
             h = random_matching(rng, 6, rng.randint(0, 6))
             for p in augmenting_paths(g, h):
-                first, last = p.vertices[0], p.vertices[-1]
+                first, last = walk(p)[0], walk(p)[-1]
                 assert (first.side, last.side) == (Side.LEFT, Side.RIGHT)
                 assert first not in covered(g) and last not in covered(g)
-                grown = Matching(g.edges ^ set(p.edges))
+                grown = Matching(g.edges ^ set(p))
                 assert len(grown) == len(g) + 1
 
     def test_every_kind_of_component_pinned(self):
@@ -168,7 +184,7 @@ class TestAugmentingPaths:
                                edge(4, 4), edge(7, 6), edge(6, 7), edge(8, 8)])
         h = validate_matching([edge(1, 0), edge(0, 1), edge(2, 3), edge(5, 4),
                                edge(6, 6), edge(8, 8), edge(9, 9)])
-        assert augmenting_paths(g, h) == (alt_path([("L", 9), ("R", 9)], [(9, 9)]),)
+        assert walked(augmenting_paths(g, h)) == (alt_path([("L", 9), ("R", 9)], [(9, 9)]),)
 
     def test_paths_in_left_endpoint_order(self):
         # three augmenting paths, the one from L2 through its smallest vertex
@@ -176,7 +192,7 @@ class TestAugmentingPaths:
         g = validate_matching([edge(0, 0), edge(4, 2), edge(6, 4)])
         h = validate_matching([edge(2, 0), edge(0, 5), edge(1, 1), edge(3, 2),
                                edge(4, 3), edge(5, 4)])
-        assert augmenting_paths(g, h) == (
+        assert walked(augmenting_paths(g, h)) == (
             alt_path([("L", 1), ("R", 1)], [(1, 1)]),
             alt_path([("L", 2), ("R", 0), ("L", 0), ("R", 5)], [(2, 0), (0, 0), (0, 5)]),
             alt_path([("L", 3), ("R", 2), ("L", 4), ("R", 3)], [(3, 2), (4, 2), (4, 3)]),
@@ -196,10 +212,10 @@ class TestAugmentingPaths:
             if is_path and not covered(base) & set(ends):
                 free_paths.add(comp)
         paths = augmenting_paths(base, other)
-        assert {frozenset(p.vertices) for p in paths} == free_paths
-        assert [p.vertices[0] for p in paths] == sorted(p.vertices[0] for p in paths)
-        for p in paths:
-            assert len(p.vertices) == len(p.edges) + 1
-            for i, e in enumerate(p.edges):
-                assert set(e.vertices) == {p.vertices[i], p.vertices[i + 1]}
+        assert {frozenset(verts) for verts, _ in walked(paths)} == free_paths
+        assert [p[0].left for p in paths] == sorted(p[0].left for p in paths)
+        for verts, p in walked(paths):
+            assert len(verts) == len(p) + 1
+            for i, e in enumerate(p):
+                assert set(e.vertices) == {verts[i], verts[i + 1]}
                 assert (e in other, e in base) == ((True, False) if i % 2 == 0 else (False, True))

@@ -102,9 +102,13 @@ class TestBuildFamily:
 
 
 class TestColoredPath:
+    # every rejection below except the empty path fails exactly one
+    # condition of the check
+    fam = build_family([[path("s", 0, "t")], [path("s", 0, "t")],
+                        [path("s", 1, 0, "t")], [path("s", 0, 1, "t")]])
+
     def test_colors_must_be_distinct(self):
-        with pytest.raises(MalformedPathError):
-            ColoredPath(("s", 0, "t"), (1, 1))
+        assert not colored_path_conforms(ColoredPath(("s", 0, "t"), (1, 1)), self.fam)
 
     def test_conformance_checks_group_membership(self):
         fam = build_family([[path("s", 0, "t")], [path("s", 0, "t")]])
@@ -112,6 +116,23 @@ class TestColoredPath:
         bad = ColoredPath(("s", 0, "t"), (0, 5))
         assert colored_path_conforms(good, fam)
         assert not colored_path_conforms(bad, fam)
+
+    @pytest.mark.parametrize("nodes,colors,conforms", [
+        (("s",), (), True),
+        (("s", 0, 1), (0, 3), True),
+        (("s", 0, "t"), (0, 2), True),
+        ((), (), False),
+        ((0, "t"), (0,), False),
+        (("s", 0, "t"), (0,), False),
+        (("s", 0, "t"), (0, 1, 2), False),
+        (("s", 0, 1, 0), (0, 3, 2), False),
+        (("s", 0, 1), (0, 1), False),
+        (("s", 0, 1), (0, -1), False),
+    ], ids=["source-only", "stops-inside", "reaches-sink", "empty", "not-from-source",
+            "too-few-colors", "too-many-colors", "repeated-node", "edge-off-its-group",
+            "negative-color"])
+    def test_checks_every_condition(self, nodes, colors, conforms):
+        assert colored_path_conforms(ColoredPath(nodes, colors), self.fam) is conforms
 
 
 def _arbitrary_family(rng):
@@ -318,6 +339,12 @@ class TestRegimented:
 
     def test_wrong_class_size_or_overlap(self):
         assert is_regimented([path("s", 0, 1, "t"), path("s", 1, "t")]) is None
+
+    def test_right_counts_but_shared_inner_node(self):
+        # each class has edge-count-minus-one copies, but the two
+        # representatives share inner node 1
+        paths = [path("s", 0, 1, "t")] * 2 + [path("s", 1, 2, "t")] * 2
+        assert is_regimented(paths) is None
 
     def test_direct_path_never_regimented(self):
         assert is_regimented([path("s", "t")]) is None

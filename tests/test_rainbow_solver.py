@@ -245,7 +245,7 @@ class TestPullback:
             pulled = [e for edges in pullback.values() for e in edges]
             assert all(e in member for e in pulled)
             assert sorted(pulled) == sorted(
-                e for alt in augmenting_paths(base, member) for e in alt.edges[0::2])
+                e for alt in augmenting_paths(base, member) for e in alt[0::2])
             assert all(list(edges) == sorted(edges) for edges in pullback.values())
             assert {ne for p in network.groups[c].paths for ne in p.edges} == set(pullback)
 

@@ -122,6 +122,18 @@ def _matching(rng: random.Random, size: int, side: int) -> rk.Matching:
     return rk.validate_matching(rk.edge(a, b) for a, b in zip(lefts, rights))
 
 
+def alternating(path) -> list:
+    """An augmenting path as one record, its vertex walk and its edges,
+    whether the tree returns it as a record with those two fields or as its
+    bare tuple of edges. The record is tagged ``AlternatingPath``, as
+    ``plain`` serializes such a record, so the digest compares across both."""
+    edges = getattr(path, "edges", path)
+    walk = [edges[0].left]
+    for e in edges:
+        walk.append(e.right if walk[-1] == e.left else e.left)
+    return ["AlternatingPath", plain(tuple(walk)), plain(edges)]
+
+
 def augmenting_section(pairs: int, seed: int = 11) -> list:
     """``augmenting_paths`` both ways round; about a third of the pairs
     share edges."""
@@ -136,8 +148,8 @@ def augmenting_section(pairs: int, seed: int = 11) -> list:
             kept = [e for e in sorted(other.edges)
                     if all(e.left != f.left and e.right != f.right for f in shared)]
             other = rk.validate_matching(kept + shared)
-        records.append([plain(rk.augmenting_paths(base, other)),
-                        plain(rk.augmenting_paths(other, base))])
+        records.append([[alternating(p) for p in rk.augmenting_paths(base, other)],
+                        [alternating(p) for p in rk.augmenting_paths(other, base)]])
     return records
 
 
