@@ -18,9 +18,11 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import BudgetExceeded, DichotomyViolation, PreconditionError, charge
+from .errors import BudgetExceeded, DichotomyViolation, PreconditionError, charge, charge_multisets
 from .graph_core import MatchingFamily, edge, rainbow_is_valid, validate_matching
 from .network_paths import (
+    SINK,
+    SOURCE,
     NetPath,
     PathGroup,
     PathGroupFamily,
@@ -119,7 +121,7 @@ def _charge_enumerations(sizes: Iterable[tuple[int, int]], budget: int) -> None:
     """Charge each enumeration, the k-multisets of ``kinds`` items for each
     ``(kinds, k)``, before the first."""
     for kinds, k in sizes:
-        charge(math.comb(kinds + k - 1, k), "multisets", budget)
+        charge_multisets(kinds, k, budget)
 
 
 def _rainbow_fault(found, family: MatchingFamily, size: int) -> bool:
@@ -142,8 +144,12 @@ def _uniform_families(n, count, samples, exhaustive, seed, budget):
     of matchings when exhaustive, else ``samples`` seeded draws. Returns the
     lazy stream and its report parameters."""
     if exhaustive:
-        # enumerate_matchings(n, n + 1) lists comb(n + 1, n)**2 * n! matchings
-        _charge_enumerations([(math.comb(n + 1, n) * math.perm(n + 1, n), count)], budget)
+        # enumerate_matchings(n, n + 1) lists comb(n + 1, n)**2 * n! matchings,
+        # more than count; past the budget's bits the charge refuses on count
+        # alone, so the factorial is computed only below them
+        kinds = (count + 1 if count > budget.bit_length()
+                 else math.comb(n + 1, n) * math.perm(n + 1, n))
+        charge_multisets(kinds, count, budget)
         pool = enumerate_matchings(n, n + 1)
         families = map(MatchingFamily,
                        itertools.combinations_with_replacement(pool, count))
@@ -166,6 +172,8 @@ def _run_drisko(n, samples, exhaustive, seed, budget):
 def _run_sharpness(n, samples, exhaustive, seed, budget):
     """The canonical 2n-cycle family of 2n-2 matchings is infeasible at
     target n, per both the solver and the oracle (one fault each)."""
+    charge((2 * n - 2) * n, "edges", budget)
+
     def faults():
         for k in range(2, n + 1):
             family = canonical_cycle_family(k)
@@ -245,7 +253,7 @@ def _all_simple_paths(inner: int) -> list[NetPath]:
     out = []
     for r in range(inner + 1):
         for interior in itertools.permutations(range(inner), r):
-            out.append(NetPath(("s", *interior, "t")))
+            out.append(NetPath((SOURCE, *interior, SINK)))
     return out
 
 

@@ -8,8 +8,9 @@ Verbs:
   classify  family | multiset  (classification JSON)
 
 Exit codes: 0 success or clean campaign, 1 infeasible instance or campaign
-violations, 2 malformed input or impossible generator spec, 3 step budget
-exhausted, 4 internal invariant failure (never expected). Results go to
+violations, 2 malformed input, impossible generator spec or output that
+cannot be written (a failed ``--out`` write, or stdout closed early), 3 step
+budget exhausted, 4 internal invariant failure (never expected). Results go to
 stdout as JSON with sorted keys; diagnostics go to stderr. The environment
 variable RAINBOWKIT_BUDGET overrides the default step budget of the
 brute-force oracles in ``verify``, of the search in ``solve rainbow`` and of
@@ -304,7 +305,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         "classify": _cmd_classify,
     }[args.command]
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        # the reader closed stdout early; point it at devnull so that the
+        # interpreter's own flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except BudgetExceeded as exc:
         print(f"budget: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -1,6 +1,8 @@
 """Exception types shared across the package, and the step budget that
 bounds every exhaustive search."""
 
+import math
+
 DEFAULT_BUDGET = 10_000_000
 
 
@@ -28,8 +30,7 @@ class InnerOverlapError(RainbowkitError):
     """Two paths of one group share an inner vertex."""
 
     def __init__(self, group, vertex) -> None:
-        where = "path group" if group is None else f"group {group}"
-        super().__init__(f"{where}: paths share inner vertex {vertex}")
+        super().__init__(f"group {group}: paths share inner vertex {vertex}")
         self.group = group
         self.vertex = vertex
 
@@ -78,6 +79,16 @@ def charge(total: int, unit: str, budget: int) -> None:
     ``budget``."""
     if total > budget:
         raise BudgetExceeded(f"{total} {unit} exceed the budget")
+
+
+def charge_multisets(kinds: int, k: int, budget: int) -> None:
+    """Charge the k-multisets of ``kinds`` items. There are at least
+    2**min(kinds - 1, k) of them, so a count that bound already puts over
+    the budget is refused without being computed."""
+    least = min(kinds - 1, k)
+    if least > budget.bit_length():
+        raise BudgetExceeded(f"2**{least} or more multisets exceed the budget")
+    charge(math.comb(kinds + k - 1, k), "multisets", budget)
 
 
 class InfeasibleSpec(RainbowkitError):

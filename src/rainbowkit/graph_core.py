@@ -73,26 +73,10 @@ def edge(left_index: int, right_index: int) -> Edge:
 
 @dataclass(frozen=True, slots=True)
 class Matching:
-    """A set of pairwise vertex-disjoint edges.
-
-    Construction checks disjointness and raises OverlapError naming the first
-    conflicting vertex in edge order.
-    """
+    """A set of pairwise vertex-disjoint edges: a plain record, which
+    ``validate_matching`` checks."""
 
     edges: frozenset[Edge]
-
-    def __post_init__(self) -> None:
-        edges = frozenset(self.edges)
-        object.__setattr__(self, "edges", edges)
-        if (len({e.left.index for e in edges}) == len(edges)
-                == len({e.right.index for e in edges})):
-            return
-        seen: set[Vertex] = set()
-        for e in sorted(edges):
-            for v in e.vertices:
-                if v in seen:
-                    raise OverlapError(v)
-                seen.add(v)
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -109,8 +93,20 @@ class Matching:
 
 
 def validate_matching(edges: Iterable[Edge]) -> Matching:
-    """Check pairwise disjointness and wrap the edges as a Matching."""
-    return Matching(frozenset(edges))
+    """Check pairwise disjointness and wrap the edges as a Matching.
+
+    Raises OverlapError naming the first conflicting vertex in edge order.
+    """
+    edges = frozenset(edges)
+    if (len({e.left.index for e in edges}) != len(edges)
+            or len({e.right.index for e in edges}) != len(edges)):
+        seen: set[Vertex] = set()
+        for e in sorted(edges):
+            for v in e.vertices:
+                if v in seen:
+                    raise OverlapError(v)
+                seen.add(v)
+    return Matching(edges)
 
 
 @dataclass(frozen=True, slots=True)

@@ -21,7 +21,7 @@ from typing import Any
 
 from .errors import InputError, MalformedPathError, OverlapError, RainbowkitError
 from .graph_core import MatchingFamily, RainbowMatching, Vertex, edge, validate_matching
-from .network_paths import ColoredPath, NetPath, PathGroupFamily, build_family
+from .network_paths import ColoredPath, PathGroupFamily, build_family, make_path
 from .rainbow_solver import ExtremalCycle, FamilyClassification, HasRainbow
 from .reductions import (
     ExtremalPair,
@@ -81,7 +81,7 @@ def network_from_obj(obj: Any) -> PathGroupFamily:
             where = f"network[{i}][{j}]"
             _require(isinstance(raw_path, list), where, "expected an array of nodes")
             try:
-                paths.append(NetPath(tuple(raw_path)))
+                paths.append(make_path(raw_path))
             except MalformedPathError as exc:
                 raise InputError(f"{where}: {exc}") from exc
         groups.append(paths)

@@ -49,20 +49,10 @@ def _is_inner(node: object) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class NetPath:
-    """A simple source-to-sink path, stored as its node sequence."""
+    """A simple source-to-sink path, stored as its node sequence: a plain
+    record, which ``make_path`` checks."""
 
     nodes: tuple[NetNode, ...]
-
-    def __post_init__(self) -> None:
-        nodes = tuple(self.nodes)
-        object.__setattr__(self, "nodes", nodes)
-        if len(nodes) < 2 or nodes[0] != SOURCE or nodes[-1] != SINK:
-            raise MalformedPathError(f"path must run source to sink, got {nodes!r}")
-        if not all(_is_inner(v) for v in nodes[1:-1]):
-            raise MalformedPathError(
-                f"inner nodes must be non-negative integers, got {nodes!r}")
-        if len(set(nodes)) != len(nodes):
-            raise MalformedPathError(f"repeated node in path {nodes!r}")
 
     @property
     def edges(self) -> tuple[tuple[NetNode, NetNode], ...]:
@@ -90,7 +80,18 @@ class NetPath:
 
 
 def make_path(nodes: Iterable[NetNode]) -> NetPath:
-    return NetPath(tuple(nodes))
+    """Check that ``nodes`` run from the source to the sink through distinct
+    non-negative integer inner nodes, and wrap them as a NetPath; raises
+    MalformedPathError otherwise."""
+    nodes = tuple(nodes)
+    if len(nodes) < 2 or nodes[0] != SOURCE or nodes[-1] != SINK:
+        raise MalformedPathError(f"path must run source to sink, got {nodes!r}")
+    if not all(_is_inner(v) for v in nodes[1:-1]):
+        raise MalformedPathError(
+            f"inner nodes must be non-negative integers, got {nodes!r}")
+    if len(set(nodes)) != len(nodes):
+        raise MalformedPathError(f"repeated node in path {nodes!r}")
+    return NetPath(nodes)
 
 
 def _inner_conflict(paths: Iterable[NetPath]) -> Optional[int]:
@@ -105,17 +106,10 @@ def _inner_conflict(paths: Iterable[NetPath]) -> Optional[int]:
 
 @dataclass(frozen=True, slots=True)
 class PathGroup:
-    """A set of source-sink paths sharing no inner vertex."""
+    """A set of source-sink paths sharing no inner vertex: a plain record,
+    which ``build_family`` checks."""
 
     paths: tuple[NetPath, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "paths", tuple(self.paths))
-        if len(self.paths) < 2:
-            return  # a simple path shares no inner vertex with itself
-        conflict = _inner_conflict(self.paths)
-        if conflict is not None:
-            raise InnerOverlapError(None, conflict)
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,11 +139,11 @@ def build_family(groups: Iterable[Iterable[NetPath]]) -> PathGroupFamily:
     kept: list[PathGroup] = []
     for pos, raw in enumerate(groups):
         paths = sorted(raw, key=NetPath.key)
-        unique = [p for i, p in enumerate(paths) if i == 0 or p != paths[i - 1]]
-        try:
-            kept.append(PathGroup(tuple(unique)))
-        except InnerOverlapError as exc:
-            raise InnerOverlapError(pos, exc.vertex) from None
+        unique = tuple(p for i, p in enumerate(paths) if i == 0 or p != paths[i - 1])
+        conflict = _inner_conflict(unique)
+        if conflict is not None:
+            raise InnerOverlapError(pos, conflict)
+        kept.append(PathGroup(unique))
     return PathGroupFamily(tuple(kept))
 
 

@@ -10,12 +10,18 @@ across platforms), so one (spec, seed) pair always yields one instance.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from .errors import DEFAULT_BUDGET, BudgetExceeded, InfeasibleSpec, Meter, PreconditionError, charge
+from .errors import (
+    DEFAULT_BUDGET,
+    BudgetExceeded,
+    InfeasibleSpec,
+    Meter,
+    PreconditionError,
+    charge_multisets,
+)
 from .graph_core import (
     Edge,
     Matching,
@@ -176,7 +182,7 @@ def enumerate_multisets(n: int, size: int,
     """Every multiset of the given size over the residues mod n, ascending."""
     if n < 1 or size < 0:
         raise PreconditionError("need a positive modulus and non-negative size")
-    charge(math.comb(size + n - 1, n - 1), "multisets", budget)
+    charge_multisets(n, size, budget)
     for combo in itertools.combinations_with_replacement(range(n), size):
         yield ResidueMultiset(n, combo)
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from rainbowkit import (
@@ -11,7 +13,7 @@ from rainbowkit import (
     build_family,
 )
 from rainbowkit import campaigns
-from rainbowkit.errors import Meter
+from rainbowkit.errors import Meter, charge_multisets
 from rainbowkit.campaigns import THEOREMS, run_campaign
 from conftest import path
 
@@ -79,6 +81,19 @@ class TestRunCampaign:
         assert run_campaign(theorem, budget=total, **kwargs).instances_checked == checked
         with pytest.raises(BudgetExceeded, match=f"^{total} multisets exceed"):
             run_campaign(theorem, budget=total - 1, **kwargs)
+
+    @pytest.mark.parametrize("budget", [1, 2, 7, 8, 100, 10**6])
+    def test_lower_bound_refuses_no_enumeration_that_fits(self, budget):
+        # the 2**min(kinds - 1, k) shortcut refuses exactly the counts the
+        # exact charge refuses
+        for kinds in range(1, 40):
+            for k in range(40):
+                total = math.comb(kinds + k - 1, k)
+                if total <= budget:
+                    charge_multisets(kinds, k, budget)
+                else:
+                    with pytest.raises(BudgetExceeded):
+                        charge_multisets(kinds, k, budget)
 
     def test_dichotomy_counts_each_wrong_verdict(self, monkeypatch):
         monkeypatch.setattr(campaigns, "verify_regimented_dichotomy",

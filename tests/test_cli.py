@@ -2,11 +2,15 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rainbowkit
 from rainbowkit import ColoredPath, campaigns, cli, network_paths
 from rainbowkit.cli import main
 from rainbowkit.errors import Meter
@@ -166,6 +170,31 @@ class TestVerify:
         assert (code, out) == (3, "")
         assert err == f"budget: {total} exceed the budget\n"
 
+    def test_oversized_sharpness_exit_three(self, capsys, monkeypatch):
+        # sharpness draws nothing, so it takes no --samples; the split cycles
+        # up to n are charged before the first is built
+        def refuse(*args):
+            raise AssertionError("generation started")
+
+        monkeypatch.setattr(campaigns, "canonical_cycle_family", refuse)
+        code, out, err = run_cli(capsys, "verify", "sharpness", "--n", "1000000000")
+        assert (code, out) == (3, "")
+        assert err == "budget: 1999999998000000000 edges exceed the budget\n"
+
+    @pytest.mark.parametrize("argv,least", [
+        (("egz", "--n", "1000000000"), 999999999),
+        (("egz-extremal", "--n", "1000000000"), 999999999),
+        (("drisko", "--n", "1000000000", "--exhaustive"), 1999999999),
+        (("extremal", "--n", "3000", "--exhaustive"), 5998),
+    ], ids=["egz", "egz-extremal", "drisko", "extremal"])
+    def test_astronomical_enumeration_exit_three(self, capsys, argv, least):
+        # an enumeration of k-multisets of kinds items holds at least
+        # 2**min(kinds - 1, k) of them; past the budget's bits that bound
+        # refuses the run before the count itself is computed
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, out) == (3, "")
+        assert err == f"budget: 2**{least} or more multisets exceed the budget\n"
+
     @pytest.mark.parametrize("classifier,argv", [
         ("classify_family", ("extremal", "--n", "2", "--exhaustive")),
         ("classify_multiset", ("egz-extremal", "--n", "3", "--exhaustive")),
@@ -273,6 +302,20 @@ class TestGenerate:
         code, out, err = run_cli(capsys, "generate", *argv)
         assert (code, out) == (3, "")
         assert err == f"budget: {total} exceed the budget\n"
+
+    def test_closed_stdout_exit_two(self):
+        # the output (about 1.3 MB) outgrows the pipe, and the reader stops
+        # after 100 bytes
+        src = Path(rainbowkit.__file__).resolve().parents[1]
+        child = subprocess.Popen(
+            [sys.executable, "-m", "rainbowkit", "generate", "--network", "100000,1,100000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+        assert len(child.stdout.read(100)) == 100
+        child.stdout.close()
+        _, err = child.communicate(timeout=60)
+        assert child.returncode == 2
+        assert err.decode() == "error: cannot write stdout: [Errno 32] Broken pipe\n"
 
     def test_charge_at_the_budget_generates(self, capsys, monkeypatch):
         # (2n - 2) * n = 24 edges for n = 4: at the budget it runs, one below
@@ -465,6 +508,71 @@ class TestMalformedInstanceFiles:
                 contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main([*command, "--input", str(instance)])
+            except SystemExit as exc:  # argparse refusing a flag value
+                code = exc.code
+        assert code in (0, 1, 2, 3), (code, err.getvalue())
+
+
+# flag values for the fuzz below: mostly well-formed numbers, zero, negative,
+# small and huge, sometimes malformed; flags a run would not read are rare
+_numbers = st.one_of(st.integers(-2, 4), st.sampled_from([13, 3000, 10**9, 10**18]))
+_values = st.one_of(_numbers, _numbers, _numbers,
+                    st.sampled_from(["", "x", "1.5", "-"])).map(str)
+_rarely = st.integers(0, 5).map(lambda draw: draw == 0)
+_SAMPLED = {"drisko", "general", "bgs", "extremal", "counting", "transversal"}
+_EXHAUSTIVE = {"drisko", "extremal", "egz", "egz-extremal"}
+
+
+@st.composite
+def _verify_argv(draw):
+    theorem = draw(st.sampled_from(campaigns.THEOREMS))
+    argv = ["verify", theorem]
+    if draw(st.booleans()):
+        argv += ["--n", draw(_values)]
+    exhaustive = draw(st.booleans() if theorem in _EXHAUSTIVE else _rarely)
+    if exhaustive:
+        argv.append("--exhaustive")
+    sampled = theorem in _SAMPLED and not exhaustive
+    # the budget does not bound the sample count, so a run that would draw
+    # the default thousand samples always gets a small count instead
+    if sampled or draw(_rarely):
+        argv += ["--samples", draw(st.sampled_from(["-1", "0", "1", "2", "x"]))]
+    if draw(st.booleans() if sampled else _rarely):
+        argv += ["--seed", draw(_values)]
+    return argv
+
+
+_SPEC_ITEMS = {"--family-uniform": 3, "--family-mixed": None, "--network": 3,
+               "--multiset": 2, "--matrix": 3}
+
+
+@st.composite
+def _generate_argv(draw):
+    kind = draw(st.sampled_from(["--canonical", *_SPEC_ITEMS]))
+    if kind == "--canonical":
+        argv = ["generate", kind, draw(st.sampled_from(["c2n", "c2n", "c3n"]))]
+    else:
+        count = _SPEC_ITEMS[kind]
+        if count is None or draw(_rarely):
+            count = draw(st.integers(0, 4))
+        argv = ["generate", kind, ",".join(draw(st.lists(_values, min_size=count,
+                                                         max_size=count)))]
+    for flag, read in (("--n", kind == "--canonical"), ("--side", kind == "--family-mixed"),
+                       ("--seed", True)):
+        if draw(st.integers(0, 3).map(bool) if read else _rarely):
+            argv += [flag, draw(_values)]
+    return argv
+
+
+class TestMalformedFlagValues:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(argv=st.one_of(_verify_argv(), _generate_argv()))
+    def test_every_flag_value_maps_to_an_exit_code(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ, {"RAINBOWKIT_BUDGET": "300"}), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
             except SystemExit as exc:  # argparse refusing a flag value
                 code = exc.code
         assert code in (0, 1, 2, 3), (code, err.getvalue())

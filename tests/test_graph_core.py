@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from rainbowkit import (
     Edge,
-    Matching,
     OverlapError,
     RainbowMatching,
     Side,
@@ -172,7 +171,7 @@ class TestAugmentingPaths:
                 first, last = walk(p)[0], walk(p)[-1]
                 assert (first.side, last.side) == (Side.LEFT, Side.RIGHT)
                 assert first not in covered(g) and last not in covered(g)
-                grown = Matching(g.edges ^ set(p))
+                grown = validate_matching(g.edges ^ set(p))
                 assert len(grown) == len(g) + 1
 
     def test_every_kind_of_component_pinned(self):

@@ -3,11 +3,13 @@ from hypothesis import given, settings, strategies as st
 
 from rainbowkit import (
     InputError,
+    MalformedPathError,
     MatchingFamily,
     ResidueMultiset,
     SymbolMatrix,
     build_family,
     edge,
+    make_path,
     validate_matching,
 )
 from rainbowkit import jsonio
@@ -45,6 +47,16 @@ class TestNetworkRoundTrip:
     def test_bad_node(self):
         with pytest.raises(InputError, match=r"network\[0\]\[0\]"):
             jsonio.network_from_obj([[["s", "x", "t"]]])
+
+    @pytest.mark.parametrize("raw", [
+        [], ["s", 0], [0, "t"], ["s", True, "t"], ["s", [0], "t"], ["s", 0, 0, "t"],
+    ], ids=["empty", "no-sink", "no-source", "bool", "list", "repeat"])
+    def test_every_path_make_path_refuses_is_named(self, raw):
+        with pytest.raises(MalformedPathError) as refused:
+            make_path(raw)
+        with pytest.raises(InputError) as info:
+            jsonio.network_from_obj([[["s", "t"]], [["s", 1, "t"], raw]])
+        assert str(info.value) == f"network[1][1]: {refused.value}"
 
     def test_inner_overlap_reported(self):
         with pytest.raises(InputError, match="share inner vertex"):
