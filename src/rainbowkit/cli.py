@@ -13,8 +13,9 @@ cannot be written (a failed ``--out`` write, or stdout closed early), 3 step
 budget exhausted, 4 internal invariant failure (never expected). Results go to
 stdout as JSON with sorted keys; diagnostics go to stderr. The environment
 variable RAINBOWKIT_BUDGET overrides the default step budget of the
-brute-force oracles in ``verify``, of the search in ``solve rainbow`` and of
-the instance sizes ``generate`` may build.
+brute-force oracles in ``verify``, of the search in ``solve rainbow``, of
+the instance sizes ``generate`` may build and of the shift-family edges
+``solve egz`` and ``classify multiset`` may build.
 
 Instance file schemas are documented in ``rainbowkit.jsonio``.
 """
@@ -114,12 +115,19 @@ def _refuse_unread(args: argparse.Namespace, run: str, *flags: str) -> None:
 
 
 def _multiset_argument(args: argparse.Namespace, run: str) -> ResidueMultiset:
+    """The residue multiset to solve or classify, with its shift family's n
+    edges per distinct residue charged against the budget. Fewer than n
+    residues build no family, so they are not charged."""
     if args.input:
         _refuse_unread(args, f"{run} with --input", "--n", "--elements")
-        return jsonio.multiset_from_obj(_load(args.input))
-    if args.n is None or args.elements is None:
+        multiset = jsonio.multiset_from_obj(_load(args.input))
+    elif args.n is None or args.elements is None:
         raise InputError("need either --input or both --n and --elements")
-    return ResidueMultiset(args.n, _parse_elements(args.elements, "--elements"))
+    else:
+        multiset = ResidueMultiset(args.n, _parse_elements(args.elements, "--elements"))
+    if len(multiset) >= multiset.modulus:
+        charge(multiset.modulus * len(set(multiset.elements)), "edges", _budget())
+    return multiset
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:

@@ -180,8 +180,11 @@ def augmenting_paths(base: Matching, other: Matching) -> tuple[tuple[Edge, ...],
     other_at_left = {e.left.index: e for e in other.edges}
     paths = []
     for start in sorted(other_at_left.keys() - base_lefts):
-        edges: list[Edge] = []
         e: Optional[Edge] = other_at_left[start]
+        if e.right.index not in base_at_right:
+            paths.append((e,))
+            continue
+        edges: list[Edge] = []
         while e is not None:
             edges.append(e)
             f = base_at_right.get(e.right.index)

@@ -125,7 +125,7 @@ class PathGroupFamily:
     @property
     def inner_nodes(self) -> frozenset[int]:
         return frozenset(
-            v for g in self.groups for p in g.paths for v in p.inner_nodes)
+            v for g in self.groups for p in g.paths for v in p.nodes[1:-1])
 
 
 def build_family(groups: Iterable[Iterable[NetPath]]) -> PathGroupFamily:

@@ -74,7 +74,8 @@ def build_contracted_network(
     """
     matched = tuple(sorted(assignment.values()))
     base = Matching(frozenset(matched))
-    node_of = {e: i for i, e in enumerate(matched)}
+    # a matching's right indices are distinct, so each names its edge's node
+    node_of = {e.right.index: i for i, e in enumerate(matched)}
 
     # colors holding equal members share one walk and one translation
     translated: dict[Matching, _Translated] = {}
@@ -83,9 +84,10 @@ def build_contracted_network(
         if color in assignment:
             found.append(_EMPTY)
             continue
-        if member not in translated:
-            translated[member] = _translate(base, member, node_of)
-        found.append(translated[member])
+        done = translated.get(member)
+        if done is None:
+            done = translated[member] = _translate(base, member, node_of)
+        found.append(done)
 
     groups, pullbacks = zip(*found) if found else ((), ())
     translation = NetworkTranslation(matched, pullbacks)
@@ -98,10 +100,11 @@ _EMPTY: _Translated = (PathGroup(()), {})
 
 
 def _translate(
-    base: Matching, member: Matching, node_of: dict[Edge, int]
+    base: Matching, member: Matching, node_of: dict[int, int]
 ) -> _Translated:
     """One member's network group and pull-back map, both empty when it has
-    no augmenting path."""
+    no augmenting path. ``node_of`` maps the right index of each matched edge
+    to its inner node."""
     pullback: _Pullback = {}
     direct: list[Edge] = []
     nets: list[NetPath] = []
@@ -111,13 +114,16 @@ def _translate(
         if len(free) == 1:
             direct.append(free[0])
             continue
-        net = NetPath((SOURCE, *(node_of[e] for e in alt[1::2]), SINK))
-        nets.append(net)
-        pullback.update(zip(net.edges, ((e,) for e in free)))
+        nodes = (SOURCE, *(node_of[e.right.index] for e in alt[1::2]), SINK)
+        nets.append(NetPath(nodes))
+        pullback.update(zip(zip(nodes, nodes[1:]), ((e,) for e in free)))
+    # the direct edge's key (inf,) sorts after every other path's; its edges
+    # arrive by left endpoint, which is their sorted order
+    nets.sort(key=NetPath.key)
     if direct:
         nets.append(NetPath((SOURCE, SINK)))
-        pullback[(SOURCE, SINK)] = tuple(sorted(direct))
-    return PathGroup(tuple(sorted(nets, key=NetPath.key))), pullback
+        pullback[(SOURCE, SINK)] = tuple(direct)
+    return PathGroup(tuple(nets)), pullback
 
 
 def find_rainbow_matching(
@@ -133,9 +139,9 @@ def find_rainbow_matching(
     the color that supplied its network edge. Dead ends backtrack over the
     remaining multicolored paths and pull-back choices, so the search is
     exhaustive: None means no rainbow matching of the requested size exists.
-    A state's memo key is the set of (first color of its member's class, edge)
-    pairs, so states that differ only by permuting colors of identical
-    matchings share one entry.
+    A state's memo key is the set of (first color of its member's class, left
+    index, right index) triples, one per edge, so states that differ only by
+    permuting colors of identical matchings share one entry.
 
     Each visited search state costs one step of ``budget``; running out
     raises BudgetExceeded. Raises GuaranteeViolation when the sorted-size
@@ -171,14 +177,16 @@ def _grow(family, assignment, target, first, dead, meter) -> Optional[RainbowMat
     meter.spend()
     if len(assignment) == target:
         return RainbowMatching(tuple(assignment.items()))
-    # the set of (class, edge) pairs: colors of one class are interchangeable
-    key = frozenset((first[c], e) for c, e in assignment.items())
+    # one (class, left, right) triple per edge: colors of one class are
+    # interchangeable
+    key = frozenset((first[c], e.left.index, e.right.index) for c, e in assignment.items())
     if key in dead:
         return None
     network, inner_count, translation = build_contracted_network(family, assignment)
     for witness in _witnesses(network, inner_count):
-        removed = {translation.matched_edges[v] for v in witness.nodes[1:-1]}
-        kept = {c: e for c, e in assignment.items() if e not in removed}
+        # the assignment is a matching, so a right index names one of its edges
+        removed = {translation.matched_edges[v].right.index for v in witness.nodes[1:-1]}
+        kept = {c: e for c, e in assignment.items() if e.right.index not in removed}
         choices = (translation.pullback[c][step]
                    for step, c in zip(witness.edges, witness.colors))
         for new_edges in itertools.product(*choices):

@@ -8,7 +8,15 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import GuaranteeViolation, PreconditionError, RowDuplicateError
-from .graph_core import MatchingFamily, RainbowMatching, edge, validate_matching
+from .graph_core import (
+    Edge,
+    MatchingFamily,
+    RainbowMatching,
+    Side,
+    Vertex,
+    edge,
+    validate_matching,
+)
 from .rainbow_solver import HasRainbow, classify_family, find_rainbow_matching
 
 
@@ -122,10 +130,12 @@ def egz_family(multiset: ResidueMultiset) -> MatchingFamily:
 
     Element a becomes the perfect matching joining each left residue i to the
     right residue i + a mod n; color k corresponds to ``elements[k]``. Equal
-    elements share one member object.
+    elements share one member object, and all members share the 2n vertices.
     """
     n = multiset.modulus
-    shifts = {a: validate_matching(edge(i, (i + a) % n) for i in range(n))
+    lefts = [Vertex(Side.LEFT, i) for i in range(n)]
+    rights = [Vertex(Side.RIGHT, i) for i in range(n)]
+    shifts = {a: validate_matching(Edge(lefts[i], rights[(i + a) % n]) for i in range(n))
               for a in set(multiset.elements)}
     return MatchingFamily(tuple(shifts[a] for a in multiset.elements))
 
@@ -137,9 +147,12 @@ def find_zero_sum_subset(multiset: ResidueMultiset) -> Optional[tuple[int, ...]]
     covers every left and every right residue exactly once, so the chosen
     shifts telescope to zero mod n. Guaranteed to exist from 2n-1 elements
     up; there the solver's size threshold holds, so a miss raises
-    GuaranteeViolation from the solver. The witness is re-verified (size,
-    sum, sub-multiset) before it is returned.
+    GuaranteeViolation from the solver. Fewer than n elements hold no
+    n-subset, so they return None before the shift family is built. The
+    witness is re-verified (size, sum, sub-multiset) before it is returned.
     """
+    if len(multiset) < multiset.modulus:
+        return None
     rainbow = find_rainbow_matching(egz_family(multiset), multiset.modulus)
     return None if rainbow is None else _zero_sum_witness(multiset, rainbow)
 

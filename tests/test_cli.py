@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rainbowkit
-from rainbowkit import ColoredPath, campaigns, cli, network_paths
+from rainbowkit import ColoredPath, campaigns, cli, network_paths, reductions
 from rainbowkit.cli import main
 from rainbowkit.errors import Meter
 
@@ -379,6 +380,50 @@ class TestClassify:
                                  "--elements", "0,0")
         assert (code, out) == (2, "")
         assert err == "error: need exactly 4 elements, got 2\n"
+
+
+class TestShiftFamilyCharge:
+    def test_fewer_than_n_residues_infeasible_at_once(self, capsys):
+        # 100 residues hold no subset of 20000, so no shift family is built
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "solve", "egz", "--n", "20000",
+                                 "--elements", ",".join(map(str, range(100))))
+        assert (code, out, err) == (1, "infeasible\n", "")
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("verb", [("solve", "egz"), ("classify", "multiset")],
+                             ids=["solve", "classify"])
+    @pytest.mark.parametrize("inline", [False, True], ids=["input", "inline"])
+    def test_oversized_modulus_exit_three(self, tmp_path, capsys, monkeypatch,
+                                          verb, inline):
+        # 198 residues mod 100, all 100 of them present: 100 edges per
+        # distinct residue are charged before the shift family is built
+        def refuse(*args):
+            raise AssertionError("shift family built")
+
+        monkeypatch.setattr(reductions, "egz_family", refuse)
+        monkeypatch.setenv("RAINBOWKIT_BUDGET", "9999")
+        elements = [*range(100), *range(98)]
+        if inline:
+            source = ("--n", "100", "--elements", ",".join(map(str, elements)))
+        else:
+            fixture = tmp_path / "multiset.json"
+            fixture.write_text(json.dumps({"n": 100, "elements": elements}))
+            source = ("--input", str(fixture))
+        code, out, err = run_cli(capsys, *verb, *source)
+        assert (code, out) == (3, "")
+        assert err == "budget: 10000 edges exceed the budget\n"
+
+    @pytest.mark.parametrize("argv,edges", [
+        (("solve", "egz", "--n", "3", "--elements", "1,1,1,1,1"), 3),
+        (("classify", "multiset", "--n", "3", "--elements", "0,0,1,1"), 6),
+    ], ids=["solve", "classify"])
+    def test_charge_at_the_budget_runs(self, capsys, monkeypatch, argv, edges):
+        monkeypatch.setenv("RAINBOWKIT_BUDGET", str(edges))
+        assert run_cli(capsys, *argv)[0] == 0
+        monkeypatch.setenv("RAINBOWKIT_BUDGET", str(edges - 1))
+        assert run_cli(capsys, *argv) == (
+            3, "", f"budget: {edges} edges exceed the budget\n")
 
 
 class TestUnreadFlags:

@@ -249,6 +249,35 @@ class TestPullback:
             assert all(list(edges) == sorted(edges) for edges in pullback.values())
             assert {ne for p in network.groups[c].paths for ne in p.edges} == set(pullback)
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(families_with_assignments())
+    def test_equal_but_distinct_edges_translate_alike(self, drawn):
+        # fresh copies of the assigned edges equal the members' own edges but
+        # are other objects; the network must not tell them apart
+        fam, assignment = drawn
+        fresh = {c: edge(e.left.index, e.right.index) for c, e in assignment.items()}
+        assert not any(fresh[c] is e for c, e in assignment.items())
+        network, inner, translation = build_contracted_network(fam, assignment)
+        again, inner_again, translation_again = build_contracted_network(fam, fresh)
+        assert (again, inner_again) == (network, inner)
+        assert translation_again.matched_edges == translation.matched_edges
+        assert translation_again.pullback == translation.pullback
+
+
+def _fresh_copy(fam):
+    """The family with every member rebuilt from new, equal edge objects."""
+    return MatchingFamily(tuple(
+        validate_matching(edge(e.left.index, e.right.index) for e in m.edges)
+        for m in fam))
+
+
+_REFUTED = [
+    (MatchingFamily(_interleaved(canonical_cycle_family(4))), 4, 377),
+    (MatchingFamily(_interleaved(canonical_cycle_family(5))), 5, 2581),
+    (egz_family(ResidueMultiset(5, (0,) * 4 + (1,) * 4)), 5, 2581),
+]
+_REFUTED_IDS = ["cycle-8-interleaved", "cycle-10-interleaved", "egz-piles-5"]
+
 
 class TestBudget:
     def test_one_step_per_search_state(self):
@@ -258,11 +287,7 @@ class TestBudget:
         with pytest.raises(BudgetExceeded):
             find_rainbow_matching(fam, 5, budget=2580)
 
-    @pytest.mark.parametrize("fam,target,states", [
-        (MatchingFamily(_interleaved(canonical_cycle_family(4))), 4, 377),
-        (MatchingFamily(_interleaved(canonical_cycle_family(5))), 5, 2581),
-        (egz_family(ResidueMultiset(5, (0,) * 4 + (1,) * 4)), 5, 2581),
-    ], ids=["cycle-8-interleaved", "cycle-10-interleaved", "egz-piles-5"])
+    @pytest.mark.parametrize("fam,target,states", _REFUTED, ids=_REFUTED_IDS)
     def test_memo_merges_classes_of_non_adjacent_colors(self, fam, target, states):
         # identical members need not sit at neighboring colors for their
         # states to share a memo entry: these visit as many states as the
@@ -270,6 +295,16 @@ class TestBudget:
         assert find_rainbow_matching(fam, target, budget=states) is None
         with pytest.raises(BudgetExceeded):
             find_rainbow_matching(fam, target, budget=states - 1)
+
+    @pytest.mark.parametrize("fam,target,states", _REFUTED, ids=_REFUTED_IDS)
+    def test_equal_but_distinct_edges_visit_the_same_states(self, fam, target, states):
+        # members rebuilt from new edge objects, none shared between equal
+        # members, leave the memo and the removed-edge lookup unchanged
+        fresh = _fresh_copy(fam)
+        assert fresh == fam and fresh[0] is not fam[0]
+        assert find_rainbow_matching(fresh, target, budget=states) is None
+        with pytest.raises(BudgetExceeded):
+            find_rainbow_matching(fresh, target, budget=states - 1)
 
     def test_trivial_targets_spend_nothing(self):
         assert len(find_rainbow_matching(family([edge(0, 0)]), 0, budget=0)) == 0

@@ -25,7 +25,7 @@ from rainbowkit import (
     transversal_is_valid,
     validate_matching,
 )
-from rainbowkit import rainbow_solver
+from rainbowkit import rainbow_solver, reductions
 
 
 class TestSymbolMatrix:
@@ -118,6 +118,14 @@ class TestFindZeroSumSubset:
 
     def test_blocking_pair(self):
         assert find_zero_sum_subset(ResidueMultiset(3, (0, 0, 1, 1))) is None
+
+    def test_fewer_than_n_elements_build_no_family(self, monkeypatch):
+        def refuse(multiset):
+            raise AssertionError("shift family built")
+
+        monkeypatch.setattr(reductions, "egz_family", refuse)
+        assert find_zero_sum_subset(ResidueMultiset(20000, tuple(range(100)))) is None
+        assert find_zero_sum_subset(ResidueMultiset(1, ())) is None
 
     def test_sum_identity_on_random_witnesses(self):
         rng = random.Random(31)
