@@ -13,9 +13,10 @@ cannot be written (a failed ``--out`` write, or stdout closed early), 3 step
 budget exhausted, 4 internal invariant failure (never expected). Results go to
 stdout as JSON with sorted keys; diagnostics go to stderr. The environment
 variable RAINBOWKIT_BUDGET overrides the default step budget of the
-brute-force oracles in ``verify``, of the search in ``solve rainbow``, of
-the instance sizes ``generate`` may build and of the shift-family edges
-``solve egz`` and ``classify multiset`` may build.
+brute-force oracles in ``verify``, of the rainbow search behind ``solve
+rainbow``, ``solve transversal``, ``solve egz``, ``classify family`` and
+``classify multiset``, of the instance sizes ``generate`` may build and of
+the shift-family edges ``solve egz`` and ``classify multiset`` may build.
 
 Instance file schemas are documented in ``rainbowkit.jsonio``.
 """
@@ -145,10 +146,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         found = find_rainbow_matching(family, args.target, _budget())
         to_obj = jsonio.rainbow_to_obj
     elif args.kind == "transversal":
-        found = find_transversal(jsonio.matrix_from_obj(_load(args.input)))
+        found = find_transversal(jsonio.matrix_from_obj(_load(args.input)), _budget())
         to_obj = jsonio.transversal_to_obj
     elif args.kind == "egz":
-        found = find_zero_sum_subset(_multiset_argument(args, run))
+        found = find_zero_sum_subset(_multiset_argument(args, run), _budget())
         to_obj = jsonio.zero_sum_to_obj
     else:
         assert args.kind == "mcpath"
@@ -252,11 +253,11 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         _refuse_unread(args, "classify family", "--n", "--elements")
         if not args.input:
             raise InputError("classify family needs --input")
-        verdict = classify_family(jsonio.family_from_obj(_load(args.input)))
+        verdict = classify_family(jsonio.family_from_obj(_load(args.input)), _budget())
         _emit(jsonio.family_classification_to_obj(verdict))
         return EXIT_OK
     assert args.kind == "multiset"
-    verdict = classify_multiset(_multiset_argument(args, "classify multiset"))
+    verdict = classify_multiset(_multiset_argument(args, "classify multiset"), _budget())
     _emit(jsonio.multiset_classification_to_obj(verdict))
     return EXIT_OK
 

@@ -349,8 +349,12 @@ def _contraction_st_path(groups: _Groups) -> Optional[ColoredPath]:
 def iter_multicolored_st_paths(family: PathGroupFamily) -> Iterator[ColoredPath]:
     """Yield every multicolored source-to-sink path, in lexicographic order.
 
-    Order: by node sequence under the source/inner/sink order, then by color
-    sequence. Exhaustive backtracking; meant for small networks. Each edge
+    Order: lexicographic over the interleaved (node, color) steps, nodes
+    under the source/inner/sink order. This is not node sequence first: for
+    groups ``[(s,0,1,t)], [(s,0,t)], [(s,1,t)]`` it yields ``s->0->t via
+    [0, 1]`` before ``s->0->1->t via [1, 0, 2]``, since the first step s->0
+    goes by color 0 in the one and by color 1 in the other. Exhaustive
+    backtracking; meant for small networks. Each edge
     the search steps along costs one step of ``DEFAULT_BUDGET``; running out
     raises BudgetExceeded.
     """

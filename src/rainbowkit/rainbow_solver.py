@@ -4,6 +4,7 @@ classifier for the unique family shape that blocks a full rainbow matching."""
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
@@ -143,8 +144,9 @@ def find_rainbow_matching(
     index, right index) triples, one per edge, so states that differ only by
     permuting colors of identical matchings share one entry.
 
-    Each visited search state costs one step of ``budget``; running out
-    raises BudgetExceeded. Raises GuaranteeViolation when the sorted-size
+    Each search state costs one step of ``budget``, whether it is expanded
+    or refuted by the memo before it is built; running out raises
+    BudgetExceeded. Raises GuaranteeViolation when the sorted-size
     threshold promises success but the search fails, which would flag a
     bug, not an input property.
     """
@@ -155,7 +157,9 @@ def find_rainbow_matching(
     result = None
     if size <= len(family):
         first = {c: cols[0] for cols in _member_classes(family).values() for c in cols}
-        result = _grow(family, {}, size, first, set(), Meter(budget))
+        meter = Meter(budget)
+        meter.spend()  # the empty state
+        result = _grow(family, {}, frozenset(), size, first, set(), meter)
         if result is None and drisko_condition(family.sizes, size):
             raise GuaranteeViolation(
                 "size-threshold condition holds but the search failed")
@@ -173,32 +177,60 @@ def _member_classes(family: MatchingFamily) -> dict[Matching, list[int]]:
     return classes
 
 
-def _grow(family, assignment, target, first, dead, meter) -> Optional[RainbowMatching]:
-    meter.spend()
-    if len(assignment) == target:
-        return RainbowMatching(tuple(assignment.items()))
-    # one (class, left, right) triple per edge: colors of one class are
-    # interchangeable
-    key = frozenset((first[c], e.left.index, e.right.index) for c, e in assignment.items())
-    if key in dead:
-        return None
+def _grow(family, assignment, key, target, first, dead, meter) -> Optional[RainbowMatching]:
+    """Extend the partial rainbow matching ``assignment`` (color -> edge), whose
+    memo key ``key`` is not dead, to ``target`` edges, or mark ``key`` dead
+    and return None.
+
+    A memo key is one (class, left, right) triple per edge: colors of one
+    class are interchangeable. Each child costs one step of ``meter``, and a
+    child whose key is already dead costs nothing more. Colors of one class
+    share a pull-back map and a memo class, so a witness that repeats a failed
+    witness's nodes and color classes has only dead children: it is charged
+    one step per child and skipped.
+    """
     network, inner_count, translation = build_contracted_network(family, assignment)
+    # a child of ``target`` edges is a solution and needs no key
+    last = len(assignment) + 1 == target
+    failed: set[tuple] = set()
     for witness in _witnesses(network, inner_count):
+        choices = [translation.pullback[c][step]
+                   for step, c in zip(witness.edges, witness.colors)]
+        # a witness's children follow from its nodes and color classes; the
+        # signature is taken only once some witness of this state has failed
+        signature = None
+        if failed:
+            signature = (witness.nodes, tuple(first[c] for c in witness.colors))
+            if signature in failed:
+                for _ in range(math.prod(map(len, choices))):
+                    meter.spend()
+                continue
         # the assignment is a matching, so a right index names one of its edges
         removed = {translation.matched_edges[v].right.index for v in witness.nodes[1:-1]}
         kept = {c: e for c, e in assignment.items() if e.right.index not in removed}
-        choices = (translation.pullback[c][step]
-                   for step, c in zip(witness.edges, witness.colors))
+        kept_key = frozenset(t for t in key if t[2] not in removed) if removed else key
         for new_edges in itertools.product(*choices):
+            meter.spend()
+            if not last:
+                child_key = kept_key.union([
+                    (first[c], e.left.index, e.right.index)
+                    for c, e in zip(witness.colors, new_edges)])
+                if child_key in dead:
+                    # one more edge than here, on a state already checked
+                    assert len(child_key) == len(assignment) + 1
+                    continue
             child = dict(kept)
             child.update(zip(witness.colors, new_edges))
             # one more edge, and the edges still form a matching
             assert len(child) == len(assignment) + 1
             assert len({e.left.index for e in child.values()}) == len(child)
             assert len({e.right.index for e in child.values()}) == len(child)
-            result = _grow(family, child, target, first, dead, meter)
+            if last:
+                return RainbowMatching(tuple(child.items()))
+            result = _grow(family, child, child_key, target, first, dead, meter)
             if result is not None:
                 return result
+        failed.add(signature or (witness.nodes, tuple(first[c] for c in witness.colors)))
     dead.add(key)
     return None
 
@@ -246,16 +278,18 @@ class ExtremalCycle:
 FamilyClassification = Union[HasRainbow, ExtremalCycle]
 
 
-def classify_family(family: MatchingFamily) -> FamilyClassification:
+def classify_family(family: MatchingFamily,
+                    budget: int = DEFAULT_BUDGET) -> FamilyClassification:
     """Find a full-size rainbow matching or certify the unique blocking shape.
 
     A family of 2n-2 matchings of size n without a rainbow matching of size n
     must consist of a single cycle on 2n vertices, with half the members
     equal to its even-edge matching and half to its odd-edge matching. The
     solver failing on any other family raises TheoremViolation (a bug flag).
+    The search runs under ``budget`` as in ``find_rainbow_matching``.
     """
     n = _uniform_even_family(family)
-    witness = find_rainbow_matching(family, n)
+    witness = find_rainbow_matching(family, n, budget)
     if witness is not None:
         return HasRainbow(witness)
     extremal = _cycle_split(family, n)

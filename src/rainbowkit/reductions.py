@@ -7,9 +7,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .errors import GuaranteeViolation, PreconditionError, RowDuplicateError
+from .errors import DEFAULT_BUDGET, GuaranteeViolation, PreconditionError, RowDuplicateError
 from .graph_core import (
     Edge,
+    Matching,
     MatchingFamily,
     RainbowMatching,
     Side,
@@ -86,17 +87,19 @@ def matrix_to_family(matrix: SymbolMatrix) -> MatchingFamily:
     return MatchingFamily(members)
 
 
-def find_transversal(matrix: SymbolMatrix) -> Optional[Transversal]:
+def find_transversal(matrix: SymbolMatrix,
+                     budget: int = DEFAULT_BUDGET) -> Optional[Transversal]:
     """A full transversal via the rainbow solver, or None.
 
     Each rainbow edge, column j matched to a symbol and colored by row i,
     pulls back to the entry (i, j). Success is guaranteed once the row count
     reaches twice the column count minus one; there the solver's size
     threshold holds, so a miss raises GuaranteeViolation from the solver. The
-    pulled-back entries are revalidated from scratch.
+    pulled-back entries are revalidated from scratch. The search runs under
+    ``budget`` as in ``find_rainbow_matching``.
     """
     target = min(matrix.rows, matrix.cols)
-    rainbow = find_rainbow_matching(matrix_to_family(matrix), target)
+    rainbow = find_rainbow_matching(matrix_to_family(matrix), target, budget)
     if rainbow is None:
         return None
     result = Transversal(frozenset((row, e.left.index) for row, e in rainbow.entries))
@@ -131,16 +134,19 @@ def egz_family(multiset: ResidueMultiset) -> MatchingFamily:
     Element a becomes the perfect matching joining each left residue i to the
     right residue i + a mod n; color k corresponds to ``elements[k]``. Equal
     elements share one member object, and all members share the 2n vertices.
+    A shift is a bijection of the residues, so each member is a plain
+    ``Matching`` record, built without ``validate_matching``.
     """
     n = multiset.modulus
     lefts = [Vertex(Side.LEFT, i) for i in range(n)]
     rights = [Vertex(Side.RIGHT, i) for i in range(n)]
-    shifts = {a: validate_matching(Edge(lefts[i], rights[(i + a) % n]) for i in range(n))
+    shifts = {a: Matching(frozenset(Edge(lefts[i], rights[(i + a) % n]) for i in range(n)))
               for a in set(multiset.elements)}
     return MatchingFamily(tuple(shifts[a] for a in multiset.elements))
 
 
-def find_zero_sum_subset(multiset: ResidueMultiset) -> Optional[tuple[int, ...]]:
+def find_zero_sum_subset(multiset: ResidueMultiset,
+                         budget: int = DEFAULT_BUDGET) -> Optional[tuple[int, ...]]:
     """A size-n sub-multiset summing to zero mod n, or None.
 
     Solved as a full rainbow matching on the shift family: such a matching
@@ -150,10 +156,11 @@ def find_zero_sum_subset(multiset: ResidueMultiset) -> Optional[tuple[int, ...]]
     GuaranteeViolation from the solver. Fewer than n elements hold no
     n-subset, so they return None before the shift family is built. The
     witness is re-verified (size, sum, sub-multiset) before it is returned.
+    The search runs under ``budget`` as in ``find_rainbow_matching``.
     """
     if len(multiset) < multiset.modulus:
         return None
-    rainbow = find_rainbow_matching(egz_family(multiset), multiset.modulus)
+    rainbow = find_rainbow_matching(egz_family(multiset), multiset.modulus, budget)
     return None if rainbow is None else _zero_sum_witness(multiset, rainbow)
 
 
@@ -183,13 +190,15 @@ class ExtremalPair:
 MultisetClassification = Union[HasZeroSum, ExtremalPair]
 
 
-def classify_multiset(multiset: ResidueMultiset) -> MultisetClassification:
+def classify_multiset(multiset: ResidueMultiset,
+                      budget: int = DEFAULT_BUDGET) -> MultisetClassification:
     """Find a zero-sum sub-multiset or certify the unique blocking shape.
 
     A multiset of 2n-2 residues with no zero-sum sub-multiset of size n must
     be n-1 copies each of two residues whose difference is coprime to n,
     which is exactly when classify_family finds the shift family's split
     2n-cycle. Anything else failing the solver raises TheoremViolation.
+    The search runs under ``budget`` as in ``find_rainbow_matching``.
     """
     n = multiset.modulus
     if n < 2:
@@ -197,7 +206,7 @@ def classify_multiset(multiset: ResidueMultiset) -> MultisetClassification:
     if len(multiset) != 2 * n - 2:
         raise PreconditionError(
             f"need exactly {2 * n - 2} elements, got {len(multiset)}")
-    verdict = classify_family(egz_family(multiset))
+    verdict = classify_family(egz_family(multiset), budget)
     if isinstance(verdict, HasRainbow):
         return HasZeroSum(_zero_sum_witness(multiset, verdict.witness))
     low, high = sorted(multiset.elements[min(colors)]

@@ -415,15 +415,46 @@ class TestShiftFamilyCharge:
         assert err == "budget: 10000 edges exceed the budget\n"
 
     @pytest.mark.parametrize("argv,edges", [
-        (("solve", "egz", "--n", "3", "--elements", "1,1,1,1,1"), 3),
-        (("classify", "multiset", "--n", "3", "--elements", "0,0,1,1"), 6),
+        (("solve", "egz", "--n", "3", "--elements", "0,0,0,1,1"), 6),
+        (("classify", "multiset", "--n", "3", "--elements", "0,0,0,1"), 6),
     ], ids=["solve", "classify"])
     def test_charge_at_the_budget_runs(self, capsys, monkeypatch, argv, edges):
+        # the search behind each verb runs under the same budget and takes
+        # 4 steps here, fewer than the 6 edges charged
         monkeypatch.setenv("RAINBOWKIT_BUDGET", str(edges))
         assert run_cli(capsys, *argv)[0] == 0
         monkeypatch.setenv("RAINBOWKIT_BUDGET", str(edges - 1))
         assert run_cli(capsys, *argv) == (
             3, "", f"budget: {edges} edges exceed the budget\n")
+
+
+class TestSearchBudget:
+    """RAINBOWKIT_BUDGET bounds the rainbow search behind every search verb,
+    not only ``solve rainbow``: one step per search state."""
+
+    @pytest.mark.parametrize("argv,steps,code", [
+        (("classify", "family", "--input", "{c10}"), 2581, 0),
+        (("classify", "multiset", "--n", "5", "--elements", "1,1,1,1,3,3,3,3"), 2581, 0),
+        (("solve", "egz", "--n", "5", "--elements", "1,1,1,1,3,3,3,3"), 2581, 1),
+        (("solve", "transversal", "--input", "{latin2}"), 5, 1),
+        (("solve", "transversal", "--input", "{latin3}"), 4, 0),
+    ], ids=["classify-family", "classify-multiset", "solve-egz",
+            "solve-transversal-none", "solve-transversal"])
+    def test_search_beyond_budget_exit_three(self, tmp_path, capsys, monkeypatch,
+                                             argv, steps, code):
+        files = {"c10": tmp_path / "c10.json", "latin2": tmp_path / "latin2.json",
+                 "latin3": tmp_path / "latin3.json"}
+        assert main(["generate", "--canonical", "c2n", "--n", "5",
+                     "--out", str(files["c10"])]) == 0
+        files["latin2"].write_text(json.dumps(
+            {"rows": 2, "cols": 2, "cells": [[0, 1], [1, 0]]}))
+        files["latin3"].write_text(json.dumps(
+            {"rows": 3, "cols": 3, "cells": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}))
+        argv = [a.format(**files) for a in argv]
+        monkeypatch.setenv("RAINBOWKIT_BUDGET", str(steps))
+        assert run_cli(capsys, *argv)[0] == code
+        monkeypatch.setenv("RAINBOWKIT_BUDGET", str(steps - 1))
+        assert run_cli(capsys, *argv) == (3, "", "budget: step budget exhausted\n")
 
 
 class TestUnreadFlags:

@@ -277,6 +277,13 @@ class TestFindMulticoloredStPath:
         assert {(p.nodes, p.colors) for p in all_paths} == {
             (("s", 0, "t"), (0, 1)), (("s", 0, "t"), (1, 0))}
 
+    def test_iterator_order_interleaves_nodes_and_colors(self):
+        # lexicographic over (node, color) steps, not node sequence first
+        fam = build_family([[path("s", 0, 1, "t")], [path("s", 0, "t")],
+                            [path("s", 1, "t")]])
+        assert [repr(p) for p in iter_multicolored_st_paths(fam)] == [
+            "s->0->t via [0, 1]", "s->0->1->t via [1, 0, 2]", "s->1->t via [2, 0]"]
+
 
 class TestExhaustiveBudget:
     def test_one_step_per_extension(self, monkeypatch):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from rainbowkit import (
     BudgetExceeded,
     ExtremalCycle,
+    ExtremalPair,
     HasRainbow,
     Matching,
     MatchingFamily,
@@ -18,6 +19,7 @@ from rainbowkit import (
     build_contracted_network,
     canonical_cycle_family,
     classify_family,
+    classify_multiset,
     drisko_condition,
     edge,
     egz_family,
@@ -275,8 +277,10 @@ _REFUTED = [
     (MatchingFamily(_interleaved(canonical_cycle_family(4))), 4, 377),
     (MatchingFamily(_interleaved(canonical_cycle_family(5))), 5, 2581),
     (egz_family(ResidueMultiset(5, (0,) * 4 + (1,) * 4)), 5, 2581),
+    (MatchingFamily(_interleaved(canonical_cycle_family(6))), 6, 17425),
 ]
-_REFUTED_IDS = ["cycle-8-interleaved", "cycle-10-interleaved", "egz-piles-5"]
+_REFUTED_IDS = ["cycle-8-interleaved", "cycle-10-interleaved", "egz-piles-5",
+                "cycle-12-interleaved"]
 
 
 class TestBudget:
@@ -305,6 +309,26 @@ class TestBudget:
         assert find_rainbow_matching(fresh, target, budget=states) is None
         with pytest.raises(BudgetExceeded):
             find_rainbow_matching(fresh, target, budget=states - 1)
+
+    @pytest.mark.parametrize("n,networks", [(4, 45), (5, 121), (6, 320)])
+    def test_refutation_builds_a_network_per_expanded_state(self, monkeypatch,
+                                                            n, networks):
+        # states refuted by the memo, and witnesses whose children all are,
+        # are charged without a network of their own
+        built = []
+        build = rainbow_solver.build_contracted_network
+
+        def counted(*args):
+            built.append(1)
+            return build(*args)
+
+        monkeypatch.setattr(rainbow_solver, "build_contracted_network", counted)
+        assert find_rainbow_matching(canonical_cycle_family(n), n) is None
+        assert len(built) == networks
+        built.clear()
+        piles = ResidueMultiset(n, (0,) * (n - 1) + (1,) * (n - 1))
+        assert classify_multiset(piles) == ExtremalPair(0, 1)
+        assert len(built) == networks
 
     def test_trivial_targets_spend_nothing(self):
         assert len(find_rainbow_matching(family([edge(0, 0)]), 0, budget=0)) == 0

@@ -108,6 +108,16 @@ class TestEgzFamily:
             validate_matching(edge(i, (i + a) % 3) for i in range(3))
             for a in multiset.elements)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_shift_is_a_perfect_matching(self, n):
+        # the shifts are built without a check; each must pass it unchanged
+        fam = egz_family(ResidueMultiset(n, tuple(range(n))))
+        for a, member in enumerate(fam):
+            assert validate_matching(member.edges) == member
+            assert len(member) == n
+            assert sorted((e.left.index, e.right.index) for e in member.edges) == [
+                (i, (i + a) % n) for i in range(n)]
+
 
 class TestFindZeroSumSubset:
     def test_three_residues_mod_two(self):

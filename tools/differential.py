@@ -18,8 +18,10 @@ Sections:
   and ``classify_multiset`` on seeded streams;
 - ``search``: with each outcome, the states the rainbow search visited and
   the networks it built, on a seeded stream of families with many repeated
-  members at every target and on the split cycles of 4-10 vertices in two
-  member orders through ``classify_family``;
+  members at every target, on the split cycles of 4-10 vertices in two
+  member orders through ``classify_family``, on the split 12-cycle through
+  ``find_rainbow_matching`` and on the coprime double piles mod 4-6 through
+  ``classify_multiset``;
 - ``witnesses``: ``reachable_witness_set`` on a seeded stream of generated
   networks;
 - ``mcpath``: ``rainbowkit solve mcpath`` (its exit code, stdout and
@@ -44,6 +46,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import random
 import sys
 import tempfile
@@ -220,7 +223,9 @@ def search_section(draws: int, seed: int = 16) -> list:
     """Families of 1-7 members, each after the first a copy of an earlier one
     with probability one half, at every target; then ``classify_family`` on
     the split cycles for n = 2-5, with the even and odd members first grouped
-    and then alternating."""
+    and then alternating; then the split cycle for n = 6 at target 6, and
+    ``classify_multiset`` on n - 1 copies each of 0 and d mod n for every d
+    coprime to n, n = 4-6."""
     rng = random.Random(seed)
     records = []
     for _ in range(draws):
@@ -233,6 +238,13 @@ def search_section(draws: int, seed: int = 16) -> list:
                             for m in pair)
         records += [counted_outcome(lambda: rk.classify_family(rk.MatchingFamily(order)))
                     for order in (members, alternating)]
+    records.append(counted_outcome(
+        lambda: rk.find_rainbow_matching(rk.canonical_cycle_family(6), 6)))
+    for n in range(4, 7):
+        for d in range(1, n):
+            if math.gcd(d, n) == 1:
+                multiset = rk.ResidueMultiset(n, (0,) * (n - 1) + (d,) * (n - 1))
+                records.append(counted_outcome(lambda: rk.classify_multiset(multiset)))
     return records
 
 
