@@ -15,8 +15,9 @@ stdout as JSON with sorted keys; diagnostics go to stderr. The environment
 variable RAINBOWKIT_BUDGET overrides the default step budget of the
 brute-force oracles in ``verify``, of the rainbow search behind ``solve
 rainbow``, ``solve transversal``, ``solve egz``, ``classify family`` and
-``classify multiset``, of the instance sizes ``generate`` may build and of
-the shift-family edges ``solve egz`` and ``classify multiset`` may build.
+``classify multiset``, of the exhaustive search behind ``solve mcpath``, of
+the instance sizes ``generate`` may build and of the shift-family edges
+``solve egz`` and ``classify multiset`` may build.
 
 Instance file schemas are documented in ``rainbowkit.jsonio``.
 """
@@ -154,7 +155,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     else:
         assert args.kind == "mcpath"
         network = jsonio.network_from_obj(_load(args.input))
-        found = find_multicolored_st_path(network, len(network.inner_nodes))
+        found = find_multicolored_st_path(network, len(network.inner_nodes), _budget())
         if found is not None and not (
                 found.target == SINK and colored_path_conforms(found, network)):
             raise GuaranteeViolation(f"witness {found!r} is not a multicolored path")

@@ -14,7 +14,7 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Iterator, Optional, Union
+from typing import Hashable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     DEFAULT_BUDGET,
@@ -304,7 +304,7 @@ def _witnesses(groups: _Groups) -> dict[NetNode, ColoredPath]:
 
 
 def find_multicolored_st_path(
-    family: PathGroupFamily, inner_count: int
+    family: PathGroupFamily, inner_count: int, budget: Optional[int] = None
 ) -> Optional[ColoredPath]:
     """Find a source-to-sink path using each group for at most one edge.
 
@@ -312,7 +312,8 @@ def find_multicolored_st_path(
     exists and is produced by the contraction construction; failing to build
     one in that regime raises GuaranteeViolation, which would flag a bug. At
     or below the threshold, an exhaustive search decides existence exactly
-    and returns the lexicographically first witness, or None.
+    and returns the lexicographically first witness, or None; it runs under
+    ``budget`` as in ``iter_multicolored_st_paths``.
 
     ``inner_count`` is the ambient network's inner node count; it must cover
     every inner node the family uses.
@@ -322,7 +323,7 @@ def find_multicolored_st_path(
         raise PreconditionError(
             f"inner_count {inner_count} is below the {used} inner nodes in use")
     if family.total_paths <= inner_count:
-        return next(iter_multicolored_st_paths(family), None)
+        return next(iter_multicolored_st_paths(family, budget=budget), None)
     found = _contraction_st_path(_groups(family))
     if found is None:
         raise GuaranteeViolation(
@@ -346,7 +347,11 @@ def _contraction_st_path(groups: _Groups) -> Optional[ColoredPath]:
     return None if sub is None else _unwind(sub, starts_by_color, pivot_color)
 
 
-def iter_multicolored_st_paths(family: PathGroupFamily) -> Iterator[ColoredPath]:
+def iter_multicolored_st_paths(
+    family: PathGroupFamily,
+    classes: Optional[Sequence[Hashable]] = None,
+    budget: Optional[int] = None,
+) -> Iterator[ColoredPath]:
     """Yield every multicolored source-to-sink path, in lexicographic order.
 
     Order: lexicographic over the interleaved (node, color) steps, nodes
@@ -354,15 +359,37 @@ def iter_multicolored_st_paths(family: PathGroupFamily) -> Iterator[ColoredPath]
     groups ``[(s,0,1,t)], [(s,0,t)], [(s,1,t)]`` it yields ``s->0->t via
     [0, 1]`` before ``s->0->1->t via [1, 0, 2]``, since the first step s->0
     goes by color 0 in the one and by color 1 in the other. Exhaustive
-    backtracking; meant for small networks. Each edge
-    the search steps along costs one step of ``DEFAULT_BUDGET``; running out
-    raises BudgetExceeded.
+    backtracking; meant for small networks.
+
+    ``classes``, when given, labels each color with a class, indexed by
+    color. A color may then be stepped along only once every smaller color
+    of its class that has a non-empty group is on the path. When the colors
+    of each class have equal groups, swapping colors within a class maps
+    multicolored paths to multicolored paths, and the rule keeps exactly the
+    lexicographically first path of each signature (its nodes and its
+    colors' classes), which takes the smallest free color of the class at
+    each step. So the yields are the first occurrence of each signature in
+    the full enumeration, in the same order.
+
+    Each edge the search steps along costs one step of ``budget``, which
+    defaults to ``DEFAULT_BUDGET``; running out raises BudgetExceeded.
     """
-    meter = Meter(DEFAULT_BUDGET)
-    options = _edge_options(_groups(family))
+    meter = Meter(DEFAULT_BUDGET if budget is None else budget)
+    groups = _groups(family)
+    options = _edge_options(groups)
     nodes: list[NetNode] = [SOURCE]
     colors: list[int] = []
+    # a color is unusable while on the path or blocked behind its class
     used: set[int] = set()
+    # stepping along a color unblocks the next color of its class
+    unblock: dict[int, int] = {}
+    if classes is not None:
+        previous: dict[Hashable, int] = {}
+        for c, _ in groups:
+            if classes[c] in previous:
+                unblock[previous[classes[c]]] = c
+                used.add(c)
+            previous[classes[c]] = c
     # one iterator over the unexplored options of each node on the path
     stack = [iter(options.get(SOURCE, ()))]
     while stack:
@@ -376,13 +403,18 @@ def iter_multicolored_st_paths(family: PathGroupFamily) -> Iterator[ColoredPath]
             nodes.append(v)
             colors.append(c)
             used.add(c)
+            if c in unblock:
+                used.remove(unblock[c])
             stack.append(iter(options.get(v, ())))
             break
         else:
             stack.pop()
             if colors:
                 nodes.pop()
-                used.remove(colors.pop())
+                c = colors.pop()
+                used.remove(c)
+                if c in unblock:
+                    used.add(unblock[c])
 
 
 @dataclass(frozen=True, slots=True)

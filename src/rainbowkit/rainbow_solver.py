@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
@@ -156,7 +157,8 @@ def find_rainbow_matching(
         return RainbowMatching(())
     result = None
     if size <= len(family):
-        first = {c: cols[0] for cols in _member_classes(family).values() for c in cols}
+        classes = _member_classes(family)
+        first = [classes[member][0] for member in family]
         meter = Meter(budget)
         meter.spend()  # the empty state
         result = _grow(family, {}, frozenset(), size, first, set(), meter)
@@ -182,29 +184,22 @@ def _grow(family, assignment, key, target, first, dead, meter) -> Optional[Rainb
     memo key ``key`` is not dead, to ``target`` edges, or mark ``key`` dead
     and return None.
 
-    A memo key is one (class, left, right) triple per edge: colors of one
+    A memo key is one (class, left, right) triple per edge, where ``first``
+    maps each color to the first color of its member's class: colors of one
     class are interchangeable. Each child costs one step of ``meter``, and a
     child whose key is already dead costs nothing more. Colors of one class
-    share a pull-back map and a memo class, so a witness that repeats a failed
-    witness's nodes and color classes has only dead children: it is charged
-    one step per child and skipped.
+    share a pull-back map and a memo class, so the witnesses with the same
+    nodes and color classes have the same children. Only the first of them
+    is enumerated; when it fails, its color permutations are charged in one
+    bulk spend, one step per child each would have made.
     """
     network, inner_count, translation = build_contracted_network(family, assignment)
     # a child of ``target`` edges is a solution and needs no key
     last = len(assignment) + 1 == target
-    failed: set[tuple] = set()
-    for witness in _witnesses(network, inner_count):
+    free = None  # per class, how many of its colors are outside the assignment
+    for witness in _witnesses(network, inner_count, first):
         choices = [translation.pullback[c][step]
                    for step, c in zip(witness.edges, witness.colors)]
-        # a witness's children follow from its nodes and color classes; the
-        # signature is taken only once some witness of this state has failed
-        signature = None
-        if failed:
-            signature = (witness.nodes, tuple(first[c] for c in witness.colors))
-            if signature in failed:
-                for _ in range(math.prod(map(len, choices))):
-                    meter.spend()
-                continue
         # the assignment is a matching, so a right index names one of its edges
         removed = {translation.matched_edges[v].right.index for v in witness.nodes[1:-1]}
         kept = {c: e for c, e in assignment.items() if e.right.index not in removed}
@@ -230,20 +225,46 @@ def _grow(family, assignment, key, target, first, dead, meter) -> Optional[Rainb
             result = _grow(family, child, child_key, target, first, dead, meter)
             if result is not None:
                 return result
-        failed.add(signature or (witness.nodes, tuple(first[c] for c in witness.colors)))
+        # the witness's other colorings within its classes have these
+        # children too, all dead now: charge them without enumerating them
+        if free is None:
+            free = Counter(first[c] for c in range(len(first)) if c not in assignment)
+        copies = _colorings(witness.colors, first, free)
+        if copies > 1:
+            meter.spend((copies - 1) * math.prod(map(len, choices)))
     dead.add(key)
     return None
 
 
-def _witnesses(network: PathGroupFamily, inner_count: int) -> Iterator[ColoredPath]:
+def _colorings(colors: tuple[int, ...], first: list[int], free: Counter) -> int:
+    """How many colorings share the classes of ``colors``: the product over
+    each class K of perm(m_K, j_K), where ``colors`` hold j_K colors of K and
+    ``free[K]`` is m_K."""
+    copies = 1
+    taken: dict[int, int] = {}
+    for c in colors:
+        k = first[c]
+        j = taken.get(k, 0)
+        copies *= free[k] - j
+        taken[k] = j + 1
+    return copies
+
+
+def _witnesses(network: PathGroupFamily, inner_count: int,
+               first: list[int]) -> Iterator[ColoredPath]:
     """Candidate augmentations: the constructed witness first when the network
-    holds more paths than matched edges, then every other multicolored path."""
-    constructed = None
-    if network.total_paths > inner_count:
-        constructed = find_multicolored_st_path(network, inner_count)
-        yield constructed
-    for witness in iter_multicolored_st_paths(network):
-        if witness != constructed:
+    holds more paths than matched edges, then the first multicolored path of
+    every (nodes, color classes) signature, less the constructed witness's."""
+    if network.total_paths <= inner_count:
+        yield from iter_multicolored_st_paths(network, classes=first)
+        return
+    constructed = find_multicolored_st_path(network, inner_count)
+    yield constructed
+    # resumed only once the constructed witness failed, and its charge covered
+    # every coloring of its signature
+    nodes, classes = constructed.nodes, [first[c] for c in constructed.colors]
+    for witness in iter_multicolored_st_paths(network, classes=first):
+        if witness.nodes != nodes or [first[c] for c in witness.colors] != classes:
             yield witness
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rainbowkit
-from rainbowkit import ColoredPath, campaigns, cli, network_paths, reductions
+from rainbowkit import ColoredPath, campaigns, cli, reductions
 from rainbowkit.cli import main
 from rainbowkit.errors import Meter
 
@@ -106,9 +106,20 @@ class TestSolve:
         # search of thousands of steps to refute it
         net = tmp_path / "net.json"
         net.write_text(json.dumps([[["s", *range(6), "t"]]] * 6))
-        monkeypatch.setattr(network_paths, "DEFAULT_BUDGET", 100)
+        monkeypatch.setenv("RAINBOWKIT_BUDGET", "100")
         code, out, err = run_cli(capsys, "solve", "mcpath", "--input", str(net))
         assert (code, out, err) == (3, "", "budget: step budget exhausted\n")
+
+    def test_mcpath_charge_at_the_budget_runs(self, tmp_path, capsys, monkeypatch):
+        # three copies of s,0,1,2,t: 3 + 6 + 6 extensions, none reaching t
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps([[["s", 0, 1, 2, "t"]]] * 3))
+        monkeypatch.setenv("RAINBOWKIT_BUDGET", "15")
+        assert run_cli(capsys, "solve", "mcpath", "--input", str(net)) == (
+            1, "infeasible\n", "")
+        monkeypatch.setenv("RAINBOWKIT_BUDGET", "14")
+        assert run_cli(capsys, "solve", "mcpath", "--input", str(net)) == (
+            3, "", "budget: step budget exhausted\n")
 
     @pytest.mark.parametrize("witness", [
         ColoredPath(("s", 0, "t"), (0, 0)),

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -297,6 +299,90 @@ class TestExhaustiveBudget:
             list(iter_multicolored_st_paths(fam))
         with pytest.raises(BudgetExceeded):
             find_multicolored_st_path(fam, 3)
+
+
+def _reference_paths(family):
+    """Every multicolored source-sink path by plain recursion, options taken
+    in (head, color) order under the source/inner/sink order."""
+    options = {}
+    for c, group in enumerate(family.groups):
+        for p in group.paths:
+            for u, v in p.edges:
+                options.setdefault(u, set()).add((v, c))
+    found = []
+
+    def extend(nodes, colors):
+        for v, c in sorted(options.get(nodes[-1], ()),
+                           key=lambda o: (network_paths.node_key(o[0]), o[1])):
+            if v in nodes or c in colors:
+                continue
+            if v == SINK:
+                found.append(ColoredPath(nodes + (v,), colors + (c,)))
+            else:
+                extend(nodes + (v,), colors + (c,))
+
+    extend((SOURCE,), ())
+    return found
+
+
+@st.composite
+def classed_families(draw):
+    """A drawn network's groups repeated at drawn colors, up to six, and
+    each color's class: the position of its group in the drawn network.
+    Equal classes have equal groups, and two classes may have equal groups
+    too (both empty, say)."""
+    base = draw(networks())
+    if not base.groups:
+        return base, []
+    classes = draw(st.lists(st.integers(0, len(base.groups) - 1), max_size=6))
+    return PathGroupFamily(tuple(base.groups[k] for k in classes)), classes
+
+
+def _signature(path, classes):
+    return path.nodes, tuple(classes[c] for c in path.colors)
+
+
+class TestCanonicalEnumeration:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(classed_families())
+    def test_first_member_of_each_signature_in_order(self, drawn):
+        fam, classes = drawn
+        every = list(iter_multicolored_st_paths(fam))
+        first = {}
+        for p in every:
+            first.setdefault(_signature(p, classes), p)
+        canonical = list(iter_multicolored_st_paths(fam, classes=classes))
+        assert canonical == list(first.values())
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(classed_families())
+    def test_permutations_add_up_to_every_path(self, drawn):
+        fam, classes = drawn
+        # m_K: the colors of class K whose group is not empty
+        free = Counter(classes[c] for c, g in enumerate(fam.groups) if g.paths)
+        copies = 0
+        for p in iter_multicolored_st_paths(fam, classes=classes):
+            uses = Counter(classes[c] for c in p.colors)
+            copies += math.prod(math.perm(free[k], j) for k, j in uses.items())
+        assert copies == len(list(iter_multicolored_st_paths(fam)))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(networks())
+    def test_without_classes_every_path_in_order(self, fam):
+        assert list(iter_multicolored_st_paths(fam)) == _reference_paths(fam)
+
+    def test_equal_groups_of_different_classes_both_yielded(self):
+        fam = build_family([[path("s", 0, "t")], [path("s", 0, "t")]])
+        assert [p.colors for p in iter_multicolored_st_paths(fam, classes=[0, 1])] == [
+            (0, 1), (1, 0)]
+        assert [p.colors for p in iter_multicolored_st_paths(fam, classes=[0, 0])] == [
+            (0, 1)]
+
+    def test_empty_groups_do_not_block_their_class(self):
+        # color 0 has an empty group, so color 2 is its class's first
+        fam = build_family([[], [path("s", 0, "t")], [path("s", 0, "t")]])
+        assert [p.colors for p in iter_multicolored_st_paths(fam, classes="aba")] == [
+            (1, 2), (2, 1)]
 
 
 @st.composite

@@ -29,6 +29,7 @@ from rainbowkit import (
     validate_matching,
 )
 from rainbowkit import rainbow_solver
+from rainbowkit.errors import Meter
 from rainbowkit.rainbow_solver import _cycle_split
 
 
@@ -333,6 +334,40 @@ class TestBudget:
     def test_trivial_targets_spend_nothing(self):
         assert len(find_rainbow_matching(family([edge(0, 0)]), 0, budget=0)) == 0
         assert find_rainbow_matching(family([edge(0, 0)]), 2, budget=0) is None
+
+    def test_failed_witness_charges_its_permutations_at_once(self):
+        # members a, b, b at target 3. After color 0 takes (0, 2), the
+        # constructed witness s->t via [1] fails, and the success comes from
+        # the next one, s->0->t via [1, 2]. Its permutation s->t via [2] is
+        # charged when it fails, one step for its one direct edge: 6 steps in
+        # all (the empty state, four children built and that one). An
+        # enumeration that charged the permutation where it would reach it
+        # stops at the success first and spends 5.
+        a = [edge(2, 3), edge(0, 2), edge(3, 0)]
+        b = [edge(3, 1), edge(1, 2), edge(0, 0)]
+        fam = family(a, b, b)
+        found = find_rainbow_matching(fam, 3, budget=6)
+        assert found is not None and rainbow_is_valid(found, fam)
+        with pytest.raises(BudgetExceeded):
+            find_rainbow_matching(fam, 3, budget=5)
+
+
+class TestMeter:
+    def test_spend_counts_steps(self):
+        meter = Meter(5)
+        meter.spend(0)
+        assert meter.left == 5
+        meter.spend(3)
+        meter.spend()
+        meter.spend(1)
+        assert meter.left == 0
+        with pytest.raises(BudgetExceeded):
+            meter.spend()
+
+    def test_one_step_past_the_budget_raises(self):
+        Meter(7).spend(7)
+        with pytest.raises(BudgetExceeded):
+            Meter(7).spend(8)
 
 
 class TestDriskoCondition:

@@ -194,9 +194,9 @@ def counted_outcome(call) -> list:
     """``outcome(call)``, then the states the rainbow search visited and the
     networks it built during the call.
 
-    The solver charges its meter once per visited state, so its ``Meter`` is
-    rebound for the call to a subclass that counts ``spend`` calls; meters of
-    other modules are not touched. ``build_contracted_network`` is wrapped
+    The solver charges its meter one step per visited state, so its ``Meter``
+    is rebound for the call to a subclass that counts the steps spent; meters
+    of other modules are not touched. ``build_contracted_network`` is wrapped
     under the name the solver calls it by."""
     counts = [0, 0]
     meter, build = rainbow_solver.Meter, rainbow_solver.build_contracted_network
@@ -204,9 +204,9 @@ def counted_outcome(call) -> list:
     class CountingMeter(meter):
         __slots__ = ()
 
-        def spend(self) -> None:
-            counts[0] += 1
-            super().spend()
+        def spend(self, steps: int = 1) -> None:
+            counts[0] += steps
+            super().spend(steps)
 
     def counted_build(*args):
         counts[1] += 1
