@@ -4,6 +4,7 @@ transversals and zero-sum residue sub-multisets), and brute-force oracles
 that verify every guarantee exhaustively at desk scale."""
 
 from .errors import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     DichotomyViolation,
     GuaranteeViolation,
@@ -71,7 +72,6 @@ from .reductions import (
     transversal_is_valid,
 )
 from .oracle import (
-    DEFAULT_BUDGET,
     GenSpec,
     brute_mc_path,
     brute_rainbow,

@@ -16,9 +16,10 @@ import math
 import random
 import time
 from dataclasses import asdict, dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
-from .errors import BudgetExceeded, DichotomyViolation, PreconditionError, charge, charge_multisets
+from .errors import (DEFAULT_BUDGET, BudgetExceeded, DichotomyViolation, PreconditionError,
+                     charge, charge_multisets)
 from .graph_core import MatchingFamily, edge, rainbow_is_valid, validate_matching
 from .network_paths import (
     SINK,
@@ -32,7 +33,6 @@ from .network_paths import (
     Regimentation,
 )
 from .oracle import (
-    DEFAULT_BUDGET,
     GenSpec,
     brute_mc_path,
     brute_rainbow,
@@ -81,10 +81,10 @@ def run_campaign(theorem: str, *, n: Optional[int] = None,
     raises PreconditionError, and so do a flag the run would not read
     (``exhaustive`` for a campaign without that mode, ``samples`` or
     ``seed`` for a run that draws nothing) and a run that checks no instance
-    at all. ``budget`` bounds each brute-force oracle call, the size of each
-    exhaustive enumeration and the largest instance a sampled run can draw;
-    every size is charged before the first instance, and one over budget
-    raises BudgetExceeded.
+    at all. ``budget`` bounds every search and brute-force oracle call the
+    run starts, the size of each exhaustive enumeration and the largest
+    instance a sampled run can draw; every size is charged before the first
+    instance, and one over budget raises BudgetExceeded.
     """
     if theorem not in _RUNNERS:
         raise PreconditionError(f"unknown theorem {theorem!r}; pick one of {THEOREMS}")
@@ -117,22 +117,15 @@ def run_campaign(theorem: str, *, n: Optional[int] = None,
                           seed, parameters)
 
 
-def _charge_enumerations(sizes: Iterable[tuple[int, int]], budget: int) -> None:
-    """Charge each enumeration, the k-multisets of ``kinds`` items for each
-    ``(kinds, k)``, before the first."""
-    for kinds, k in sizes:
-        charge_multisets(kinds, k, budget)
-
-
 def _rainbow_fault(found, family: MatchingFamily, size: int) -> bool:
     """True unless ``found`` is a valid rainbow matching of ``size`` edges."""
     return found is None or len(found) != size or not rainbow_is_valid(found, family)
 
 
-def _verdict(classify, instance):
-    """``classify(instance)``, or None when it raises anything but BudgetExceeded."""
+def _verdict(classify, instance, budget):
+    """``classify(instance, budget)``, or None on any error but BudgetExceeded."""
     try:
-        return classify(instance)
+        return classify(instance, budget)
     except BudgetExceeded:
         raise
     except Exception:
@@ -165,7 +158,7 @@ def _run_drisko(n, samples, exhaustive, seed, budget):
     """Every family of 2n-1 matchings of size n has a rainbow matching of
     size n; witnesses are revalidated."""
     families, params = _uniform_families(n, 2 * n - 1, samples, exhaustive, seed, budget)
-    return params, (_rainbow_fault(find_rainbow_matching(family, n), family, n)
+    return params, (_rainbow_fault(find_rainbow_matching(family, n, budget), family, n)
                     for family in families)
 
 
@@ -177,7 +170,7 @@ def _run_sharpness(n, samples, exhaustive, seed, budget):
     def faults():
         for k in range(2, n + 1):
             family = canonical_cycle_family(k)
-            yield ((find_rainbow_matching(family, k) is not None)
+            yield ((find_rainbow_matching(family, k, budget) is not None)
                    + (brute_rainbow(family, k, budget) is not None))
     return {"n_max": n}, faults()
 
@@ -196,7 +189,7 @@ def _run_general(n, samples, exhaustive, seed, budget):
             side = max(sizes) + rng.randint(0, 2)
             family = generate(GenSpec.family_mixed(tuple(sizes), side, rng.getrandbits(63)))
             target = rng.randint(1, min(m, n))
-            found = find_rainbow_matching(family, target)
+            found = find_rainbow_matching(family, target, budget)
             if found is not None and _rainbow_fault(found, family, target):
                 yield True
             elif drisko_condition(family.sizes, target):
@@ -221,7 +214,7 @@ def _run_bgs(n, samples, exhaustive, seed, budget):
             family = generate(GenSpec.family_uniform(nn, m, nn + 1, rng.getrandbits(63)))
             target = nn - k
             yield (not drisko_condition(family.sizes, target)
-                   or _rainbow_fault(find_rainbow_matching(family, target), family, target))
+                   or _rainbow_fault(find_rainbow_matching(family, target, budget), family, target))
     return {"samples": samples, "n_max": n, "k": [1, 2]}, faults()
 
 
@@ -263,8 +256,8 @@ def _run_dichotomy(n, samples, exhaustive, seed, budget):
     oracle finds no multicolored source-sink path, and otherwise returns a
     conforming path."""
     # _all_simple_paths(inner) lists one path per ordered choice of inner nodes
-    _charge_enumerations(((sum(math.perm(inner, r) for r in range(inner + 1)), inner)
-                          for inner in range(n + 1)), budget)
+    for inner in range(n + 1):
+        charge_multisets(sum(math.perm(inner, r) for r in range(inner + 1)), inner, budget)
 
     def faults():
         for inner in range(0, n + 1):
@@ -316,7 +309,7 @@ def _check_classification(family: MatchingFamily, n: int, budget: int) -> bool:
     """True when classify_family agrees with brute feasibility and any
     extremal verdict is structurally sound."""
     oracle_found = brute_rainbow(family, n, budget)
-    verdict = _verdict(classify_family, family)
+    verdict = _verdict(classify_family, family, budget)
     if verdict is None:
         return False
     if isinstance(verdict, ExtremalCycle):
@@ -340,45 +333,46 @@ def _run_extremal(n, samples, exhaustive, seed, budget):
     return params, (not _check_classification(family, n, budget) for family in families)
 
 
-def _residue_multisets(ns: Sequence[int], extra: int, budget: int):
-    """Every multiset of 2k + extra residues mod k for each k in ``ns``, as
-    one lazy stream; every enumeration is charged before the first."""
-    _charge_enumerations(((k, 2 * k + extra) for k in ns), budget)
-    return itertools.chain.from_iterable(
-        enumerate_multisets(k, 2 * k + extra, budget) for k in ns)
+def _residue_multisets(n, lowest, exhaustive, extra, budget):
+    """Every multiset of 2k + extra residues mod k, for each k from ``lowest``
+    to n when exhaustive and for n alone otherwise, as one lazy stream with
+    its report parameters; every enumeration is charged before the first."""
+    ns = range(lowest, n + 1) if exhaustive else [n]
+    for k in ns:
+        charge_multisets(k, 2 * k + extra, budget)
+    return (itertools.chain.from_iterable(
+        enumerate_multisets(k, 2 * k + extra, budget) for k in ns),
+        {"n_max" if exhaustive else "n": n, "mode": "exhaustive"})
 
 
 def _run_egz(n, samples, exhaustive, seed, budget):
     """Every multiset of 2n-1 residues mod n has a zero-sum sub-multiset of
     size n; witnesses are revalidated and feasibility matches the oracle."""
-    multisets = _residue_multisets(range(1, n + 1) if exhaustive else [n], -1, budget)
-    return {"n_max": n, "mode": "exhaustive"}, (
-        find_zero_sum_subset(multiset) is None or brute_zero_sum(multiset, budget) is None
-        for multiset in multisets)
+    multisets, params = _residue_multisets(n, 1, exhaustive, -1, budget)
+    return params, (find_zero_sum_subset(multiset, budget) is None
+                    or brute_zero_sum(multiset, budget) is None for multiset in multisets)
 
 
 def _run_egz_extremal(n, samples, exhaustive, seed, budget):
     """Multisets of 2n-2 residues with no zero-sum sub-multiset are exactly
     the coprime-difference double piles."""
-    multisets = _residue_multisets(range(2, n + 1) if exhaustive else [n], -2, budget)
+    multisets, params = _residue_multisets(n, 2, exhaustive, -2, budget)
 
     def faults():
         for multiset in multisets:
             k = multiset.modulus
             oracle_found = brute_zero_sum(multiset, budget)
-            verdict = _verdict(classify_multiset, multiset)
+            verdict = _verdict(classify_multiset, multiset, budget)
             if verdict is None:
                 yield True
             elif isinstance(verdict, ExtremalPair):
-                counts = {verdict.low: 0, verdict.high: 0}
-                for v in multiset.elements:
-                    counts[v] = counts.get(v, 0) + 1
-                shape_ok = (counts[verdict.low] == counts[verdict.high] == k - 1
+                count = multiset.elements.count
+                shape_ok = (count(verdict.low) == count(verdict.high) == k - 1
                             and math.gcd(verdict.high - verdict.low, k) == 1)
                 yield oracle_found is not None or not shape_ok
             else:
                 yield oracle_found is None
-    return {"n_max": n, "mode": "exhaustive"}, faults()
+    return params, faults()
 
 
 def _run_transversal(n, samples, exhaustive, seed, budget):
@@ -393,7 +387,7 @@ def _run_transversal(n, samples, exhaustive, seed, budget):
             symbols = cols + rng.randint(0, 2)
             spec = GenSpec.matrix(2 * cols - 1, cols, symbols, rng.getrandbits(63))
             matrix = generate(spec)
-            found = find_transversal(matrix)
+            found = find_transversal(matrix, budget)
             yield found is None or not transversal_is_valid(matrix, found)
     return {"samples": samples, "n_max": n}, faults()
 

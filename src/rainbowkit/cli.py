@@ -12,12 +12,12 @@ violations, 2 malformed input, impossible generator spec or output that
 cannot be written (a failed ``--out`` write, or stdout closed early), 3 step
 budget exhausted, 4 internal invariant failure (never expected). Results go to
 stdout as JSON with sorted keys; diagnostics go to stderr. The environment
-variable RAINBOWKIT_BUDGET overrides the default step budget of the
-brute-force oracles in ``verify``, of the rainbow search behind ``solve
-rainbow``, ``solve transversal``, ``solve egz``, ``classify family`` and
-``classify multiset``, of the exhaustive search behind ``solve mcpath``, of
-the instance sizes ``generate`` may build and of the shift-family edges
-``solve egz`` and ``classify multiset`` may build.
+variable RAINBOWKIT_BUDGET overrides the default step budget, and each verb
+passes it on as it is: to every search and oracle a ``verify`` campaign
+starts, to the search behind every ``solve`` and ``classify`` kind (the
+library functions behind ``solve egz`` and ``classify multiset`` also charge
+their shift family's edges against it), and to the instance sizes
+``generate`` may build.
 
 Instance file schemas are documented in ``rainbowkit.jsonio``.
 """
@@ -33,6 +33,7 @@ from typing import Optional
 from . import jsonio
 from .campaigns import THEOREMS, run_campaign
 from .errors import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     DichotomyViolation,
     GuaranteeViolation,
@@ -42,7 +43,7 @@ from .errors import (
     charge,
 )
 from .network_paths import SINK, colored_path_conforms, find_multicolored_st_path
-from .oracle import DEFAULT_BUDGET, GenSpec, canonical_cycle_family, generate
+from .oracle import GenSpec, canonical_cycle_family, generate
 from .rainbow_solver import classify_family, find_rainbow_matching
 from .reductions import (
     ResidueMultiset,
@@ -117,19 +118,14 @@ def _refuse_unread(args: argparse.Namespace, run: str, *flags: str) -> None:
 
 
 def _multiset_argument(args: argparse.Namespace, run: str) -> ResidueMultiset:
-    """The residue multiset to solve or classify, with its shift family's n
-    edges per distinct residue charged against the budget. Fewer than n
-    residues build no family, so they are not charged."""
+    """The residue multiset to solve or classify, from ``--input`` or from
+    ``--n`` and ``--elements``."""
     if args.input:
         _refuse_unread(args, f"{run} with --input", "--n", "--elements")
-        multiset = jsonio.multiset_from_obj(_load(args.input))
-    elif args.n is None or args.elements is None:
+        return jsonio.multiset_from_obj(_load(args.input))
+    if args.n is None or args.elements is None:
         raise InputError("need either --input or both --n and --elements")
-    else:
-        multiset = ResidueMultiset(args.n, _parse_elements(args.elements, "--elements"))
-    if len(multiset) >= multiset.modulus:
-        charge(multiset.modulus * len(set(multiset.elements)), "edges", _budget())
-    return multiset
+    return ResidueMultiset(args.n, _parse_elements(args.elements, "--elements"))
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:

@@ -304,7 +304,7 @@ def _witnesses(groups: _Groups) -> dict[NetNode, ColoredPath]:
 
 
 def find_multicolored_st_path(
-    family: PathGroupFamily, inner_count: int, budget: Optional[int] = None
+    family: PathGroupFamily, inner_count: int, budget: int = DEFAULT_BUDGET
 ) -> Optional[ColoredPath]:
     """Find a source-to-sink path using each group for at most one edge.
 
@@ -350,7 +350,7 @@ def _contraction_st_path(groups: _Groups) -> Optional[ColoredPath]:
 def iter_multicolored_st_paths(
     family: PathGroupFamily,
     classes: Optional[Sequence[Hashable]] = None,
-    budget: Optional[int] = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> Iterator[ColoredPath]:
     """Yield every multicolored source-to-sink path, in lexicographic order.
 
@@ -371,10 +371,10 @@ def iter_multicolored_st_paths(
     each step. So the yields are the first occurrence of each signature in
     the full enumeration, in the same order.
 
-    Each edge the search steps along costs one step of ``budget``, which
-    defaults to ``DEFAULT_BUDGET``; running out raises BudgetExceeded.
+    Each edge the search steps along costs one step of ``budget``; running
+    out raises BudgetExceeded.
     """
-    meter = Meter(DEFAULT_BUDGET if budget is None else budget)
+    meter = Meter(budget)
     groups = _groups(family)
     options = _edge_options(groups)
     nodes: list[NetNode] = [SOURCE]

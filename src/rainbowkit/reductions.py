@@ -7,7 +7,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .errors import DEFAULT_BUDGET, GuaranteeViolation, PreconditionError, RowDuplicateError
+from .errors import DEFAULT_BUDGET, GuaranteeViolation, PreconditionError, RowDuplicateError, charge
 from .graph_core import (
     Edge,
     Matching,
@@ -145,6 +145,12 @@ def egz_family(multiset: ResidueMultiset) -> MatchingFamily:
     return MatchingFamily(tuple(shifts[a] for a in multiset.elements))
 
 
+def _charge_shift_family(multiset: ResidueMultiset, budget: int) -> None:
+    """Charge n edges per distinct residue, unless fewer than n build none."""
+    if len(multiset) >= multiset.modulus:
+        charge(multiset.modulus * len(set(multiset.elements)), "edges", budget)
+
+
 def find_zero_sum_subset(multiset: ResidueMultiset,
                          budget: int = DEFAULT_BUDGET) -> Optional[tuple[int, ...]]:
     """A size-n sub-multiset summing to zero mod n, or None.
@@ -156,10 +162,13 @@ def find_zero_sum_subset(multiset: ResidueMultiset,
     GuaranteeViolation from the solver. Fewer than n elements hold no
     n-subset, so they return None before the shift family is built. The
     witness is re-verified (size, sum, sub-multiset) before it is returned.
-    The search runs under ``budget`` as in ``find_rainbow_matching``.
+    The shift family's n edges per distinct residue are charged against
+    ``budget`` before it is built, and the search runs under ``budget`` as
+    in ``find_rainbow_matching``.
     """
     if len(multiset) < multiset.modulus:
         return None
+    _charge_shift_family(multiset, budget)
     rainbow = find_rainbow_matching(egz_family(multiset), multiset.modulus, budget)
     return None if rainbow is None else _zero_sum_witness(multiset, rainbow)
 
@@ -198,8 +207,9 @@ def classify_multiset(multiset: ResidueMultiset,
     be n-1 copies each of two residues whose difference is coprime to n,
     which is exactly when classify_family finds the shift family's split
     2n-cycle. Anything else failing the solver raises TheoremViolation.
-    The search runs under ``budget`` as in ``find_rainbow_matching``.
+    ``budget`` acts as in ``find_zero_sum_subset``, charged before any check.
     """
+    _charge_shift_family(multiset, budget)
     n = multiset.modulus
     if n < 2:
         raise PreconditionError("classification needs modulus at least 2")

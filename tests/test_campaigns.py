@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import pytest
@@ -18,23 +19,26 @@ from rainbowkit.campaigns import THEOREMS, run_campaign
 from conftest import path
 
 
+SMALL_RUNS = [
+    ("drisko", {"n": 2, "samples": 50, "seed": 1}),
+    ("general", {"samples": 50, "seed": 2}),
+    ("bgs", {"n": 4, "samples": 50, "seed": 3}),
+    ("extremal", {"n": 2, "exhaustive": True}),
+    ("counting", {"samples": 50, "seed": 4}),
+    ("dichotomy", {"n": 2}),
+    ("egz", {"n": 3, "exhaustive": True}),
+    ("egz-extremal", {"n": 3, "exhaustive": True}),
+    ("transversal", {"n": 3, "samples": 50, "seed": 5}),
+    ("sharpness", {"n": 3}),
+]
+
+
 class TestRunCampaign:
     def test_unknown_theorem(self):
         with pytest.raises(PreconditionError):
             run_campaign("fermat")
 
-    @pytest.mark.parametrize("theorem,kwargs", [
-        ("drisko", {"n": 2, "samples": 50, "seed": 1}),
-        ("general", {"samples": 50, "seed": 2}),
-        ("bgs", {"n": 4, "samples": 50, "seed": 3}),
-        ("extremal", {"n": 2, "exhaustive": True}),
-        ("counting", {"samples": 50, "seed": 4}),
-        ("dichotomy", {"n": 2}),
-        ("egz", {"n": 3, "exhaustive": True}),
-        ("egz-extremal", {"n": 3, "exhaustive": True}),
-        ("transversal", {"n": 3, "samples": 50, "seed": 5}),
-        ("sharpness", {"n": 3}),
-    ])
+    @pytest.mark.parametrize("theorem,kwargs", SMALL_RUNS)
     def test_small_runs_are_clean(self, theorem, kwargs):
         report = run_campaign(theorem, **kwargs)
         assert report.theorem == theorem
@@ -111,7 +115,8 @@ class TestRunCampaign:
     ])
     def test_classifier_out_of_budget_is_not_a_violation(self, monkeypatch, theorem,
                                                           kwargs, classifier):
-        monkeypatch.setattr(campaigns, classifier, lambda instance: Meter(0).spend())
+        monkeypatch.setattr(campaigns, classifier,
+                            lambda instance, budget: Meter(0).spend())
         with pytest.raises(BudgetExceeded, match="^step budget exhausted$"):
             run_campaign(theorem, **kwargs)
 
@@ -121,7 +126,7 @@ class TestRunCampaign:
     ])
     def test_classifier_failure_is_a_violation(self, monkeypatch, theorem, kwargs,
                                                classifier, checked):
-        def fail(instance):
+        def fail(instance, budget):
             raise TheoremViolation("no verdict")
 
         monkeypatch.setattr(campaigns, classifier, fail)
@@ -184,6 +189,51 @@ class TestRunCampaign:
         assert set(THEOREMS) == {
             "drisko", "general", "bgs", "extremal", "counting", "dichotomy",
             "egz", "egz-extremal", "transversal", "sharpness"}
+
+
+class TestBudgetRouting:
+    """Every search, oracle and charge a campaign starts gets the campaign's
+    budget, so RAINBOWKIT_BUDGET means the same thing in every verb."""
+
+    SEARCHES = {"find_rainbow_matching", "classify_family", "classify_multiset",
+                "find_zero_sum_subset", "find_transversal", "brute_rainbow",
+                "brute_mc_path", "brute_reaches_sink", "brute_zero_sum",
+                "enumerate_multisets"}
+
+    @pytest.mark.parametrize("theorem,kwargs", SMALL_RUNS)
+    def test_every_call_gets_the_campaign_budget(self, monkeypatch, theorem, kwargs):
+        calls = []
+
+        def recording(name, function):
+            signature = inspect.signature(function)
+
+            def call(*args, **kw):
+                bound = signature.bind(*args, **kw)
+                bound.apply_defaults()
+                calls.append((name, bound.arguments["budget"]))
+                return function(*args, **kw)
+            return call
+
+        # every function campaigns imports that takes a budget
+        wrapped = set()
+        for name, value in vars(campaigns).items():
+            if (inspect.isfunction(value) and value.__module__ != campaigns.__name__
+                    and "budget" in inspect.signature(value).parameters):
+                monkeypatch.setattr(campaigns, name, recording(name, value))
+                wrapped.add(name)
+        assert self.SEARCHES <= wrapped
+        run_campaign(theorem, budget=99_999, **kwargs)
+        assert {name for name, _ in calls} & self.SEARCHES
+        assert [call for call in calls if call[1] != 99_999] == []
+
+    @pytest.mark.parametrize("theorem,checked", [
+        ("egz", (120, 146)), ("egz-extremal", (84, 102))])
+    def test_single_modulus_and_exhaustive_reports_differ(self, theorem, checked):
+        single = run_campaign(theorem, n=4)
+        every = run_campaign(theorem, n=4, exhaustive=True)
+        assert single.parameters == {"n": 4, "mode": "exhaustive"}
+        assert every.parameters == {"n_max": 4, "mode": "exhaustive"}
+        assert (single.instances_checked, every.instances_checked) == checked
 
 
 class TestBgsBound:

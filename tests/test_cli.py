@@ -212,7 +212,8 @@ class TestVerify:
         ("classify_multiset", ("egz-extremal", "--n", "3", "--exhaustive")),
     ])
     def test_classifier_budget_exit_three(self, capsys, monkeypatch, classifier, argv):
-        monkeypatch.setattr(campaigns, classifier, lambda instance: Meter(0).spend())
+        monkeypatch.setattr(campaigns, classifier,
+                            lambda instance, budget: Meter(0).spend())
         code, out, err = run_cli(capsys, "verify", *argv)
         assert (code, out, err) == (3, "", "budget: step budget exhausted\n")
 
@@ -465,6 +466,16 @@ class TestSearchBudget:
         monkeypatch.setenv("RAINBOWKIT_BUDGET", str(steps))
         assert run_cli(capsys, *argv)[0] == code
         monkeypatch.setenv("RAINBOWKIT_BUDGET", str(steps - 1))
+        assert run_cli(capsys, *argv) == (3, "", "budget: step budget exhausted\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("classify", "multiset", "--n", "5", "--elements", "0,0,0,0,1,1,1,1"),
+        ("verify", "egz-extremal", "--n", "5"),
+    ], ids=["classify", "verify"])
+    def test_campaign_searches_under_the_same_budget(self, capsys, monkeypatch, argv):
+        # verify egz-extremal --n 5 classifies this split 10-cycle among its
+        # 495 multisets; refuting it takes 2,581 steps in both verbs
+        monkeypatch.setenv("RAINBOWKIT_BUDGET", "1000")
         assert run_cli(capsys, *argv) == (3, "", "budget: step budget exhausted\n")
 
 

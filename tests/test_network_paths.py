@@ -288,17 +288,15 @@ class TestFindMulticoloredStPath:
 
 
 class TestExhaustiveBudget:
-    def test_one_step_per_extension(self, monkeypatch):
+    def test_one_step_per_extension(self):
         # three copies of a 4-edge path: 3 + 6 + 6 extensions, none reaching t
         fam = build_family([[path("s", 0, 1, 2, "t")]] * 3)
-        monkeypatch.setattr(network_paths, "DEFAULT_BUDGET", 15)
-        assert list(iter_multicolored_st_paths(fam)) == []
-        assert find_multicolored_st_path(fam, 3) is None
-        monkeypatch.setattr(network_paths, "DEFAULT_BUDGET", 14)
+        assert list(iter_multicolored_st_paths(fam, budget=15)) == []
+        assert find_multicolored_st_path(fam, 3, budget=15) is None
         with pytest.raises(BudgetExceeded):
-            list(iter_multicolored_st_paths(fam))
+            list(iter_multicolored_st_paths(fam, budget=14))
         with pytest.raises(BudgetExceeded):
-            find_multicolored_st_path(fam, 3)
+            find_multicolored_st_path(fam, 3, budget=14)
 
 
 def _reference_paths(family):

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from rainbowkit import (
+    BudgetExceeded,
     ExtremalPair,
     GenSpec,
     GuaranteeViolation,
@@ -135,6 +136,7 @@ class TestFindZeroSumSubset:
 
         monkeypatch.setattr(reductions, "egz_family", refuse)
         assert find_zero_sum_subset(ResidueMultiset(20000, tuple(range(100)))) is None
+        assert find_zero_sum_subset(ResidueMultiset(20000, tuple(range(100))), 1) is None
         assert find_zero_sum_subset(ResidueMultiset(1, ())) is None
 
     def test_sum_identity_on_random_witnesses(self):
@@ -181,6 +183,35 @@ class TestClassifyMultiset:
                     assert verdict == ExtremalPair(*pair)
                 else:
                     assert isinstance(verdict, HasZeroSum)
+
+
+class TestShiftFamilyCharge:
+    """find_zero_sum_subset and classify_multiset charge the shift family's
+    n edges per distinct residue against their own budget before building
+    it, so library callers are bounded like the CLI."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_family(self, monkeypatch):
+        def refuse(multiset):
+            raise AssertionError("shift family built")
+
+        monkeypatch.setattr(reductions, "egz_family", refuse)
+
+    @pytest.mark.parametrize("search", [find_zero_sum_subset, classify_multiset])
+    def test_edges_over_budget_refused_before_building(self, search):
+        # 198 residues mod 100, every residue present: 100 edges for each
+        multiset = ResidueMultiset(100, (*range(100), *range(98)))
+        with pytest.raises(BudgetExceeded, match="^10000 edges exceed the budget$"):
+            search(multiset, 9999)
+
+    def test_charge_comes_before_the_classification_checks(self):
+        # 100 residues mod 100 is the wrong size to classify, but the charge
+        # comes first
+        multiset = ResidueMultiset(100, tuple(range(100)))
+        with pytest.raises(BudgetExceeded, match="^10000 edges exceed the budget$"):
+            classify_multiset(multiset, 9999)
+        with pytest.raises(PreconditionError):
+            classify_multiset(multiset, 10000)
 
 
 class TestGuaranteeOwnedBySolver:

@@ -33,6 +33,10 @@ Sections:
 - ``slice``: the smaller, self-contained run that the test suite pins
   (``tests/test_differential.py``).
 
+Every section runs at the default budget, so none of them sees how a budget
+is routed; ``tests/test_campaigns.py`` checks that every search and oracle a
+campaign starts receives the campaign's budget.
+
 Inputs are drawn from seeded generators over sorted index lists, never from
 set iteration order, and every set or dict is serialized sorted, so the
 digests depend on what the code returns and not on hashing.
@@ -71,6 +75,7 @@ CAMPAIGNS = (
     ("egz", {"n": 4, "exhaustive": True}),
     ("egz", {"n": 6}),
     ("egz-extremal", {"n": 4, "exhaustive": True}),
+    ("egz-extremal", {"n": 4}),
     ("transversal", {"n": 4, "samples": 200, "seed": 6}),
     ("sharpness", {"n": 5}),
 )
