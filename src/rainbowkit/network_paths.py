@@ -71,7 +71,9 @@ class NetPath:
 
         Every path starts at the source and ends at the sink, so comparing
         keys compares node sequences under the ``node_key`` order: paths sort
-        by their inner nodes, and a path sorts before each of its extensions.
+        by their inner nodes, and since the sink's infinity sorts after every
+        inner node, a path sorts after each of its extensions (s->0->1->t
+        before s->0->t) and the direct path s->t sorts last.
         """
         return self.nodes[1:-1] + (math.inf,)
 
@@ -433,15 +435,17 @@ def is_regimented(paths: Iterable[NetPath]) -> Optional[Regimentation]:
     or None. A direct source-sink path can never occur in a regimented
     multiset (its class would need zero members).
     """
-    counter = Counter(paths)
-    reps = sorted(counter, key=NetPath.key)
-    for rep in reps:
-        if counter[rep] != rep.edge_count - 1:
+    # copies counted by node tuple, whose hash runs in C, and classes sorted
+    # by the NetPath.key of their nodes
+    copies = Counter([p.nodes for p in paths])
+    reps = sorted(copies, key=lambda nodes: nodes[1:-1] + (math.inf,))
+    for nodes in reps:
+        if copies[nodes] != len(nodes) - 2:
             return None
-    inner = [rep.nodes[1:-1] for rep in reps]
+    inner = [nodes[1:-1] for nodes in reps]
     if len(set().union(*inner)) != sum(map(len, inner)):
         return None
-    return Regimentation(tuple((rep, counter[rep]) for rep in reps))
+    return Regimentation(tuple((NetPath(nodes), copies[nodes]) for nodes in reps))
 
 
 def verify_regimented_dichotomy(

@@ -92,11 +92,14 @@ def _first_reached(family: PathGroupFamily, budget: int,
     yield each node other than the source, with the mask of the state that
     first reaches it, when that state is found.
 
-    ``links`` fills with each reached state's predecessor node and the color
-    of the edge taken from it; the predecessor's mask is the state's mask
-    without that color. Every option examined costs one step of ``budget``.
-    Options are walked as sorted lists, so the order, and with it the step at
-    which the budget runs out, is the same under every hash seed.
+    ``links`` (empty on entry) fills with each reached state's predecessor
+    node and the color of the edge taken from it; the predecessor's mask is
+    the state's mask without that color. Every option examined costs one
+    step of ``budget``. Options are walked as sorted lists, so the order, and
+    with it the step at which the budget runs out, is the same under every
+    hash seed. The search returns right after it yields the last node that
+    some option enters: the states it would still expand could reach no new
+    node. When some such node is unreachable, every state is expanded.
     """
     edges: set[tuple[float, float, int, NetNode, NetNode]] = set()
     for color, group in enumerate(family.groups):
@@ -108,6 +111,8 @@ def _first_reached(family: PathGroupFamily, budget: int,
     for _, _, color, u, v in sorted(edges):
         options.setdefault(u, []).append(
             (v, color, 1 << color, links.setdefault(v, {})))
+    # every node that some option enters, and so might still be reached
+    unreached = len(links)
     left = budget
     queue = [(SOURCE, 0)]
     # the sink has no options, so its states cost no step once queued
@@ -124,6 +129,9 @@ def _first_reached(family: PathGroupFamily, budget: int,
             into[mask] = (u, c)
             if len(into) == 1:
                 yield v, mask
+                unreached -= 1
+                if not unreached:
+                    return
             queue.append((v, mask))
 
 
@@ -132,10 +140,12 @@ def brute_mc_path(family: PathGroupFamily,
     """Exact reachability: every node with some multicolored path from the
     source, each with a witness.
 
-    Breadth-first over (node, used-color-set) states. Any walk with distinct
-    edge colors contains a simple path with the same property (cut out the
+    Breadth-first over (node, used-color-set) states, stopped once every
+    node that some path enters has its witness. Any walk with distinct edge
+    colors contains a simple path with the same property (cut out the
     loops), so node revisits need no tracking; the first witness recorded per
-    node is shortest and therefore simple.
+    node is shortest and therefore simple. The map lists the nodes in the
+    order the search first reaches them, after the source.
     """
     links: _Links = {}
     firsts = list(_first_reached(family, budget, links))

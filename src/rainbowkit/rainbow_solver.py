@@ -74,21 +74,23 @@ def build_contracted_network(
     Returns the network family, the inner node count, and the translation
     needed to pull a network witness back to graph edges.
     """
-    matched = tuple(sorted(assignment.values()))
+    # left indices are distinct within a matching, so this is the edge order
+    matched = tuple(sorted(assignment.values(), key=lambda e: e.left.index))
     base = Matching(frozenset(matched))
     # a matching's right indices are distinct, so each names its edge's node
     node_of = {e.right.index: i for i, e in enumerate(matched)}
 
-    # colors holding equal members share one walk and one translation
-    translated: dict[Matching, _Translated] = {}
+    # colors holding equal members share one walk and one translation; the
+    # lookup keys by the edge set, whose frozenset hash is cached
+    translated: dict[frozenset[Edge], _Translated] = {}
     found: list[_Translated] = []
     for color, member in enumerate(family):
         if color in assignment:
             found.append(_EMPTY)
             continue
-        done = translated.get(member)
+        done = translated.get(member.edges)
         if done is None:
-            done = translated[member] = _translate(base, member, node_of)
+            done = translated[member.edges] = _translate(base, member, node_of)
         found.append(done)
 
     groups, pullbacks = zip(*found) if found else ((), ())

@@ -60,3 +60,47 @@ def test_refuses_incorrect_or_failed_runs(bad, message):
 def test_refuses_no_pairs():
     with pytest.raises(ab.Refused):
         ab.summarize(END_TO_END, [])
+
+
+def _pairs(rates, p50=1.0):
+    """Pairs of (parent, change) rates, with one fixed p50 on both sides."""
+    return [(_line(p, p50), _line(c, p50)) for p, c in rates]
+
+
+def test_gain_needs_nine_of_ten_wins_beyond_the_parents_spread():
+    # parent 100..109 has q3 - q1 = 5.5; the change is 10 higher per pair
+    rates = [(100 + i, 110 + i) for i in range(10)]
+    assert ab.verdicts(END_TO_END, _pairs(rates)) == [
+        "instances_per_s: gain", "verdict_ms_p50: unresolved"]
+    # one loss of ten still wins 9/10
+    lost = [(109, 100)] + rates[1:]
+    assert ab.verdicts(END_TO_END, _pairs(lost))[0] == "instances_per_s: gain"
+    # two losses of ten do not
+    lost2 = [(109, 100), (108, 100)] + rates[2:]
+    assert ab.verdicts(END_TO_END, _pairs(lost2))[0] == "instances_per_s: unresolved"
+
+
+def test_winning_every_pair_within_the_spread_is_unresolved():
+    # the change wins all ten by 2, less than the parent's q3 - q1 of 5.5
+    rates = [(100 + i, 102 + i) for i in range(10)]
+    assert ab.verdicts(END_TO_END, _pairs(rates))[0] == "instances_per_s: unresolved"
+
+
+def test_worse_beyond_the_bound_in_either_direction():
+    # rate 15% bound: a median 20% lower is worse, 10% lower is not
+    assert ab.verdicts(END_TO_END, _pairs([(100, 80)] * 3))[0] == "instances_per_s: worse"
+    assert ab.verdicts(END_TO_END, _pairs([(100, 90)] * 3))[0] == \
+        "instances_per_s: unresolved"
+    # p50 is lower-is-better with a 20% bound: 1.3 against 1.0 is worse, and
+    # 0.7 against 1.0 on a flat parent is a gain
+    slower = [(_line(100, 1.0), _line(100, 1.3))] * 3
+    faster = [(_line(100, 1.0), _line(100, 0.7))] * 3
+    assert ab.verdicts(END_TO_END, slower)[1] == "verdict_ms_p50: worse"
+    assert ab.verdicts(END_TO_END, faster)[1] == "verdict_ms_p50: gain"
+
+
+def test_verdicts_refuse_like_the_summary():
+    with pytest.raises(ab.Refused, match="run not correct"):
+        ab.verdicts(END_TO_END, [(_line(100, 1.0, correct=False), _line(100, 1.0))])
+    with pytest.raises(ab.Refused):
+        ab.verdicts(END_TO_END, [])

@@ -68,6 +68,11 @@ class TestScalarOrder:
         assert sorted(paths, key=NetPath.key) == sorted(
             paths, key=lambda p: tuple(_pair_key(v) for v in p.nodes))
 
+    def test_a_path_sorts_after_its_extensions(self):
+        # the sink's infinity sorts after every inner node
+        s0t, s01t, st_ = path("s", 0, "t"), path("s", 0, 1, "t"), path("s", "t")
+        assert sorted([st_, s0t, s01t], key=NetPath.key) == [s01t, s0t, st_]
+
 
 class TestBuildFamily:
     def test_single_path(self):
@@ -417,6 +422,17 @@ class TestEmptyGroupPadding:
                 node: _relabel(w, positions) for node, w in search(fam).items()}
 
 
+@st.composite
+def _regimented_lists(draw):
+    """Innerly disjoint runs of 1-6 shuffled inner nodes, each path repeated
+    once per inner node, in shuffled order."""
+    order = draw(st.permutations(range(6)))[:draw(st.integers(1, 6))]
+    cuts = sorted(draw(st.sets(st.integers(1, len(order) - 1)))) if len(order) > 1 else []
+    runs = [order[a:b] for a, b in zip([0, *cuts], [*cuts, len(order)])]
+    paths = [NetPath(("s", *run, "t")) for run in runs for _ in run]
+    return draw(st.permutations(paths))
+
+
 class TestRegimented:
     def test_two_identical_copies(self):
         reg = is_regimented([path("s", 0, 1, "t"), path("s", 0, 1, "t")])
@@ -439,6 +455,20 @@ class TestRegimented:
 
     def test_direct_path_never_regimented(self):
         assert is_regimented([path("s", "t")]) is None
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.one_of(st.lists(_paths, max_size=8), _regimented_lists()))
+    def test_classes_in_key_order_equal_to_the_callers_paths(self, paths):
+        # read from a generator, which can be read once
+        counter = Counter(paths)
+        reg = is_regimented(p for p in paths)
+        if reg is not None:
+            assert list(reg.classes) == [
+                (rep, counter[rep]) for rep in sorted(counter, key=NetPath.key)]
+        regimented = all(c == rep.edge_count - 1 for rep, c in counter.items()) \
+            and len({v for rep in counter for v in rep.nodes[1:-1]}) == \
+            sum(rep.edge_count - 1 for rep in counter)
+        assert (reg is not None) == regimented
 
 
 class TestDichotomy:

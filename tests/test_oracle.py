@@ -87,16 +87,20 @@ def _singletons(raw) -> PathGroupFamily:
 
 # Two five-path dichotomy multisets, the first traversable and the second
 # regimented, with the exact step counts at which the search completes and at
-# which it first reaches the sink (never, for the regimented one).
+# which it first reaches the sink (never, for the regimented one). The
+# traversable search completes on reaching the sink, its last node; the
+# regimented one, and the pair whose node 2 is unreachable, expand every state.
 TRAVERSABLE = (("s", 0, 1, 2, 3, 4, "t"), ("s", 4, 3, 2, 1, 0, "t"),
                ("s", 2, 0, 4, "t"), ("s", 1, 3, "t"), ("s", 3, 1, 4, "t"))
 REGIMENTED = (("s", 2, 0, "t"),) * 2 + (("s", 1, 4, 3, "t"),) * 3
+UNREACHABLE_NODE = (("s", 0, 1, 2, "t"), ("s", 0, "t"))
 
 
 class TestOracleBudget:
     @pytest.mark.parametrize("raw, complete, to_sink",
-                             [(TRAVERSABLE, 123, 8), (REGIMENTED, 32, 32)],
-                             ids=["traversable", "regimented"])
+                             [(TRAVERSABLE, 8, 8), (REGIMENTED, 32, 32),
+                              (UNREACHABLE_NODE, 7, 4)],
+                             ids=["traversable", "regimented", "unreachable-node"])
     def test_one_step_per_option_examined(self, raw, complete, to_sink):
         fam = _singletons(raw)
         reach = brute_mc_path(fam, complete)
@@ -138,6 +142,42 @@ def dichotomy_multisets(draw):
     raw = draw(st.lists(interior, min_size=inner, max_size=inner).filter(
         lambda runs: len({v for run in runs for v in run}) == inner))
     return _singletons(("s", *run, "t") for run in raw)
+
+
+def _full_breadth_first(fam: PathGroupFamily) -> list[tuple]:
+    """(node, witness nodes, witness colors) in first-reached order, from a
+    breadth-first search over (node, used colors) states that expands every
+    state, with each node's options in (head, color) order."""
+    def rank(v):
+        return -1 if v == SOURCE else math.inf if v == SINK else v
+
+    edges = sorted({(rank(u), rank(v), c, u, v)
+                    for c, group in enumerate(fam.groups)
+                    for p in group.paths for u, v in zip(p.nodes, p.nodes[1:])})
+    first = {SOURCE: ((SOURCE,), ())}
+    seen = {(SOURCE, frozenset())}
+    queue = [(SOURCE, (SOURCE,), ())]
+    for u, nodes, colors in queue:
+        for _, _, c, tail, v in edges:
+            if tail != u or c in colors:
+                continue
+            state = (v, frozenset((*colors, c)))
+            if state in seen:
+                continue
+            seen.add(state)
+            reached = (nodes + (v,), colors + (c,))
+            first.setdefault(v, reached)
+            queue.append((v, *reached))
+    return [(v, *witness) for v, witness in first.items()]
+
+
+class TestBruteMcPathStopsEarly:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.one_of(networks(), dichotomy_multisets()))
+    def test_equals_the_full_search(self, fam):
+        reach = brute_mc_path(fam)
+        assert [(v, w.nodes, w.colors) for v, w in reach.items()] == \
+            _full_breadth_first(fam)
 
 
 class TestBruteReachesSink:

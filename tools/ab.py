@@ -11,7 +11,13 @@ operations stops the tool before anything is summarized. Then, for each
 end-to-end metric of ``BENCHMARK.json``, stdout gets each side's median and
 quartiles (``statistics.quantiles(values, n=4)``), the pairs the change won
 (ties count for neither side) and the change of the medians relative to the
-parent's.
+parent's, and after those lines one verdict per metric:
+
+- ``gain`` when the change won at least 9 of every 10 pairs and its median
+  is better than the parent's by more than the parent's q3 - q1;
+- ``worse`` when its median is worse than the parent's by more than the
+  metric's ``bound`` (a fraction of the parent's median);
+- ``unresolved`` otherwise.
 
 The tool reads ``BENCHMARK.json`` beside this directory and the result lines
 the benchmark prints; it imports nothing from the benchmark.
@@ -51,28 +57,51 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def _compared(end_to_end: list[dict], pairs: list[tuple[str, str]]):
+    """Per end-to-end metric: the metric, the sign that makes "better"
+    positive, the pairs the change won, and each side's quartiles. Raises
+    Refused when any run is refused, before anything is yielded."""
+    runs = [(parse_result(parent), parse_result(change)) for parent, change in pairs]
+    if not runs:
+        raise Refused("no pairs to summarize")
+    for metric in end_to_end:
+        name = metric["name"]
+        parent = [p[name] for p, _ in runs]
+        change = [c[name] for _, c in runs]
+        sign = 1 if metric["better"] == "higher" else -1
+        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        yield metric, sign, wins, _quartiles(parent), _quartiles(change)
+
+
 def summarize(end_to_end: list[dict], pairs: list[tuple[str, str]]) -> list[str]:
     """One line per end-to-end metric over ``pairs`` of (parent, change)
     result lines; ``end_to_end`` is the ``BENCHMARK.json`` list of the same
     name. Raises Refused when any run is refused, before any line is made."""
-    runs = [(parse_result(parent), parse_result(change)) for parent, change in pairs]
-    if not runs:
-        raise Refused("no pairs to summarize")
     lines = []
-    for metric in end_to_end:
-        name, better = metric["name"], metric["better"]
-        parent = [p[name] for p, _ in runs]
-        change = [c[name] for _, c in runs]
-        sign = 1 if better == "higher" else -1
-        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-        p1, pm, p3 = _quartiles(parent)
-        c1, cm, c3 = _quartiles(change)
+    for metric, _, wins, (p1, pm, p3), (c1, cm, c3) in _compared(end_to_end, pairs):
         relative = f"{(cm - pm) / pm:+.1%}" if pm else "n/a"
         lines.append(
-            f"{name} [{metric['unit']}, {better} is better]: "
+            f"{metric['name']} [{metric['unit']}, {metric['better']} is better]: "
             f"parent {pm:.6g} (q1 {p1:.6g}, q3 {p3:.6g}); "
             f"change {cm:.6g} (q1 {c1:.6g}, q3 {c3:.6g}); "
-            f"change won {wins}/{len(runs)}; median {relative} of the parent's")
+            f"change won {wins}/{len(pairs)}; median {relative} of the parent's")
+    return lines
+
+
+def verdicts(end_to_end: list[dict], pairs: list[tuple[str, str]]) -> list[str]:
+    """One ``name: gain|worse|unresolved`` line per end-to-end metric, by the
+    rules in this module's docstring; the metrics need their ``bound``.
+    Raises Refused when any run is refused, before any line is made."""
+    lines = []
+    for metric, sign, wins, (p1, pm, p3), (_, cm, _) in _compared(end_to_end, pairs):
+        better_by = sign * (cm - pm)
+        if 10 * wins >= 9 * len(pairs) and better_by > p3 - p1:
+            verdict = "gain"
+        elif -better_by > metric["bound"] * pm:
+            verdict = "worse"
+        else:
+            verdict = "unresolved"
+        lines.append(f"{metric['name']}: {verdict}")
     return lines
 
 
@@ -110,6 +139,7 @@ def main(argv: list[str] | None = None) -> int:
                 parse_result(sides[side])
             pairs.append((sides["parent"], sides["change"]))
         lines = summarize(spec["end_to_end"], pairs)
+        lines += verdicts(spec["end_to_end"], pairs)
     except Refused as refused:
         print(f"ab: refused: {refused}", file=sys.stderr)
         return 1
