@@ -7,7 +7,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
     DEFAULT_BUDGET,
@@ -39,23 +39,56 @@ from .network_paths import (
 )
 
 
-@dataclass(frozen=True, eq=False)
 class NetworkTranslation:
     """Bookkeeping that links a contracted network back to the bipartite graph.
 
     ``matched_edges`` lists the current rainbow edges in order; inner node i
-    of the network stands for ``matched_edges[i]``. ``pullback`` maps, per
-    color, each network edge to the graph edges behind it: one edge for an
-    edge into or out of an inner node, and every single-edge augmenting path,
-    sorted, for the direct source-sink edge.
+    of the network stands for ``matched_edges[i]``. ``pullback(color)`` maps
+    each network edge of the color's group to the graph edges behind it: one
+    edge for an edge into or out of an inner node, and every single-edge
+    augmenting path, sorted, for the direct source-sink edge. It is empty
+    when the group is. The network is built without these maps: the first
+    color of a class to ask translates the class member's augmenting paths
+    against the matching, once for every color of the class.
     """
 
-    matched_edges: tuple[Edge, ...]
-    pullback: tuple[_Pullback, ...]
+    __slots__ = ("matched_edges", "_groups", "_family", "_first", "_node_of",
+                 "_base", "_pulled")
+
+    def __init__(self, matched_edges: tuple[Edge, ...], groups: tuple[PathGroup, ...],
+                 family: MatchingFamily, first: Sequence[int],
+                 node_of: dict[int, int]) -> None:
+        self.matched_edges = matched_edges
+        self._groups = groups
+        self._family = family
+        self._first = first
+        self._node_of = node_of
+        self._base: Optional[Matching] = None
+        self._pulled: dict[int, _Pullback] = {}
+
+    def pullback(self, color: int) -> _Pullback:
+        if not self._groups[color].paths:
+            return {}
+        k = self._first[color]
+        pulled = self._pulled.get(k)
+        if pulled is None:
+            if self._base is None:
+                self._base = Matching(frozenset(self.matched_edges))
+            pulled = self._pulled[k] = _pull_back(
+                self._base, self._family[k], self._node_of)
+        return pulled
+
+
+_Pullback = dict[tuple[NetNode, NetNode], tuple[Edge, ...]]
+_MemberMap = dict[int, int]
+_EMPTY = PathGroup(())
+_DIRECT = NetPath((SOURCE, SINK))
 
 
 def build_contracted_network(
-    family: MatchingFamily, assignment: Mapping[int, Edge]
+    family: MatchingFamily, assignment: Mapping[int, Edge],
+    first: Optional[Sequence[int]] = None,
+    maps: Optional[Mapping[int, _MemberMap]] = None,
 ) -> tuple[PathGroupFamily, int, NetworkTranslation]:
     """Translate every augmenting path of every color outside ``assignment``
     into a network over one inner node per edge of the partial rainbow
@@ -69,49 +102,87 @@ def build_contracted_network(
     the augmenting paths of one color are vertex disjoint, each group is
     innerly disjoint, and only the direct edge can be shared by several paths
     of a color. Group c of the network is color c of the family; it is empty
-    when c is in ``assignment`` or has no augmenting path.
+    when c is in ``assignment`` or has no augmenting path. A group's paths
+    are sorted by ``NetPath.key``, so the direct path comes last.
+
+    ``first`` maps each color to the first color of its member's class, and
+    ``maps[k]`` is class k's member as a left -> right index map in left
+    order; a search passes the ones it built, and a direct call leaves both
+    out to have them built here. The network is an integer walk over those
+    maps, one per class outside ``assignment``, whose colors share one
+    group; the walk builds no edges. Graph edges come back only through the
+    translation's ``pullback``, built on first use per class.
 
     Returns the network family, the inner node count, and the translation
     needed to pull a network witness back to graph edges.
     """
+    if first is None or maps is None:
+        first, maps = _member_maps(family)
     # left indices are distinct within a matching, so this is the edge order
-    matched = tuple(sorted(assignment.values(), key=lambda e: e.left.index))
-    base = Matching(frozenset(matched))
+    matched = tuple(sorted(assignment.values(), key=_left_index))
     # a matching's right indices are distinct, so each names its edge's node
     node_of = {e.right.index: i for i, e in enumerate(matched)}
+    left_of = [e.left.index for e in matched]
+    taken = set(left_of)
 
-    # colors holding equal members share one walk and one translation; the
-    # lookup keys by the edge set, whose frozenset hash is cached
-    translated: dict[frozenset[Edge], _Translated] = {}
-    found: list[_Translated] = []
-    for color, member in enumerate(family):
+    walked: dict[int, PathGroup] = {}
+    groups: list[PathGroup] = []
+    for color, k in enumerate(first):
         if color in assignment:
-            found.append(_EMPTY)
+            groups.append(_EMPTY)
             continue
-        done = translated.get(member.edges)
-        if done is None:
-            done = translated[member.edges] = _translate(base, member, node_of)
-        found.append(done)
+        group = walked.get(k)
+        if group is None:
+            group = walked[k] = _walk(maps[k], node_of, left_of, taken)
+        groups.append(group)
 
-    groups, pullbacks = zip(*found) if found else ((), ())
-    translation = NetworkTranslation(matched, pullbacks)
+    groups = tuple(groups)
+    translation = NetworkTranslation(matched, groups, family, first, node_of)
     return PathGroupFamily(groups), len(matched), translation
 
 
-_Pullback = dict[tuple[NetNode, NetNode], tuple[Edge, ...]]
-_Translated = tuple[PathGroup, _Pullback]
-_EMPTY: _Translated = (PathGroup(()), {})
+def _left_index(e: Edge) -> int:
+    return e.left.index
 
 
-def _translate(
-    base: Matching, member: Matching, node_of: dict[int, int]
-) -> _Translated:
-    """One member's network group and pull-back map, both empty when it has
-    no augmenting path. ``node_of`` maps the right index of each matched edge
-    to its inner node."""
+def _walk(member: _MemberMap, node_of: dict[int, int], left_of: list[int],
+          taken: set[int]) -> PathGroup:
+    """One member's network group: the inner nodes of each of its augmenting
+    paths, walked from every left index ``taken`` leaves free. ``node_of``
+    maps the right index of each matched edge to its inner node, and
+    ``left_of`` each inner node to its matched edge's left index."""
+    runs: list[list[int]] = []
+    direct = False
+    for left, right in member.items():
+        if left in taken:
+            continue
+        node = node_of.get(right)
+        if node is None:
+            direct = True
+            continue
+        run = []
+        while node is not None:
+            run.append(node)
+            right = member.get(left_of[node])
+            if right is None:
+                break  # the path stops at a matched left: not augmenting
+            node = node_of.get(right)
+        else:
+            runs.append(run)
+    # the paths are vertex disjoint, so their first inner nodes differ and
+    # decide the order of their keys
+    runs.sort()
+    paths = [NetPath((SOURCE, *run, SINK)) for run in runs]
+    if direct:
+        paths.append(_DIRECT)
+    return PathGroup(tuple(paths))
+
+
+def _pull_back(base: Matching, member: Matching, node_of: dict[int, int]) -> _Pullback:
+    """The graph edges behind each network edge of ``member``'s group, read
+    from its augmenting paths against ``base``."""
     pullback: _Pullback = {}
     direct: list[Edge] = []
-    nets: list[NetPath] = []
     for alt in augmenting_paths(base, member):
         # augmenting paths start at their left endpoint, outside the matching
         free = alt[0::2]
@@ -119,15 +190,11 @@ def _translate(
             direct.append(free[0])
             continue
         nodes = (SOURCE, *(node_of[e.right.index] for e in alt[1::2]), SINK)
-        nets.append(NetPath(nodes))
         pullback.update(zip(zip(nodes, nodes[1:]), ((e,) for e in free)))
-    # the direct edge's key (inf,) sorts after every other path's; its edges
-    # arrive by left endpoint, which is their sorted order
-    nets.sort(key=NetPath.key)
+    # the direct edges arrive by left endpoint, which is their sorted order
     if direct:
-        nets.append(NetPath((SOURCE, SINK)))
         pullback[(SOURCE, SINK)] = tuple(direct)
-    return PathGroup(tuple(nets)), pullback
+    return pullback
 
 
 def find_rainbow_matching(
@@ -145,7 +212,10 @@ def find_rainbow_matching(
     exhaustive: None means no rainbow matching of the requested size exists.
     A state's memo key is the set of (first color of its member's class, left
     index, right index) triples, one per edge, so states that differ only by
-    permuting colors of identical matchings share one entry.
+    permuting colors of identical matchings share one entry. Each class's
+    member is indexed once per search, as a left -> right index map that
+    every network of the search walks; graph edges are pulled back only for
+    the classes a tried witness uses.
 
     Each search state costs one step of ``budget``, whether it is expanded
     or refuted by the memo before it is built; running out raises
@@ -159,11 +229,10 @@ def find_rainbow_matching(
         return RainbowMatching(())
     result = None
     if size <= len(family):
-        classes = _member_classes(family)
-        first = [classes[member][0] for member in family]
+        first, maps = _member_maps(family)
         meter = Meter(budget)
         meter.spend()  # the empty state
-        result = _grow(family, {}, frozenset(), size, first, set(), meter)
+        result = _grow(family, {}, frozenset(), size, first, maps, set(), meter)
         if result is None and drisko_condition(family.sizes, size):
             raise GuaranteeViolation(
                 "size-threshold condition holds but the search failed")
@@ -181,7 +250,22 @@ def _member_classes(family: MatchingFamily) -> dict[Matching, list[int]]:
     return classes
 
 
-def _grow(family, assignment, key, target, first, dead, meter) -> Optional[RainbowMatching]:
+def _member_maps(family: MatchingFamily) -> tuple[list[int], dict[int, _MemberMap]]:
+    """The first color of each color's class, and each class's member as a
+    left -> right index map in left order, keyed by that first color."""
+    first = [0] * len(family)
+    maps: dict[int, _MemberMap] = {}
+    for colors in _member_classes(family).values():
+        k = colors[0]
+        for c in colors:
+            first[c] = k
+        edges = sorted(family[k].edges, key=_left_index)
+        maps[k] = {e.left.index: e.right.index for e in edges}
+    return first, maps
+
+
+def _grow(family, assignment, key, target, first, maps, dead,
+          meter) -> Optional[RainbowMatching]:
     """Extend the partial rainbow matching ``assignment`` (color -> edge), whose
     memo key ``key`` is not dead, to ``target`` edges, or mark ``key`` dead
     and return None.
@@ -195,12 +279,13 @@ def _grow(family, assignment, key, target, first, dead, meter) -> Optional[Rainb
     is enumerated; when it fails, its color permutations are charged in one
     bulk spend, one step per child each would have made.
     """
-    network, inner_count, translation = build_contracted_network(family, assignment)
+    network, inner_count, translation = build_contracted_network(
+        family, assignment, first, maps)
     # a child of ``target`` edges is a solution and needs no key
     last = len(assignment) + 1 == target
     free = None  # per class, how many of its colors are outside the assignment
     for witness in _witnesses(network, inner_count, first):
-        choices = [translation.pullback[c][step]
+        choices = [translation.pullback(c)[step]
                    for step, c in zip(witness.edges, witness.colors)]
         # the assignment is a matching, so a right index names one of its edges
         removed = {translation.matched_edges[v].right.index for v in witness.nodes[1:-1]}
@@ -224,7 +309,7 @@ def _grow(family, assignment, key, target, first, dead, meter) -> Optional[Rainb
             assert len({e.right.index for e in child.values()}) == len(child)
             if last:
                 return RainbowMatching(tuple(child.items()))
-            result = _grow(family, child, child_key, target, first, dead, meter)
+            result = _grow(family, child, child_key, target, first, maps, dead, meter)
             if result is not None:
                 return result
         # the witness's other colorings within its classes have these

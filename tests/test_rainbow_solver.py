@@ -8,9 +8,11 @@ from rainbowkit import (
     BudgetExceeded,
     ExtremalCycle,
     ExtremalPair,
+    GenSpec,
     HasRainbow,
     Matching,
     MatchingFamily,
+    NetPath,
     PathGroup,
     PreconditionError,
     ResidueMultiset,
@@ -25,6 +27,7 @@ from rainbowkit import (
     egz_family,
     enumerate_matchings,
     find_rainbow_matching,
+    generate,
     rainbow_is_valid,
     validate_matching,
 )
@@ -49,12 +52,12 @@ class TestBuildContractedNetwork:
         assert inner == 0
         assert [tuple(p.nodes for p in g.paths) for g in network.groups] == [
             (("s", "t"),)]
-        assert translation.pullback[0] == {("s", "t"): (edge(0, 0),)}
+        assert translation.pullback(0) == {("s", "t"): (edge(0, 0),)}
         # every color represented: one empty group over the one matched edge
         network, inner, translation = build_contracted_network(
             family([edge(0, 0)]), {0: edge(0, 0)})
-        assert (network.groups, inner, translation.pullback) == (
-            (PathGroup(()),), 1, ({},))
+        assert (network.groups, inner, translation.pullback(0)) == (
+            (PathGroup(()),), 1, {})
 
     def test_one_matched_edge_translates_long_path(self):
         fam = family([edge(0, 1), edge(1, 0)], [edge(0, 0)], [edge(2, 2)])
@@ -63,10 +66,10 @@ class TestBuildContractedNetwork:
         # group c is color c; the represented color 1 keeps an empty group
         assert [tuple(p.nodes for p in g.paths) for g in network.groups] == [
             (("s", 0, "t"),), (), (("s", "t"),)]
-        assert translation.pullback == (
+        assert [translation.pullback(c) for c in range(3)] == [
             {("s", 0): (edge(1, 0),), (0, "t"): (edge(0, 1),)},
             {},
-            {("s", "t"): (edge(2, 2),)})
+            {("s", "t"): (edge(2, 2),)}]
 
     def test_cycle_color_contributes_no_paths(self, even3, odd3):
         fam = MatchingFamily((even3, even3, even3, odd3))
@@ -75,9 +78,32 @@ class TestBuildContractedNetwork:
         assert inner == 3
         # colors 0-2 are represented and color 3 has no augmenting path
         assert network.groups == (PathGroup(()),) * 4
-        assert translation.pullback == ({},) * 4
+        assert [translation.pullback(c) for c in range(4)] == [{}] * 4
 
-    def test_equal_members_share_one_walk(self, monkeypatch):
+    @staticmethod
+    def _shared_family():
+        # three equal but separate member objects, another member, and the
+        # represented color 4
+        shared = [family([edge(0, 1), edge(1, 0), edge(2, 2)])[0] for _ in range(3)]
+        assert shared[0] is not shared[1] and shared[1] is not shared[2]
+        return MatchingFamily((*shared, *family([edge(1, 1)], [edge(0, 0)])))
+
+    def test_equal_members_share_one_walk(self):
+        fam = self._shared_family()
+        network, inner, translation = build_contracted_network(fam, {4: edge(0, 0)})
+        assert inner == 1
+        assert [tuple(p.nodes for p in g.paths) for g in network.groups] == [
+            (("s", 0, "t"), ("s", "t"))] * 3 + [(("s", "t"),), ()]
+        # one group object and one pull-back object for the three equal members
+        assert network.groups[0] is network.groups[1] is network.groups[2]
+        assert translation.pullback(0) is translation.pullback(1)
+        assert translation.pullback(1) is translation.pullback(2)
+        assert translation.matched_edges == (edge(0, 0),)
+        assert [translation.pullback(c) for c in range(5)] == [
+            {("s", 0): (edge(1, 0),), (0, "t"): (edge(0, 1),),
+             ("s", "t"): (edge(2, 2),)}] * 3 + [{("s", "t"): (edge(1, 1),)}, {}]
+
+    def test_augmenting_paths_run_once_per_class_read(self, monkeypatch):
         walked = []
 
         def counted(base, other):
@@ -85,20 +111,35 @@ class TestBuildContractedNetwork:
             return augmenting_paths(base, other)
 
         monkeypatch.setattr(rainbow_solver, "augmenting_paths", counted)
-        # three equal but separate member objects, another member, and the
-        # represented color 4
-        shared = [family([edge(0, 1), edge(1, 0), edge(2, 2)])[0] for _ in range(3)]
-        assert shared[0] is not shared[1] and shared[1] is not shared[2]
-        fam = MatchingFamily((*shared, *family([edge(1, 1)], [edge(0, 0)])))
+        fam = self._shared_family()
         network, inner, translation = build_contracted_network(fam, {4: edge(0, 0)})
+        # the network itself needs no augmenting path
+        assert walked == []
+        for c in (2, 1, 0, 2):
+            translation.pullback(c)
+        # the first color of the class stands for it, whichever color asked
+        assert walked == [fam[0]] and walked[0] is fam[0]
+        translation.pullback(3)
+        translation.pullback(4)  # represented: an empty group, nothing to read
         assert walked == [fam[0], fam[3]]
-        assert inner == 1
-        assert [tuple(p.nodes for p in g.paths) for g in network.groups] == [
-            (("s", 0, "t"), ("s", "t"))] * 3 + [(("s", "t"),), ()]
-        assert translation.matched_edges == (edge(0, 0),)
-        assert translation.pullback == (
-            {("s", 0): (edge(1, 0),), (0, "t"): (edge(0, 1),),
-             ("s", "t"): (edge(2, 2),)},) * 3 + ({("s", "t"): (edge(1, 1),)}, {})
+
+    def test_drisko_solve_reads_four_pullbacks_over_three_networks(self, monkeypatch):
+        # three networks for the solve, and a pull-back only for each class
+        # that a tried witness uses; translating every class of every
+        # network took 12 augmenting-path calls
+        calls = {"augmenting_paths": 0, "build_contracted_network": 0}
+        for name in calls:
+            original = getattr(rainbow_solver, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(rainbow_solver, name, counted)
+        fam = generate(GenSpec.family_uniform(3, 5, 4, 7))
+        found = find_rainbow_matching(fam, 3)
+        assert found is not None and rainbow_is_valid(found, fam)
+        assert calls == {"augmenting_paths": 4, "build_contracted_network": 3}
 
 
 class TestFindRainbowMatching:
@@ -230,6 +271,28 @@ def families_with_assignments(draw):
     return fam, assignment
 
 
+def _reference_translation(base, member, node_of):
+    """One member's group and pull-back map read off ``augmenting_paths``,
+    both empty when it has none: the translation the network's integer walk
+    and lazy pull-back must reproduce."""
+    pullback = {}
+    direct = []
+    nets = []
+    for alt in augmenting_paths(base, member):
+        free = alt[0::2]
+        if len(free) == 1:
+            direct.append(free[0])
+            continue
+        nodes = ("s", *(node_of[e.right.index] for e in alt[1::2]), "t")
+        nets.append(NetPath(nodes))
+        pullback.update(zip(zip(nodes, nodes[1:]), ((e,) for e in free)))
+    nets.sort(key=NetPath.key)
+    if direct:
+        nets.append(NetPath(("s", "t")))
+        pullback[("s", "t")] = tuple(direct)
+    return PathGroup(tuple(nets)), pullback
+
+
 class TestPullback:
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(families_with_assignments())
@@ -239,9 +302,9 @@ class TestPullback:
         base = Matching(frozenset(assignment.values()))
         assert translation.matched_edges == tuple(sorted(assignment.values()))
         assert inner == len(assignment)
-        assert len(network.groups) == len(translation.pullback) == len(fam)
-        for c, pullback in enumerate(translation.pullback):
-            member = fam[c]
+        assert len(network.groups) == len(fam)
+        for c, member in enumerate(fam):
+            pullback = translation.pullback(c)
             if c in assignment or not augmenting_paths(base, member):
                 assert network.groups[c].paths == () and pullback == {}
                 continue
@@ -264,7 +327,21 @@ class TestPullback:
         again, inner_again, translation_again = build_contracted_network(fam, fresh)
         assert (again, inner_again) == (network, inner)
         assert translation_again.matched_edges == translation.matched_edges
-        assert translation_again.pullback == translation.pullback
+        assert ([translation_again.pullback(c) for c in range(len(fam))]
+                == [translation.pullback(c) for c in range(len(fam))])
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(families_with_assignments())
+    def test_integer_walk_equals_the_augmenting_paths_translation(self, drawn):
+        fam, assignment = drawn
+        network, inner, translation = build_contracted_network(fam, assignment)
+        matched = sorted(assignment.values())
+        base = Matching(frozenset(matched))
+        node_of = {e.right.index: i for i, e in enumerate(matched)}
+        for c, member in enumerate(fam):
+            expected = ((PathGroup(()), {}) if c in assignment
+                        else _reference_translation(base, member, node_of))
+            assert (network.groups[c], translation.pullback(c)) == expected
 
 
 def _fresh_copy(fam):
