@@ -159,11 +159,6 @@ def rainbow_is_valid(rainbow: RainbowMatching, family: MatchingFamily) -> bool:
     return all(0 <= c < len(family) and e in family[c] for c, e in rainbow.entries)
 
 
-def edge_map(m: Matching) -> dict[Vertex, Edge]:
-    """Map each vertex the matching covers to its one edge."""
-    return {v: e for e in m.edges for v in e.vertices}
-
-
 def augmenting_paths(base: Matching, other: Matching) -> tuple[tuple[Edge, ...], ...]:
     """All vertex-disjoint augmenting paths for ``base`` inside ``base | other``,
     each as its tuple of edges.

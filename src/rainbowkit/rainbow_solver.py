@@ -21,9 +21,9 @@ from .graph_core import (
     Matching,
     MatchingFamily,
     RainbowMatching,
+    Side,
     Vertex,
     augmenting_paths,
-    edge_map,
     rainbow_is_valid,
 )
 from .network_paths import (
@@ -106,11 +106,11 @@ def build_contracted_network(
     are sorted by ``NetPath.key``, so the direct path comes last.
 
     ``first`` maps each color to the first color of its member's class, and
-    ``maps[k]`` is class k's member as a left -> right index map in left
-    order; a search passes the ones it built, and a direct call leaves both
-    out to have them built here. The network is an integer walk over those
-    maps, one per class outside ``assignment``, whose colors share one
-    group; the walk builds no edges. Graph edges come back only through the
+    ``maps[k]`` is class k's member as a left -> right index map, in no
+    particular order; a search passes the ones it built, and a direct call
+    leaves both out to have them built here. The network is an integer walk
+    over those maps, one per class outside ``assignment``, whose colors
+    share one group; the walk builds no edges. Graph edges come back only through the
     translation's ``pullback``, built on first use per class.
 
     Returns the network family, the inner node count, and the translation
@@ -241,26 +241,14 @@ def find_rainbow_matching(
     return result
 
 
-def _member_classes(family: MatchingFamily) -> dict[Matching, list[int]]:
-    """The colors of each distinct member, keyed by the member, in order of
-    first appearance."""
-    classes: dict[Matching, list[int]] = {}
-    for color, member in enumerate(family):
-        classes.setdefault(member, []).append(color)
-    return classes
-
-
 def _member_maps(family: MatchingFamily) -> tuple[list[int], dict[int, _MemberMap]]:
-    """The first color of each color's class, and each class's member as a
-    left -> right index map in left order, keyed by that first color."""
-    first = [0] * len(family)
-    maps: dict[int, _MemberMap] = {}
-    for colors in _member_classes(family).values():
-        k = colors[0]
-        for c in colors:
-            first[c] = k
-        edges = sorted(family[k].edges, key=_left_index)
-        maps[k] = {e.left.index: e.right.index for e in edges}
+    """The first color of each color's class (its equal members, in order of
+    first appearance), and each class's member as a left -> right index map,
+    keyed by that first color."""
+    seen: dict[Matching, int] = {}
+    first = [seen.setdefault(member, color) for color, member in enumerate(family)]
+    maps = {k: {e.left.index: e.right.index for e in family[k].edges}
+            for k in seen.values()}
     return first, maps
 
 
@@ -417,29 +405,29 @@ def _uniform_even_family(family: MatchingFamily) -> int:
 
 
 def _cycle_split(family: MatchingFamily, n: int) -> Optional[ExtremalCycle]:
-    classes = _member_classes(family)
-    if len(classes) != 2:
+    first, maps = _member_maps(family)
+    classes = [frozenset(c for c, k in enumerate(first) if k == key) for key in maps]
+    if len(classes) != 2 or any(len(colors) != n - 1 for colors in classes):
         return None
-    cols_a, cols_b = classes.values()
-    if len(cols_a) != n - 1 or len(cols_b) != n - 1:
-        return None
-    a, b = edge_map(family[cols_a[0]]), edge_map(family[cols_b[0]])
-    # walk from the smallest vertex, a left one, toward its smaller neighbor;
+    a, b = maps.values()
+    # walk from the smallest left index toward its smaller right neighbor;
     # two size-n members split one cycle exactly when the walk closes after
     # all 2n edges, which a missing mate or a shared edge prevents
     start = min(a)
     if start not in b:
         return None
-    first, second = (a, b) if a[start] < b[start] else (b, a)
-    cycle: list[Vertex] = []
+    out, back = (a, b) if a[start] < b[start] else (b, a)
+    back = {right: left for left, right in back.items()}
+    cycle: list[int] = []  # left and right indices, alternating
     left = start
     for _ in range(n):
-        e = first.get(left)
-        if e is None or e.right not in second:
+        right = out.get(left)
+        if right not in back:
             return None
-        cycle += (left, e.right)
-        left = second[e.right].left
-    if left != start or len(set(cycle)) != 2 * n:
+        cycle += (left, right)
+        left = back[right]
+    # both maps are matchings, so the rights repeat exactly when the lefts do
+    if left != start or len(set(cycle[0::2])) != n:
         return None
-    even, odd = (cols_a, cols_b) if first is a else (cols_b, cols_a)
-    return ExtremalCycle(tuple(cycle), frozenset(even), frozenset(odd))
+    even, odd = classes if out is a else classes[::-1]
+    return ExtremalCycle(tuple(map(Vertex, itertools.cycle(Side), cycle)), even, odd)

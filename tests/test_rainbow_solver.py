@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from rainbowkit import (
     BudgetExceeded,
+    Edge,
     ExtremalCycle,
     ExtremalPair,
     GenSpec,
@@ -16,6 +17,8 @@ from rainbowkit import (
     PathGroup,
     PreconditionError,
     ResidueMultiset,
+    Side,
+    Vertex,
     augmenting_paths,
     brute_rainbow,
     build_contracted_network,
@@ -343,6 +346,39 @@ class TestPullback:
                         else _reference_translation(base, member, node_of))
             assert (network.groups[c], translation.pullback(c)) == expected
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(families_with_assignments())
+    def test_member_map_order_never_reaches_the_network(self, drawn):
+        # the maps hold each member in whatever order its edges come; the
+        # same maps with every entry reinserted in reverse build the same
+        # network and the same pull-backs
+        fam, assignment = drawn
+        first, maps = rainbow_solver._member_maps(fam)
+        flipped = {k: dict(reversed(m.items())) for k, m in maps.items()}
+        assert all(list(flipped[k]) == list(maps[k])[::-1] for k in maps)
+        network, inner, translation = build_contracted_network(
+            fam, assignment, first, maps)
+        again, inner_again, translation_again = build_contracted_network(
+            fam, assignment, first, flipped)
+        assert inner_again == inner
+        assert again.groups == network.groups
+        assert ([translation_again.pullback(c) for c in range(len(fam))]
+                == [translation.pullback(c) for c in range(len(fam))])
+
+    def test_runs_come_in_key_order_whatever_the_map_order(self):
+        # a member with two augmenting paths through matched edges, which the
+        # drawn families are too small to hold: the walk meets them in the
+        # map's order and must emit them by key either way
+        fam = family([edge(2, 0), edge(0, 2), edge(3, 1), edge(1, 3)],
+                     [edge(0, 0)], [edge(1, 1)])
+        assignment = {1: edge(0, 0), 2: edge(1, 1)}
+        first, maps = rainbow_solver._member_maps(fam)
+        for order in (sorted, lambda items: sorted(items, reverse=True)):
+            ordered = {k: dict(order(m.items())) for k, m in maps.items()}
+            network, _, _ = build_contracted_network(fam, assignment, first, ordered)
+            assert [p.nodes for p in network.groups[0].paths] == [
+                ("s", 0, "t"), ("s", 1, "t")]
+
 
 def _fresh_copy(fam):
     """The family with every member rebuilt from new, equal edge objects."""
@@ -473,6 +509,88 @@ class TestDriskoCondition:
         assert not drisko_condition([1, 5, 5], 3)
 
 
+def _edge_map_cycle_split(fam, n):
+    """The split-cycle check walked over ``Vertex -> Edge`` maps of the two
+    members, the way it ran before it read the solver's member maps: the
+    reference the integer walk must reproduce."""
+    classes = {}
+    for color, member in enumerate(fam):
+        classes.setdefault(member, []).append(color)
+    if len(classes) != 2:
+        return None
+    cols_a, cols_b = classes.values()
+    if len(cols_a) != n - 1 or len(cols_b) != n - 1:
+        return None
+    a, b = ({v: e for e in fam[cols[0]].edges for v in e.vertices}
+            for cols in (cols_a, cols_b))
+    start = min(a)
+    if start not in b:
+        return None
+    first, second = (a, b) if a[start] < b[start] else (b, a)
+    cycle = []
+    left = start
+    for _ in range(n):
+        e = first.get(left)
+        if e is None or e.right not in second:
+            return None
+        cycle += (left, e.right)
+        left = second[e.right].left
+    if left != start or len(set(cycle)) != 2 * n:
+        return None
+    even, odd = (cols_a, cols_b) if first is a else (cols_b, cols_a)
+    return ExtremalCycle(tuple(cycle), frozenset(even), frozenset(odd))
+
+
+_SPLIT_KINDS = ["split", "two-cycles", "shared-edge", "other-vertices", "sizes"]
+
+
+@st.composite
+def split_cycle_families(draw):
+    """A split 2n-cycle for n = 2-6 on n to n + 2 vertices a side, relabelled
+    by random left and right permutations, or a near miss: two shorter
+    cycles, a shared edge, a member on other vertices, or n - 2 and n copies
+    of the two members. The members come grouped, interleaved or shuffled."""
+    n = draw(st.integers(2, 6))
+    kind = draw(st.sampled_from(_SPLIT_KINDS))
+    if kind == "two-cycles" and n < 4:
+        kind = "split"  # two cycles of four or more vertices need n >= 4
+    side = n + draw(st.integers(0, 2))
+    lefts = draw(st.permutations(range(side)))
+    rights = draw(st.permutations(range(side)))
+    # the odd member joins the right of position i to the left of step[i];
+    # the union is one cycle exactly when ``step`` is one n-cycle
+    order = draw(st.permutations(range(n)))
+    loops = [order]
+    if kind == "two-cycles":
+        cut = draw(st.integers(2, n - 2))
+        loops = [order[:cut], order[cut:]]
+    elif kind == "shared-edge":
+        loops = [order[:1], order[1:]]
+    step = {a: loop[(j + 1) % len(loop)] for loop in loops for j, a in enumerate(loop)}
+    even = [(lefts[i], rights[i]) for i in range(n)]
+    odd = [(lefts[step[i]], rights[i]) for i in range(n)]
+    if kind == "other-vertices":
+        j = draw(st.integers(0, n - 1))
+        if draw(st.booleans()):
+            odd[j] = (lefts[n] if side > n else side, odd[j][1])
+        else:
+            odd[j] = (odd[j][0], rights[n] if side > n else side)
+    copies = [n - 1, n - 1]
+    if kind == "sizes":
+        copies = draw(st.sampled_from([[n - 2, n], [n, n - 2]]))
+    a, b = (validate_matching(edge(*e) for e in m) for m in (even, odd))
+    if draw(st.booleans()):
+        a, b = b, a
+    members = [a] * copies[0] + [b] * copies[1]
+    arrangement = draw(st.sampled_from(["grouped", "interleaved", "shuffled"]))
+    if arrangement == "interleaved":
+        members = [m for pair in itertools.zip_longest(
+            members[:copies[0]], members[copies[0]:]) for m in pair if m is not None]
+    elif arrangement == "shuffled":
+        members = [members[i] for i in draw(st.permutations(range(len(members))))]
+    return kind, n, MatchingFamily(tuple(members))
+
+
 class TestClassifyFamily:
     def test_cycle_family(self, c6_family):
         verdict = classify_family(c6_family)
@@ -519,6 +637,25 @@ class TestClassifyFamily:
             assert len(verdict.even_colors) == n - 1
             assert len(verdict.odd_colors) == n - 1
             assert verdict.even_colors | verdict.odd_colors == set(range(2 * n - 2))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(split_cycle_families())
+    def test_cycle_split_equals_the_edge_map_walk(self, drawn):
+        kind, n, fam = drawn
+        verdict = _cycle_split(fam, n)
+        assert verdict == _edge_map_cycle_split(fam, n)
+        if kind == "split":
+            assert verdict is not None
+            assert all(type(v) is Vertex for v in verdict.cycle)
+            assert [v.side for v in verdict.cycle] == [Side.LEFT, Side.RIGHT] * n
+            # every edge of the cycle is an edge of its color class's member
+            pairs = zip(verdict.cycle, verdict.cycle[1:] + verdict.cycle[:1])
+            for i, (u, v) in enumerate(pairs):
+                e = Edge(u, v) if i % 2 == 0 else Edge(v, u)
+                colors = verdict.even_colors if i % 2 == 0 else verdict.odd_colors
+                assert all(e in fam[c] for c in colors)
+        else:
+            assert verdict is None
 
     @pytest.mark.parametrize("a,b", [
         # two 4-cycles: the walk closes after 4 of the 8 edges

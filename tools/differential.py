@@ -130,12 +130,9 @@ def _matching(rng: random.Random, size: int, side: int) -> rk.Matching:
     return rk.validate_matching(rk.edge(a, b) for a, b in zip(lefts, rights))
 
 
-def alternating(path) -> list:
-    """An augmenting path as one record, its vertex walk and its edges,
-    whether the tree returns it as a record with those two fields or as its
-    bare tuple of edges. The record is tagged ``AlternatingPath``, as
-    ``plain`` serializes such a record, so the digest compares across both."""
-    edges = getattr(path, "edges", path)
+def alternating(edges: tuple) -> list:
+    """An augmenting path, given as its tuple of edges, as one record of its
+    vertex walk and its edges, tagged ``AlternatingPath``."""
     walk = [edges[0].left]
     for e in edges:
         walk.append(e.right if walk[-1] == e.left else e.left)
@@ -317,8 +314,7 @@ def oracle_section(draws: int, seed: int = 15) -> list:
     and 1-3 paths a group, every group listed twice in half of them, and on
     dichotomy multisets of 4 or 5 inner nodes as singleton groups. Each
     record is the witness map in insertion order; the sink-only query is
-    checked against it where the tree has one."""
-    reaches_sink = getattr(rk, "brute_reaches_sink", None)
+    checked against it."""
     rng = random.Random(seed)
     records = []
     for i in range(draws):
@@ -333,8 +329,7 @@ def oracle_section(draws: int, seed: int = 15) -> list:
                 groups += groups
             family = rk.PathGroupFamily(groups)
         reach = rk.brute_mc_path(family)
-        if reaches_sink is not None:
-            assert reaches_sink(family) == (rk.SINK in reach), family
+        assert rk.brute_reaches_sink(family) == (rk.SINK in reach), family
         records.append([[node, list(w.nodes), list(w.colors)]
                         for node, w in reach.items()])
     return records
