@@ -61,16 +61,16 @@ class BudgetExceeded(RainbowkitError):
 
 
 class Meter:
-    """Counts elementary steps against a budget; spending exactly what is
-    left succeeds, and one step more raises BudgetExceeded."""
+    """Counts elementary steps against a budget, one per ``spend()``; spending
+    exactly the budget succeeds, and one step more raises BudgetExceeded."""
 
     __slots__ = ("left",)
 
     def __init__(self, budget: int) -> None:
         self.left = budget
 
-    def spend(self, steps: int = 1) -> None:
-        self.left -= steps
+    def spend(self) -> None:
+        self.left -= 1
         if self.left < 0:
             raise BudgetExceeded("step budget exhausted")
 

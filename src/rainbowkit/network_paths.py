@@ -364,18 +364,23 @@ def iter_multicolored_st_paths(
     backtracking; meant for small networks.
 
     ``classes``, when given, labels each color with a class, indexed by
-    color. A color may then be stepped along only once every smaller color
-    of its class that has a non-empty group is on the path. When the colors
-    of each class have equal groups, swapping colors within a class maps
-    multicolored paths to multicolored paths, and the rule keeps exactly the
-    lexicographically first path of each signature (its nodes and its
-    colors' classes), which takes the smallest free color of the class at
-    each step. So the yields are the first occurrence of each signature in
+    color, one label per group; a list of another length raises
+    PreconditionError. A color may then be stepped along only once every
+    smaller color of its class that has a non-empty group is on the path.
+    When the colors of each class have equal groups, swapping colors within
+    a class maps multicolored paths to multicolored paths, and the rule
+    keeps exactly the lexicographically first path of each signature (its
+    nodes and its colors' classes), which takes the smallest free color of
+    the class at each step. So the yields are the first occurrence of each signature in
     the full enumeration, in the same order.
 
     Each edge the search steps along costs one step of ``budget``; running
     out raises BudgetExceeded.
     """
+    if classes is not None and len(classes) != len(family.groups):
+        raise PreconditionError(
+            f"need one class per group: {len(family.groups)} groups, "
+            f"{len(classes)} classes")
     meter = Meter(budget)
     groups = _groups(family)
     options = _edge_options(groups)

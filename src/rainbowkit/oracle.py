@@ -49,6 +49,8 @@ def brute_rainbow(family: MatchingFamily, size: int,
     Tries every ascending color subset and, inside each, every choice of one
     edge per color, keeping only pairwise disjoint choices.
     """
+    if size < 0:
+        raise PreconditionError("size must be non-negative")
     count = len(family)
     if size == 0:
         return RainbowMatching(())
@@ -200,6 +202,8 @@ def enumerate_multisets(n: int, size: int,
 def enumerate_matchings(size: int, side: int) -> list[Matching]:
     """Every matching of ``size`` edges in the complete bipartite graph with
     ``side`` vertices per side, in a fixed order."""
+    if size < 0:
+        raise PreconditionError("size must be non-negative")
     out: list[Matching] = []
     for lefts in itertools.combinations(range(side), size):
         for rights in itertools.combinations(range(side), size):

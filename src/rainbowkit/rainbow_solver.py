@@ -4,8 +4,6 @@ classifier for the unique family shape that blocks a full rainbow matching."""
 from __future__ import annotations
 
 import itertools
-import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -263,15 +261,13 @@ def _grow(family, assignment, key, target, first, maps, dead,
     class are interchangeable. Each child costs one step of ``meter``, and a
     child whose key is already dead costs nothing more. Colors of one class
     share a pull-back map and a memo class, so the witnesses with the same
-    nodes and color classes have the same children. Only the first of them
-    is enumerated; when it fails, its color permutations are charged in one
-    bulk spend, one step per child each would have made.
+    nodes and color classes have the same children; only the first of them
+    is tried.
     """
     network, inner_count, translation = build_contracted_network(
         family, assignment, first, maps)
     # a child of ``target`` edges is a solution and needs no key
     last = len(assignment) + 1 == target
-    free = None  # per class, how many of its colors are outside the assignment
     for witness in _witnesses(network, inner_count, first):
         choices = [translation.pullback(c)[step]
                    for step, c in zip(witness.edges, witness.colors)]
@@ -300,29 +296,8 @@ def _grow(family, assignment, key, target, first, maps, dead,
             result = _grow(family, child, child_key, target, first, maps, dead, meter)
             if result is not None:
                 return result
-        # the witness's other colorings within its classes have these
-        # children too, all dead now: charge them without enumerating them
-        if free is None:
-            free = Counter(first[c] for c in range(len(first)) if c not in assignment)
-        copies = _colorings(witness.colors, first, free)
-        if copies > 1:
-            meter.spend((copies - 1) * math.prod(map(len, choices)))
     dead.add(key)
     return None
-
-
-def _colorings(colors: tuple[int, ...], first: list[int], free: Counter) -> int:
-    """How many colorings share the classes of ``colors``: the product over
-    each class K of perm(m_K, j_K), where ``colors`` hold j_K colors of K and
-    ``free[K]`` is m_K."""
-    copies = 1
-    taken: dict[int, int] = {}
-    for c in colors:
-        k = first[c]
-        j = taken.get(k, 0)
-        copies *= free[k] - j
-        taken[k] = j + 1
-    return copies
 
 
 def _witnesses(network: PathGroupFamily, inner_count: int,
@@ -335,8 +310,8 @@ def _witnesses(network: PathGroupFamily, inner_count: int,
         return
     constructed = find_multicolored_st_path(network, inner_count)
     yield constructed
-    # resumed only once the constructed witness failed, and its charge covered
-    # every coloring of its signature
+    # resumed only once the constructed witness failed, and so did every
+    # witness of its signature: they all have its children, now dead
     nodes, classes = constructed.nodes, [first[c] for c in constructed.colors]
     for witness in iter_multicolored_st_paths(network, classes=first):
         if witness.nodes != nodes or [first[c] for c in witness.colors] != classes:
@@ -350,6 +325,8 @@ def drisko_condition(sizes: Iterable[int], size: int) -> bool:
     (count - target + 1) members and compares the total against the target.
     Summands are taken literally and may be negative.
     """
+    if size < 0:
+        raise PreconditionError("size must be non-negative")
     ordered = sorted(sizes)
     count = len(ordered)
     if size > count:

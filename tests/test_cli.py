@@ -445,9 +445,9 @@ class TestSearchBudget:
     not only ``solve rainbow``: one step per search state."""
 
     @pytest.mark.parametrize("argv,steps,code", [
-        (("classify", "family", "--input", "{c10}"), 2581, 0),
-        (("classify", "multiset", "--n", "5", "--elements", "1,1,1,1,3,3,3,3"), 2581, 0),
-        (("solve", "egz", "--n", "5", "--elements", "1,1,1,1,3,3,3,3"), 2581, 1),
+        (("classify", "family", "--input", "{c10}"), 501, 0),
+        (("classify", "multiset", "--n", "5", "--elements", "1,1,1,1,3,3,3,3"), 501, 0),
+        (("solve", "egz", "--n", "5", "--elements", "1,1,1,1,3,3,3,3"), 501, 1),
         (("solve", "transversal", "--input", "{latin2}"), 5, 1),
         (("solve", "transversal", "--input", "{latin3}"), 4, 0),
     ], ids=["classify-family", "classify-multiset", "solve-egz",
@@ -474,8 +474,8 @@ class TestSearchBudget:
     ], ids=["classify", "verify"])
     def test_campaign_searches_under_the_same_budget(self, capsys, monkeypatch, argv):
         # verify egz-extremal --n 5 classifies this split 10-cycle among its
-        # 495 multisets; refuting it takes 2,581 steps in both verbs
-        monkeypatch.setenv("RAINBOWKIT_BUDGET", "1000")
+        # 495 multisets; refuting it takes 501 steps in both verbs
+        monkeypatch.setenv("RAINBOWKIT_BUDGET", "500")
         assert run_cli(capsys, *argv) == (3, "", "budget: step budget exhausted\n")
 
 

@@ -381,6 +381,14 @@ class TestCanonicalEnumeration:
         assert [p.colors for p in iter_multicolored_st_paths(fam, classes=[0, 0])] == [
             (0, 1)]
 
+    def test_classes_of_the_wrong_length_rejected(self):
+        fam = build_family([[path("s", 0, "t")], [path("s", 1, "t")]])
+        for classes in ([0], [0, 0, 1]):
+            # a generator: the check runs on the first next()
+            paths = iter_multicolored_st_paths(fam, classes=classes)
+            with pytest.raises(PreconditionError):
+                next(paths)
+
     def test_empty_groups_do_not_block_their_class(self):
         # color 0 has an empty group, so color 2 is its class's first
         fam = build_family([[], [path("s", 0, "t")], [path("s", 0, "t")]])

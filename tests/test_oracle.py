@@ -14,6 +14,7 @@ from rainbowkit import (
     GenSpec,
     InfeasibleSpec,
     MatchingFamily,
+    PreconditionError,
     NetPath,
     PathGroup,
     PathGroupFamily,
@@ -57,6 +58,10 @@ class TestBruteRainbow:
     def test_budget(self, c6_family):
         with pytest.raises(BudgetExceeded):
             brute_rainbow(c6_family, 3, budget=5)
+
+    def test_negative_size_rejected(self, c6_family):
+        with pytest.raises(PreconditionError):
+            brute_rainbow(c6_family, -1)
 
 
 class TestBruteMcPath:
@@ -222,6 +227,10 @@ class TestEnumerateMatchings:
     def test_all_valid_and_distinct(self):
         out = enumerate_matchings(2, 3)
         assert len({m.key() for m in out}) == len(out)
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(PreconditionError):
+            enumerate_matchings(-1, 2)
 
 
 class TestGenerate:

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rainbowkit import (
     BudgetExceeded,
@@ -387,11 +387,40 @@ def _fresh_copy(fam):
         for m in fam))
 
 
+def _least_budget(fam, target):
+    """The smallest budget under which ``find_rainbow_matching`` finishes:
+    it returns at that budget and raises BudgetExceeded one step below."""
+    def finishes(budget):
+        try:
+            find_rainbow_matching(fam, target, budget=budget)
+        except BudgetExceeded:
+            return False
+        return True
+
+    low, high = 0, 1  # low raises; high is doubled until it finishes
+    while not finishes(high):
+        low, high = high, 2 * high
+    while high - low > 1:
+        middle = (low + high) // 2
+        low, high = (low, middle) if finishes(middle) else (middle, high)
+    return high
+
+
+@st.composite
+def permuted_repeating_families(draw):
+    """A small family with at least one repeated member, and the same
+    members under a drawn permutation of the colors."""
+    fam = draw(small_families())
+    assume(len(set(fam.members)) < len(fam))
+    order = draw(st.permutations(range(len(fam))))
+    return fam, MatchingFamily(tuple(fam[c] for c in order))
+
+
 _REFUTED = [
-    (MatchingFamily(_interleaved(canonical_cycle_family(4))), 4, 377),
-    (MatchingFamily(_interleaved(canonical_cycle_family(5))), 5, 2581),
-    (egz_family(ResidueMultiset(5, (0,) * 4 + (1,) * 4)), 5, 2581),
-    (MatchingFamily(_interleaved(canonical_cycle_family(6))), 6, 17425),
+    (MatchingFamily(_interleaved(canonical_cycle_family(4))), 4, 137),
+    (MatchingFamily(_interleaved(canonical_cycle_family(5))), 5, 501),
+    (egz_family(ResidueMultiset(5, (0,) * 4 + (1,) * 4)), 5, 501),
+    (MatchingFamily(_interleaved(canonical_cycle_family(6))), 6, 1657),
 ]
 _REFUTED_IDS = ["cycle-8-interleaved", "cycle-10-interleaved", "egz-piles-5",
                 "cycle-12-interleaved"]
@@ -399,11 +428,11 @@ _REFUTED_IDS = ["cycle-8-interleaved", "cycle-10-interleaved", "egz-piles-5",
 
 class TestBudget:
     def test_one_step_per_search_state(self):
-        # the search visits 2581 states to refute the split 10-cycle
+        # the search visits 501 states to refute the split 10-cycle
         fam = canonical_cycle_family(5)
-        assert find_rainbow_matching(fam, 5, budget=2581) is None
+        assert find_rainbow_matching(fam, 5, budget=501) is None
         with pytest.raises(BudgetExceeded):
-            find_rainbow_matching(fam, 5, budget=2580)
+            find_rainbow_matching(fam, 5, budget=500)
 
     @pytest.mark.parametrize("fam,target,states", _REFUTED, ids=_REFUTED_IDS)
     def test_memo_merges_classes_of_non_adjacent_colors(self, fam, target, states):
@@ -423,6 +452,17 @@ class TestBudget:
         assert find_rainbow_matching(fresh, target, budget=states) is None
         with pytest.raises(BudgetExceeded):
             find_rainbow_matching(fresh, target, budget=states - 1)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(permuted_repeating_families())
+    def test_permuting_colors_keeps_the_refutation_budget(self, drawn):
+        # a refutation visits every class-level state once, and the memo
+        # keys a class by its equal members wherever their colors sit; a
+        # memo that merged only neighboring equal colors fails this
+        fam, permuted = drawn
+        for target in range(1, len(fam) + 1):
+            if brute_rainbow(fam, target) is None:
+                assert _least_budget(permuted, target) == _least_budget(fam, target)
 
     @pytest.mark.parametrize("n,networks", [(4, 45), (5, 121), (6, 320)])
     def test_refutation_builds_a_network_per_expanded_state(self, monkeypatch,
@@ -448,39 +488,38 @@ class TestBudget:
         assert len(find_rainbow_matching(family([edge(0, 0)]), 0, budget=0)) == 0
         assert find_rainbow_matching(family([edge(0, 0)]), 2, budget=0) is None
 
-    def test_failed_witness_charges_its_permutations_at_once(self):
+    def test_skipped_permutations_of_a_failed_witness_cost_nothing(self):
         # members a, b, b at target 3. After color 0 takes (0, 2), the
         # constructed witness s->t via [1] fails, and the success comes from
         # the next one, s->0->t via [1, 2]. Its permutation s->t via [2] is
-        # charged when it fails, one step for its one direct edge: 6 steps in
-        # all (the empty state, four children built and that one). An
-        # enumeration that charged the permutation where it would reach it
-        # stops at the success first and spends 5.
+        # skipped, never built and never charged: 5 steps in all (the empty
+        # state and four children built)
         a = [edge(2, 3), edge(0, 2), edge(3, 0)]
         b = [edge(3, 1), edge(1, 2), edge(0, 0)]
         fam = family(a, b, b)
-        found = find_rainbow_matching(fam, 3, budget=6)
+        found = find_rainbow_matching(fam, 3, budget=5)
         assert found is not None and rainbow_is_valid(found, fam)
         with pytest.raises(BudgetExceeded):
-            find_rainbow_matching(fam, 3, budget=5)
+            find_rainbow_matching(fam, 3, budget=4)
 
 
 class TestMeter:
     def test_spend_counts_steps(self):
         meter = Meter(5)
-        meter.spend(0)
-        assert meter.left == 5
-        meter.spend(3)
-        meter.spend()
-        meter.spend(1)
-        assert meter.left == 0
+        for left in (4, 3, 2, 1, 0):
+            meter.spend()
+            assert meter.left == left
         with pytest.raises(BudgetExceeded):
             meter.spend()
 
     def test_one_step_past_the_budget_raises(self):
-        Meter(7).spend(7)
+        meter = Meter(7)
+        for _ in range(7):
+            meter.spend()
         with pytest.raises(BudgetExceeded):
-            Meter(7).spend(8)
+            meter.spend()
+        with pytest.raises(BudgetExceeded):
+            Meter(0).spend()
 
 
 class TestDriskoCondition:
@@ -496,6 +535,10 @@ class TestDriskoCondition:
     def test_target_beyond_count(self):
         with pytest.raises(PreconditionError):
             drisko_condition([2, 2], 3)
+
+    def test_negative_target_rejected(self):
+        with pytest.raises(PreconditionError):
+            drisko_condition((1, 2), -1)
 
     def test_uniform_threshold_is_doubled_count(self):
         # the guarantee of find_transversal and find_zero_sum_subset: c-edge

@@ -206,9 +206,9 @@ def counted_outcome(call) -> list:
     class CountingMeter(meter):
         __slots__ = ()
 
-        def spend(self, steps: int = 1) -> None:
-            counts[0] += steps
-            super().spend(steps)
+        def spend(self) -> None:
+            counts[0] += 1
+            super().spend()
 
     def counted_build(*args):
         counts[1] += 1
