@@ -20,7 +20,7 @@ from typing import Optional
 
 from .errors import (DEFAULT_BUDGET, BudgetExceeded, DichotomyViolation, PreconditionError,
                      charge, charge_multisets)
-from .graph_core import MatchingFamily, edge, rainbow_is_valid, validate_matching
+from .graph_core import MatchingFamily, rainbow_is_valid
 from .network_paths import (
     SINK,
     SOURCE,
@@ -289,20 +289,17 @@ def _six_cycle_splits(side: int) -> list[tuple]:
     """The unordered matching pair splitting each 6-cycle of the complete
     bipartite graph with the given side size.
 
-    Two disjoint perfect matchings on three vertices per side always union to
-    a single 6-cycle, so the pairs are exactly (matching, derangement)."""
-    pairs = set()
-    for lefts in itertools.combinations(range(side), 3):
-        for rights in itertools.combinations(range(side), 3):
-            for first in itertools.permutations(rights):
-                even = validate_matching(edge(lefts[i], first[i]) for i in range(3))
-                for second in itertools.permutations(rights):
-                    if any(second[i] == first[i] for i in range(3)):
-                        continue
-                    odd = validate_matching(
-                        edge(lefts[i], second[i]) for i in range(3))
-                    pairs.add(tuple(sorted((even.key(), odd.key()))))
-    return [(validate_matching(a), validate_matching(b)) for a, b in sorted(pairs)]
+    Two edge-disjoint perfect matchings on the same three vertices per side
+    always union to a single 6-cycle, so the pairs are exactly (matching,
+    derangement). ``enumerate_matchings`` lists the matchings on each vertex
+    set together, in ascending key order."""
+    def vertices(matching):
+        return frozenset(v for e in matching.edges for v in e.vertices)
+
+    pairs = [pair for _, same in itertools.groupby(enumerate_matchings(3, side), vertices)
+             for pair in itertools.combinations(same, 2)
+             if pair[0].edges.isdisjoint(pair[1].edges)]
+    return sorted(pairs, key=lambda pair: (pair[0].key(), pair[1].key()))
 
 
 def _check_classification(family: MatchingFamily, n: int, budget: int) -> bool:

@@ -334,19 +334,24 @@ def find_multicolored_st_path(
 
 
 def _contraction_st_path(groups: _Groups) -> Optional[ColoredPath]:
-    if not groups:
-        return None
-    for color, paths in groups:
-        if any(p.edge_count == 1 for p in paths):
-            return ColoredPath((SOURCE, SINK), (color,))
-    # no group has a direct edge, so contracting the pivot's first nodes can
-    # merge two paths of a group only into the direct edge, which the next
-    # level returns at once; otherwise the group sizes carry over exactly
-    pivot_color, pivot_paths = groups[0]
-    removed = {p.nodes[1] for p in pivot_paths}
-    contracted, starts_by_color = _contract(groups[1:], removed)
-    sub = _contraction_st_path(contracted)
-    return None if sub is None else _unwind(sub, starts_by_color, pivot_color)
+    # one (starts_by_color, pivot_color) pair per contraction, unwound in
+    # reverse once some group has the direct edge
+    contractions = []
+    while groups:
+        for color, paths in groups:
+            if any(p.edge_count == 1 for p in paths):
+                found = ColoredPath((SOURCE, SINK), (color,))
+                for starts_by_color, pivot_color in reversed(contractions):
+                    found = _unwind(found, starts_by_color, pivot_color)
+                return found
+        # no group has a direct edge, so contracting the pivot's first nodes
+        # can merge two paths of a group only into the direct edge, which the
+        # next pass returns at once; otherwise the group sizes carry over exactly
+        pivot_color, pivot_paths = groups[0]
+        removed = {p.nodes[1] for p in pivot_paths}
+        groups, starts_by_color = _contract(groups[1:], removed)
+        contractions.append((starts_by_color, pivot_color))
+    return None
 
 
 def iter_multicolored_st_paths(

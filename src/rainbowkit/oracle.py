@@ -3,8 +3,9 @@
 The searches here are deliberately exponential, independent of the
 constructive algorithms they are used to check, and count elementary steps
 against an explicit budget (default ten million) instead of silently
-truncating. Generation uses ``random.Random`` (the Mersenne Twister, stable
-across platforms), so one (spec, seed) pair always yields one instance.
+truncating. A generator spec is its kind's builder, the builder's arguments
+and a seed; the builder draws from ``random.Random`` (the Mersenne Twister,
+stable across platforms), so one spec always yields one instance.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .errors import (
     DEFAULT_BUDGET,
@@ -228,70 +229,43 @@ Instance = Union[MatchingFamily, PathGroupFamily, ResidueMultiset, SymbolMatrix]
 
 @dataclass(frozen=True, slots=True)
 class GenSpec:
-    """Seeded description of a random instance; equal specs generate equal
-    instances, across runs and platforms."""
+    """Seeded description of a random instance: its kind's builder, the
+    builder's arguments and the seed. Equal specs generate equal instances,
+    across runs and platforms."""
 
-    kind: str
+    build: Callable[..., Instance]
+    args: tuple
     seed: int
-    n: int = 0
-    m: int = 0
-    side: int = 0
-    sizes: tuple[int, ...] = ()
-    inner: int = 0
-    groups: int = 0
-    paths_per_group: int = 0
-    size: int = 0
-    symbols: int = 0
 
     @classmethod
     def family_uniform(cls, n: int, m: int, side: int, seed: int) -> "GenSpec":
-        return cls(kind="family-uniform", seed=seed, n=n, m=m, side=side)
+        return cls(_gen_family, ((n,) * m, side), seed)
 
     @classmethod
     def family_mixed(cls, sizes, side: int, seed: int) -> "GenSpec":
-        return cls(kind="family-mixed", seed=seed, sizes=tuple(sizes), side=side)
+        return cls(_gen_family, (tuple(sizes), side), seed)
 
     @classmethod
     def network(cls, inner: int, groups: int, paths_per_group: int,
                 seed: int) -> "GenSpec":
-        return cls(kind="network", seed=seed, inner=inner, groups=groups,
-                   paths_per_group=paths_per_group)
+        return cls(_gen_network, (inner, groups, paths_per_group), seed)
 
     @classmethod
     def multiset(cls, n: int, size: int, seed: int) -> "GenSpec":
-        return cls(kind="multiset", seed=seed, n=n, size=size)
+        return cls(_gen_multiset, (n, size), seed)
 
     @classmethod
     def matrix(cls, m: int, n: int, symbols: int, seed: int) -> "GenSpec":
-        return cls(kind="matrix", seed=seed, m=m, n=n, symbols=symbols)
+        return cls(_gen_matrix, (m, n, symbols), seed)
 
 
 def generate(spec: GenSpec) -> Instance:
-    """Build the instance described by ``spec``, deterministically."""
-    rng = random.Random(spec.seed)
-    if spec.kind == "family-uniform":
-        return _gen_family(rng, [spec.n] * spec.m, spec.side)
-    if spec.kind == "family-mixed":
-        return _gen_family(rng, list(spec.sizes), spec.side)
-    if spec.kind == "network":
-        return _gen_network(rng, spec.inner, spec.groups, spec.paths_per_group)
-    if spec.kind == "multiset":
-        if spec.n < 1 or spec.size < 1:
-            raise InfeasibleSpec("multiset needs a positive modulus and size")
-        return ResidueMultiset(spec.n, tuple(rng.randrange(spec.n)
-                                             for _ in range(spec.size)))
-    if spec.kind == "matrix":
-        if spec.m < 1 or spec.n < 1:
-            raise InfeasibleSpec("matrix needs positive dimensions")
-        if spec.symbols < spec.n:
-            raise InfeasibleSpec(
-                f"{spec.n} distinct symbols per row need at least that many symbols")
-        return SymbolMatrix(tuple(
-            tuple(rng.sample(range(spec.symbols), spec.n)) for _ in range(spec.m)))
-    raise InfeasibleSpec(f"unknown instance kind {spec.kind!r}")
+    """Build the instance described by ``spec``, deterministically: its
+    builder runs on a ``random.Random`` seeded by ``spec.seed``."""
+    return spec.build(random.Random(spec.seed), *spec.args)
 
 
-def _gen_family(rng: random.Random, sizes: list[int], side: int) -> MatchingFamily:
+def _gen_family(rng: random.Random, sizes: tuple[int, ...], side: int) -> MatchingFamily:
     if not sizes or any(s < 1 for s in sizes) or side < 1:
         raise InfeasibleSpec("family needs positive matching sizes and side size")
     if max(sizes) > side:
@@ -341,3 +315,17 @@ def _gen_network(rng: random.Random, inner: int, groups: int,
             member.append(NetPath((SOURCE, *interior, SINK)))
         raw.append(member)
     return build_family(raw)
+
+
+def _gen_multiset(rng: random.Random, n: int, size: int) -> ResidueMultiset:
+    if n < 1 or size < 1:
+        raise InfeasibleSpec("multiset needs a positive modulus and size")
+    return ResidueMultiset(n, tuple(rng.randrange(n) for _ in range(size)))
+
+
+def _gen_matrix(rng: random.Random, m: int, n: int, symbols: int) -> SymbolMatrix:
+    if m < 1 or n < 1:
+        raise InfeasibleSpec("matrix needs positive dimensions")
+    if symbols < n:
+        raise InfeasibleSpec(f"{n} distinct symbols per row need at least that many symbols")
+    return SymbolMatrix(tuple(tuple(rng.sample(range(symbols), n)) for _ in range(m)))

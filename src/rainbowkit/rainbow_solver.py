@@ -230,7 +230,7 @@ def find_rainbow_matching(
         first, maps = _member_maps(family)
         meter = Meter(budget)
         meter.spend()  # the empty state
-        result = _grow(family, {}, frozenset(), size, first, maps, set(), meter)
+        result = _search(family, size, first, maps, meter)
         if result is None and drisko_condition(family.sizes, size):
             raise GuaranteeViolation(
                 "size-threshold condition holds but the search failed")
@@ -250,11 +250,33 @@ def _member_maps(family: MatchingFamily) -> tuple[list[int], dict[int, _MemberMa
     return first, maps
 
 
-def _grow(family, assignment, key, target, first, maps, dead,
-          meter) -> Optional[RainbowMatching]:
-    """Extend the partial rainbow matching ``assignment`` (color -> edge), whose
-    memo key ``key`` is not dead, to ``target`` edges, or mark ``key`` dead
-    and return None.
+def _search(family, target, first, maps, meter) -> Optional[RainbowMatching]:
+    """Depth first from the empty matching, keeping for each state on the
+    current path its memo key and its untried children. A state out of
+    children is marked dead and popped; a child of ``target`` edges is
+    returned before any network is built for it. No interpreter frame is held
+    per state, so only the budget bounds the depth."""
+    dead: set = set()
+    path = [(frozenset(), _children(family, {}, frozenset(), first, maps, dead, meter))]
+    while path:
+        key, children = path[-1]
+        for child, child_key in children:
+            if len(child) == target:
+                return RainbowMatching(tuple(child.items()))
+            path.append((child_key, _children(family, child, child_key, first, maps,
+                                              dead, meter)))
+            break
+        else:
+            dead.add(key)
+            path.pop()
+    return None
+
+
+def _children(family, assignment, key, first, maps, dead,
+              meter) -> Iterator[tuple[dict[int, Edge], frozenset]]:
+    """The children of the partial rainbow matching ``assignment`` (color ->
+    edge) whose memo key is ``key``, each with its own key, skipping dead
+    ones; the network is built on the first request.
 
     A memo key is one (class, left, right) triple per edge, where ``first``
     maps each color to the first color of its member's class: colors of one
@@ -266,8 +288,6 @@ def _grow(family, assignment, key, target, first, maps, dead,
     """
     network, inner_count, translation = build_contracted_network(
         family, assignment, first, maps)
-    # a child of ``target`` edges is a solution and needs no key
-    last = len(assignment) + 1 == target
     for witness in _witnesses(network, inner_count, first):
         choices = [translation.pullback(c)[step]
                    for step, c in zip(witness.edges, witness.colors)]
@@ -277,27 +297,20 @@ def _grow(family, assignment, key, target, first, maps, dead,
         kept_key = frozenset(t for t in key if t[2] not in removed) if removed else key
         for new_edges in itertools.product(*choices):
             meter.spend()
-            if not last:
-                child_key = kept_key.union([
-                    (first[c], e.left.index, e.right.index)
-                    for c, e in zip(witness.colors, new_edges)])
-                if child_key in dead:
-                    # one more edge than here, on a state already checked
-                    assert len(child_key) == len(assignment) + 1
-                    continue
+            child_key = kept_key.union([
+                (first[c], e.left.index, e.right.index)
+                for c, e in zip(witness.colors, new_edges)])
+            if child_key in dead:
+                # one more edge than here, on a state already checked
+                assert len(child_key) == len(assignment) + 1
+                continue
             child = dict(kept)
             child.update(zip(witness.colors, new_edges))
             # one more edge, and the edges still form a matching
             assert len(child) == len(assignment) + 1
             assert len({e.left.index for e in child.values()}) == len(child)
             assert len({e.right.index for e in child.values()}) == len(child)
-            if last:
-                return RainbowMatching(tuple(child.items()))
-            result = _grow(family, child, child_key, target, first, maps, dead, meter)
-            if result is not None:
-                return result
-    dead.add(key)
-    return None
+            yield child, child_key
 
 
 def _witnesses(network: PathGroupFamily, inner_count: int,

@@ -101,6 +101,29 @@ class TestSolve:
         assert code == 0
         assert json.loads(out) == {"nodes": ["s", 0, "t"], "colors": [1, 3]}
 
+    def test_egz_a_thousand_edges_deep(self, tmp_path, capsys):
+        # the search's depth is its 1,000 matched edges, past the
+        # interpreter's recursion limit
+        fixture = tmp_path / "zeros.json"
+        fixture.write_text(json.dumps({"n": 1000, "elements": [0] * 1999}))
+        code, out, _ = run_cli(capsys, "solve", "egz", "--input", str(fixture))
+        assert code == 0
+        assert json.loads(out) == {"elements": [0] * 1000}
+
+    def test_mcpath_a_thousand_contractions_deep(self, tmp_path, capsys):
+        # groups s->k->t for k < 1000 and one path s->0->...->999->t: the
+        # direct edge appears only after 1,000 contractions
+        groups = [[["s", k, "t"]] for k in range(1000)] + [[["s", *range(1000), "t"]]]
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps(groups))
+        code, out, _ = run_cli(capsys, "solve", "mcpath", "--input", str(net))
+        assert code == 0
+        found = json.loads(out)
+        witness = ColoredPath(tuple(found["nodes"]), tuple(found["colors"]))
+        network = rainbowkit.build_family(
+            [rainbowkit.make_path(p) for p in g] for g in groups)
+        assert witness.target == "t" and rainbowkit.colored_path_conforms(witness, network)
+
     def test_mcpath_budget_exit_three(self, tmp_path, capsys, monkeypatch):
         # six copies of one path through six inner nodes: no witness, and a
         # search of thousands of steps to refute it

@@ -244,6 +244,11 @@ class TestGenerate:
         ):
             assert generate(spec) == generate(spec)
 
+    def test_uniform_family_is_the_mixed_family_of_equal_sizes(self):
+        uniform = GenSpec.family_uniform(2, 3, 3, seed=42)
+        assert uniform == GenSpec.family_mixed([2, 2, 2], 3, seed=42)
+        assert (uniform.args, uniform.seed) == (((2, 2, 2), 3), 42)
+
     def test_seeds_vary_output(self):
         a = generate(GenSpec.multiset(5, 8, seed=1))
         b = generate(GenSpec.multiset(5, 8, seed=2))

@@ -700,6 +700,21 @@ class TestClassifyFamily:
         else:
             assert verdict is None
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(split_cycle_families())
+    def test_search_refutes_every_split_and_agrees_with_the_oracle(self, drawn):
+        # the search's own refutation, which classify_family relies on before
+        # it looks for the split; the oracle is exponential, so it checks
+        # cycles of at most 10 vertices
+        kind, n, fam = drawn
+        found = find_rainbow_matching(fam, n)
+        if kind == "split":
+            assert found is None
+        if found is not None:
+            assert rainbow_is_valid(found, fam)
+        if n <= 5:
+            assert (found is None) == (brute_rainbow(fam, n) is None)
+
     @pytest.mark.parametrize("a,b", [
         # two 4-cycles: the walk closes after 4 of the 8 edges
         ([(0, 0), (1, 1), (2, 2), (3, 3)], [(1, 0), (0, 1), (3, 2), (2, 3)]),

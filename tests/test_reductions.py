@@ -218,7 +218,7 @@ class TestGuaranteeOwnedBySolver:
     def test_miss_at_the_guarantee_raises(self, monkeypatch):
         # a search that finds nothing: the solver's size threshold holds on
         # both uniform families, so the solver itself raises
-        monkeypatch.setattr(rainbow_solver, "_grow", lambda *args: None)
+        monkeypatch.setattr(rainbow_solver, "_search", lambda *args: None)
         with pytest.raises(GuaranteeViolation):
             find_transversal(SymbolMatrix(((1, 2), (1, 2), (2, 1))))
         with pytest.raises(GuaranteeViolation):
