@@ -2,10 +2,10 @@
 
 A family assigns source-to-sink paths to ordered groups; a path through the
 network is *multicolored* when each of its edges lies on a path from a
-distinct group. The constructive searches below work by contracting the
-source together with the inner endpoints of a pivot group's first edges,
-recursing on the remaining groups, and replaying the contractions in reverse
-to rebuild a witness.
+distinct group. The constructive searches below read one loop of contraction
+levels: each level contracts the source together with the inner endpoints of
+the pivot group's first edges in the remaining groups, and a witness found at
+some level is rebuilt by replaying the contractions above it in reverse.
 """
 
 from __future__ import annotations
@@ -206,63 +206,84 @@ def _edge_options(groups: _Groups) -> dict[NetNode, list[tuple[NetNode, int]]]:
     return options
 
 
-def _contract(
-    groups: _Groups, removed: set[NetNode]
-) -> tuple[_Groups, dict[int, dict[NetNode, NetNode]]]:
-    """Contract ``{source} | removed`` into the source in every group.
+_Contraction = tuple[dict[int, dict[NetNode, NetNode]], int]
 
-    Returns the contracted groups (each sorted, duplicates collapsed) plus,
-    per color, a map from the second node of each contracted path to the node
-    the new source replaced; that map is all a witness needs to undo the
-    contraction. Keying by second node is exact: within a group, two
-    contracted paths can only collide on the direct source-sink edge.
+
+def _contractions(groups: _Groups) -> Iterator[tuple[_Groups, list[_Contraction]]]:
+    """Yield each contraction level's groups, pivot first, with the
+    ``(starts_by_color, pivot_color)`` pairs of the contractions above it.
+
+    The next level contracts the source and the pivot's inner first nodes
+    into the source in every other group (each sorted, duplicates
+    collapsed). ``starts_by_color`` maps, per color, the second node of each
+    contracted path to the node the new source replaced, which is all
+    ``_unwind`` needs; keying by second node is exact, since within a group
+    two contracted paths can only collide on the direct source-sink edge.
+    The yielded list grows in place, so read it before the next level.
     """
-    contracted: _Groups = []
-    starts_by_color: dict[int, dict[NetNode, NetNode]] = {}
-    for color, paths in groups:
-        starts: dict[NetNode, NetNode] = {}
-        images: list[NetPath] = []
-        for p in sorted(paths, key=NetPath.key):
-            last = max(i for i, v in enumerate(p.nodes) if v == SOURCE or v in removed)
-            image = NetPath((SOURCE,) + p.nodes[last + 1:])
-            if image.nodes[1] not in starts:
-                starts[image.nodes[1]] = p.nodes[last]
-                images.append(image)
-        contracted.append((color, tuple(sorted(images, key=NetPath.key))))
-        starts_by_color[color] = starts
-    return contracted, starts_by_color
+    made: list[_Contraction] = []
+    while groups:
+        yield groups, made
+        (pivot_color, pivot_paths), rest = groups[0], groups[1:]
+        removed = {p.nodes[1] for p in pivot_paths} - {SINK}
+        groups = []
+        starts_by_color: dict[int, dict[NetNode, NetNode]] = {}
+        for color, paths in rest:
+            starts: dict[NetNode, NetNode] = {}
+            images: list[NetPath] = []
+            for p in sorted(paths, key=NetPath.key):
+                last = max(i for i, v in enumerate(p.nodes) if v == SOURCE or v in removed)
+                image = NetPath((SOURCE,) + p.nodes[last + 1:])
+                if image.nodes[1] not in starts:
+                    starts[image.nodes[1]] = p.nodes[last]
+                    images.append(image)
+            groups.append((color, tuple(sorted(images, key=NetPath.key))))
+            starts_by_color[color] = starts
+        made.append((starts_by_color, pivot_color))
 
 
-def _unwind(path: ColoredPath, starts_by_color: dict[int, dict[NetNode, NetNode]],
-            pivot_color: int) -> ColoredPath:
-    """Undo one contraction: prepend the replaced source edge, colored by the
-    pivot group, unless the witness left from the source itself."""
-    replaced = starts_by_color[path.colors[0]][path.nodes[1]]
-    if replaced == SOURCE:
-        return path
-    return ColoredPath((SOURCE, replaced) + path.nodes[1:], (pivot_color,) + path.colors)
+def _unwind(path: ColoredPath, made: list[_Contraction]) -> ColoredPath:
+    """Undo the contractions in ``made``, innermost first: each prepends its
+    replaced source edge, colored by its pivot group, unless the witness
+    left from the source itself."""
+    for starts_by_color, pivot_color in reversed(made):
+        replaced = starts_by_color[path.colors[0]][path.nodes[1]]
+        if replaced != SOURCE:
+            path = ColoredPath((SOURCE, replaced) + path.nodes[1:], (pivot_color,) + path.colors)
+    return path
 
 
 def reachable_witness_set(family: PathGroupFamily) -> dict[NetNode, ColoredPath]:
     """A set of reachable nodes, each with a multicolored witness path.
 
-    Construction: mark the inner endpoints of the first group's source edges
-    reachable through that group, contract them into the source, recurse on
-    the remaining groups, and prepend the replaced source edge (colored by
-    the pivot group) wherever a recursive witness needs it; finally, every
-    source edge of every group contributes its one-edge witness, and a
-    closure pass extends the witnesses until no single edge can add a node.
-    The result is always a subset of the exact reachable set.
+    Construction: at every contraction level, the inner endpoints of the
+    pivot group's source edges are reachable through that group, by the
+    unwound one-edge witness; the deepest pivot with a direct source-sink
+    edge gives the sink its witness the same way, after every inner node.
+    Then every source edge of every group contributes its one-edge witness,
+    and a closure pass extends the witnesses until no single edge can add a
+    node. The result is always a subset of the exact reachable set.
 
     Witness count: when every path ends on a private inner node that no
     other path visits, the count strictly exceeds the number of paths (no
     contraction can then collapse two paths of one group onto the direct
-    source-sink edge, so the recursive count telescopes). Without some such
+    source-sink edge, so the per-level counts telescope). Without some such
     restriction no bound is possible at all: the whole node set may be
     smaller than the family.
     """
     groups = _groups(family)
-    wit = _witnesses(groups)
+    wit = {SOURCE: ColoredPath((SOURCE,), ())}
+    sink = None
+    for level, made in _contractions(groups):
+        pivot_color, pivot_paths = level[0]
+        for x in sorted({p.nodes[1] for p in pivot_paths} - {SINK}):
+            wit[x] = _unwind(ColoredPath((SOURCE, x), (pivot_color,)), made)
+        # a path of a later group stepping from a contracted node straight to
+        # the sink becomes the direct edge of a deeper pivot, which wins
+        if any(p.edge_count == 1 for p in pivot_paths):
+            sink = _unwind(ColoredPath((SOURCE, SINK), (pivot_color,)), made)
+    if sink is not None:
+        wit[SINK] = sink
     for color, paths in groups:
         for p in paths:
             z = p.nodes[1]
@@ -286,36 +307,18 @@ def _close_witnesses(wit: dict[NetNode, ColoredPath], groups: _Groups) -> None:
                 queue.append(v)
 
 
-def _witnesses(groups: _Groups) -> dict[NetNode, ColoredPath]:
-    wit = {SOURCE: ColoredPath((SOURCE,), ())}
-    if not groups:
-        return wit
-    pivot_color, pivot_paths = groups[0]
-    x_inner = sorted({p.nodes[1] for p in pivot_paths if p.nodes[1] != SINK})
-    contracted, starts_by_color = _contract(groups[1:], set(x_inner))
-    for x in x_inner:
-        wit[x] = ColoredPath((SOURCE, x), (pivot_color,))
-    for node, path in _witnesses(contracted).items():
-        if node != SOURCE:
-            wit[node] = _unwind(path, starts_by_color, pivot_color)
-    # a path of a later group stepping from a contracted node straight to the
-    # sink became the direct edge there, so the recursion already holds it
-    if SINK not in wit and any(p.edge_count == 1 for p in pivot_paths):
-        wit[SINK] = ColoredPath((SOURCE, SINK), (pivot_color,))
-    return wit
-
-
 def find_multicolored_st_path(
     family: PathGroupFamily, inner_count: int, budget: int = DEFAULT_BUDGET
 ) -> Optional[ColoredPath]:
     """Find a source-to-sink path using each group for at most one edge.
 
     With more paths than ``inner_count`` ambient inner nodes a witness always
-    exists and is produced by the contraction construction; failing to build
-    one in that regime raises GuaranteeViolation, which would flag a bug. At
-    or below the threshold, an exhaustive search decides existence exactly
-    and returns the lexicographically first witness, or None; it runs under
-    ``budget`` as in ``iter_multicolored_st_paths``.
+    exists and is produced by the contraction construction, from the first
+    level where some group has the direct edge; failing to build one in that
+    regime raises GuaranteeViolation, which would flag a bug. At or below the
+    threshold, an exhaustive search decides existence exactly and returns
+    the lexicographically first witness, or None; it runs under ``budget``
+    as in ``iter_multicolored_st_paths``.
 
     ``inner_count`` is the ambient network's inner node count; it must cover
     every inner node the family uses.
@@ -326,32 +329,15 @@ def find_multicolored_st_path(
             f"inner_count {inner_count} is below the {used} inner nodes in use")
     if family.total_paths <= inner_count:
         return next(iter_multicolored_st_paths(family, budget=budget), None)
-    found = _contraction_st_path(_groups(family))
-    if found is None:
-        raise GuaranteeViolation(
-            "more paths than inner nodes but no multicolored witness was built")
-    return found
-
-
-def _contraction_st_path(groups: _Groups) -> Optional[ColoredPath]:
-    # one (starts_by_color, pivot_color) pair per contraction, unwound in
-    # reverse once some group has the direct edge
-    contractions = []
-    while groups:
-        for color, paths in groups:
+    # no pivot contracted before the first direct edge has one, so each
+    # contraction can merge two paths of a group only into the direct edge,
+    # and otherwise the group sizes carry over exactly
+    for level, made in _contractions(_groups(family)):
+        for color, paths in level:
             if any(p.edge_count == 1 for p in paths):
-                found = ColoredPath((SOURCE, SINK), (color,))
-                for starts_by_color, pivot_color in reversed(contractions):
-                    found = _unwind(found, starts_by_color, pivot_color)
-                return found
-        # no group has a direct edge, so contracting the pivot's first nodes
-        # can merge two paths of a group only into the direct edge, which the
-        # next pass returns at once; otherwise the group sizes carry over exactly
-        pivot_color, pivot_paths = groups[0]
-        removed = {p.nodes[1] for p in pivot_paths}
-        groups, starts_by_color = _contract(groups[1:], removed)
-        contractions.append((starts_by_color, pivot_color))
-    return None
+                return _unwind(ColoredPath((SOURCE, SINK), (color,)), made)
+    raise GuaranteeViolation(
+        "more paths than inner nodes but no multicolored witness was built")
 
 
 def iter_multicolored_st_paths(

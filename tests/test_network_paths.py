@@ -202,6 +202,17 @@ class TestReachableWitnessSet:
             if fam.total_paths > len(fam.inner_nodes):
                 assert SINK in exact and SINK in wit
 
+    def test_a_thousand_contractions_deep(self):
+        # groups s->k->t for k < 1000 and one path s->0->...->999->t: one
+        # contraction level per group, with the sink's witness at the last
+        groups = [[path("s", k, "t")] for k in range(1000)]
+        fam = build_family(groups + [[path("s", *range(1000), "t")]])
+        wit = reachable_witness_set(fam)
+        assert len(wit) == 1002 and SINK in wit
+        for node, witness in wit.items():
+            assert witness.target == node
+            assert colored_path_conforms(witness, fam)
+
 
 class TestFindMulticoloredStPath:
     def test_direct_edge(self):
@@ -228,6 +239,14 @@ class TestFindMulticoloredStPath:
         assert found.nodes == (SOURCE, 0, SINK)
         assert found.colors == (0, 1)
         # contraction turns the hop into the second group's direct edge
+        sink = reachable_witness_set(fam)[SINK]
+        assert (sink.nodes, sink.colors) == ((SOURCE, 0, SINK), (0, 1))
+        # the two searches stop differently on one level loop: the st-path
+        # takes the first level with a direct edge, the witness set the
+        # deepest pivot with one
+        fam = build_family([[path("s", "t"), path("s", 0, 1, "t")], [path("s", 0, "t")]])
+        found = find_multicolored_st_path(fam, 2)
+        assert (found.nodes, found.colors) == ((SOURCE, SINK), (0,))
         sink = reachable_witness_set(fam)[SINK]
         assert (sink.nodes, sink.colors) == ((SOURCE, 0, SINK), (0, 1))
 

@@ -22,8 +22,8 @@ Sections:
   member orders through ``classify_family``, on the split 12-cycle through
   ``find_rainbow_matching`` and on the coprime double piles mod 4-6 through
   ``classify_multiset``;
-- ``witnesses``: ``reachable_witness_set`` on a seeded stream of generated
-  networks;
+- ``witnesses``: ``reachable_witness_set``'s whole witness map, in
+  insertion order, on a seeded stream of generated networks;
 - ``mcpath``: ``rainbowkit solve mcpath`` (its exit code, stdout and
   stderr) on network files written by hand from generated networks, some
   groups doubled and empty groups inserted at seeded positions;
@@ -39,7 +39,9 @@ campaign starts receives the campaign's budget.
 
 Inputs are drawn from seeded generators over sorted index lists, never from
 set iteration order, and every set or dict is serialized sorted, so the
-digests depend on what the code returns and not on hashing.
+digests depend on what the code returns and not on hashing. The witness maps
+of ``witnesses`` and ``oracle`` keep their insertion order, which is part of
+what those functions return.
 """
 
 from __future__ import annotations
@@ -252,13 +254,15 @@ def search_section(draws: int, seed: int = 16) -> list:
 
 def witness_section(draws: int, seed: int = 13) -> list:
     """``reachable_witness_set`` on generated networks of 1-7 inner nodes,
-    1-4 groups and 1-3 paths a group."""
+    1-4 groups and 1-3 paths a group. Each record is the witness map in
+    insertion order."""
     rng = random.Random(seed)
     records = []
     for _ in range(draws):
         spec = rk.GenSpec.network(rng.randint(1, 7), rng.randint(1, 4),
                                   rng.randint(1, 3), rng.getrandbits(63))
-        records.append(outcome(lambda: rk.reachable_witness_set(rk.generate(spec))))
+        wit = rk.reachable_witness_set(rk.generate(spec))
+        records.append([[node, list(w.nodes), list(w.colors)] for node, w in wit.items()])
     return records
 
 
