@@ -2,10 +2,11 @@
 
 A family assigns source-to-sink paths to ordered groups; a path through the
 network is *multicolored* when each of its edges lies on a path from a
-distinct group. The constructive searches below read one loop of contraction
-levels: each level contracts the source together with the inner endpoints of
-the pivot group's first edges in the remaining groups, and a witness found at
-some level is rebuilt by replaying the contractions above it in reverse.
+distinct group. The constructive searches below read the contraction
+construction, which contracts the source together with one pivot group's
+first inner nodes level by level, from one pass over the groups: each node is
+reached at the first level whose pivot steps to it from a node reached
+before, and its witness is that node's witness plus the step.
 """
 
 from __future__ import annotations
@@ -206,51 +207,39 @@ def _edge_options(groups: _Groups) -> dict[NetNode, list[tuple[NetNode, int]]]:
     return options
 
 
-_Contraction = tuple[dict[int, dict[NetNode, NetNode]], int]
+# reached node -> (level, node its witness steps from, that step's color)
+_Reached = dict[NetNode, tuple[int, NetNode, int]]
+# a path's step to the sink: (L, j, key, node, color), as in ``_reach``
+_SinkStep = tuple[int, int, tuple[float, ...], NetNode, int]
 
 
-def _contractions(groups: _Groups) -> Iterator[tuple[_Groups, list[_Contraction]]]:
-    """Yield each contraction level's groups, pivot first, with the
-    ``(starts_by_color, pivot_color)`` pairs of the contractions above it.
-
-    The next level contracts the source and the pivot's inner first nodes
-    into the source in every other group (each sorted, duplicates
-    collapsed). ``starts_by_color`` maps, per color, the second node of each
-    contracted path to the node the new source replaced, which is all
-    ``_unwind`` needs; keying by second node is exact, since within a group
-    two contracted paths can only collide on the direct source-sink edge.
-    The yielded list grows in place, so read it before the next level.
-    """
-    made: list[_Contraction] = []
-    while groups:
-        yield groups, made
-        (pivot_color, pivot_paths), rest = groups[0], groups[1:]
-        removed = {p.nodes[1] for p in pivot_paths} - {SINK}
-        groups = []
-        starts_by_color: dict[int, dict[NetNode, NetNode]] = {}
-        for color, paths in rest:
-            starts: dict[NetNode, NetNode] = {}
-            images: list[NetPath] = []
-            for p in sorted(paths, key=NetPath.key):
-                last = max(i for i, v in enumerate(p.nodes) if v == SOURCE or v in removed)
-                image = NetPath((SOURCE,) + p.nodes[last + 1:])
-                if image.nodes[1] not in starts:
-                    starts[image.nodes[1]] = p.nodes[last]
-                    images.append(image)
-            groups.append((color, tuple(sorted(images, key=NetPath.key))))
-            starts_by_color[color] = starts
-        made.append((starts_by_color, pivot_color))
-
-
-def _unwind(path: ColoredPath, made: list[_Contraction]) -> ColoredPath:
-    """Undo the contractions in ``made``, innermost first: each prepends its
-    replaced source edge, colored by its pivot group, unless the witness
-    left from the source itself."""
-    for starts_by_color, pivot_color in reversed(made):
-        replaced = starts_by_color[path.colors[0]][path.nodes[1]]
-        if replaced != SOURCE:
-            path = ColoredPath((SOURCE, replaced) + path.nodes[1:], (pivot_color,) + path.colors)
-    return path
+def _reach(groups: _Groups) -> tuple[_Reached, list[_SinkStep]]:
+    """The contraction construction in one pass: group j is the pivot at
+    level j, and each of its paths reaches at level j the node after its last
+    node reached below j, by one step of the pivot's color. Returns the
+    reached nodes, by level and then node, and the paths that contraction
+    makes direct edges: each path of group j stepping to the sink from a node
+    reached at a level L below j (the source at L = -1), as ``(L, j, key,
+    node, color)``. From level L + 1 the group keeps the one whose ``key``
+    sorts first: the ``NetPath.key`` of its remainder at level L, its nodes
+    after its last node reached below L."""
+    reached: _Reached = {SOURCE: (-1, SOURCE, -1)}
+    steps: list[_SinkStep] = []
+    for level, (color, paths) in enumerate(groups):
+        found: _Reached = {}
+        for p in paths:
+            i = len(p.nodes) - 2
+            while p.nodes[i] not in reached:
+                i -= 1
+            if i < len(p.nodes) - 2:
+                found[p.nodes[i + 1]] = (level, p.nodes[i], color)
+                continue
+            from_level = reached[p.nodes[i]][0]
+            while i and reached.get(p.nodes[i], (from_level,))[0] >= from_level:
+                i -= 1
+            steps.append((from_level, level, p.nodes[i + 1:-1] + (math.inf,), p.nodes[-2], color))
+        reached.update(sorted(found.items()))
+    return reached, steps
 
 
 def reachable_witness_set(family: PathGroupFamily) -> dict[NetNode, ColoredPath]:
@@ -258,11 +247,12 @@ def reachable_witness_set(family: PathGroupFamily) -> dict[NetNode, ColoredPath]
 
     Construction: at every contraction level, the inner endpoints of the
     pivot group's source edges are reachable through that group, by the
-    unwound one-edge witness; the deepest pivot with a direct source-sink
-    edge gives the sink its witness the same way, after every inner node.
-    Then every source edge of every group contributes its one-edge witness,
-    and a closure pass extends the witnesses until no single edge can add a
-    node. The result is always a subset of the exact reachable set.
+    witness of the node the edge leaves from plus that edge; the deepest
+    pivot with a direct source-sink edge, made direct by the latest
+    contraction, gives the sink its witness the same way, after every inner
+    node. Then every source edge of every group contributes its one-edge
+    witness, and a closure pass extends the witnesses until no single edge
+    can add a node. The result is always a subset of the exact reachable set.
 
     Witness count: when every path ends on a private inner node that no
     other path visits, the count strictly exceeds the number of paths (no
@@ -272,18 +262,13 @@ def reachable_witness_set(family: PathGroupFamily) -> dict[NetNode, ColoredPath]
     smaller than the family.
     """
     groups = _groups(family)
+    reached, steps = _reach(groups)
+    if steps:
+        _, j, _, before, color = min(steps, key=lambda s: (-s[1], -s[0], s[2]))
+        reached[SINK] = (j, before, color)
     wit = {SOURCE: ColoredPath((SOURCE,), ())}
-    sink = None
-    for level, made in _contractions(groups):
-        pivot_color, pivot_paths = level[0]
-        for x in sorted({p.nodes[1] for p in pivot_paths} - {SINK}):
-            wit[x] = _unwind(ColoredPath((SOURCE, x), (pivot_color,)), made)
-        # a path of a later group stepping from a contracted node straight to
-        # the sink becomes the direct edge of a deeper pivot, which wins
-        if any(p.edge_count == 1 for p in pivot_paths):
-            sink = _unwind(ColoredPath((SOURCE, SINK), (pivot_color,)), made)
-    if sink is not None:
-        wit[SINK] = sink
+    for x, (_, before, color) in list(reached.items())[1:]:
+        wit[x] = ColoredPath(wit[before].nodes + (x,), wit[before].colors + (color,))
     for color, paths in groups:
         for p in paths:
             z = p.nodes[1]
@@ -329,15 +314,24 @@ def find_multicolored_st_path(
             f"inner_count {inner_count} is below the {used} inner nodes in use")
     if family.total_paths <= inner_count:
         return next(iter_multicolored_st_paths(family, budget=budget), None)
-    # no pivot contracted before the first direct edge has one, so each
-    # contraction can merge two paths of a group only into the direct edge,
-    # and otherwise the group sizes carry over exactly
-    for level, made in _contractions(_groups(family)):
-        for color, paths in level:
-            if any(p.edge_count == 1 for p in paths):
-                return _unwind(ColoredPath((SOURCE, SINK), (color,)), made)
-    raise GuaranteeViolation(
-        "more paths than inner nodes but no multicolored witness was built")
+    groups = _groups(family)
+    # most calls end at level 0, on a group's own direct edge
+    for color, paths in groups:
+        if any(p.edge_count == 1 for p in paths):
+            return ColoredPath((SOURCE, SINK), (color,))
+    # before the first direct edge, contraction merges two paths of a group
+    # only into it, and otherwise the group sizes carry over exactly
+    reached, steps = _reach(groups)
+    if not steps:
+        raise GuaranteeViolation(
+            "more paths than inner nodes but no multicolored witness was built")
+    _, _, _, node, color = min(steps)
+    nodes, colors = [SINK], [color]
+    while node != SOURCE:
+        nodes.append(node)
+        _, node, color = reached[node]
+        colors.append(color)
+    return ColoredPath((SOURCE,) + tuple(reversed(nodes)), tuple(reversed(colors)))
 
 
 def iter_multicolored_st_paths(

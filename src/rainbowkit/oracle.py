@@ -59,29 +59,30 @@ def brute_rainbow(family: MatchingFamily, size: int,
         return None
     meter = Meter(budget)
     member_edges = [sorted(m.edges) for m in family]
-
-    def extend(colors: tuple[int, ...], k: int,
-               chosen: list[Edge], used: set[Vertex]) -> bool:
-        if k == size:
-            return True
-        for e in member_edges[colors[k]]:
-            meter.spend()
-            if e.left in used or e.right in used:
+    for colors in itertools.combinations(range(count), size):
+        chosen: list[Edge] = []
+        used: set[Vertex] = set()
+        # one iterator over the untried edges of each color chosen so far and
+        # of the next
+        stack = [iter(member_edges[colors[0]])]
+        while stack:
+            for e in stack[-1]:
+                meter.spend()
+                if e.left not in used and e.right not in used:
+                    break
+            else:
+                stack.pop()
+                if chosen:
+                    e = chosen.pop()
+                    used.discard(e.left)
+                    used.discard(e.right)
                 continue
             chosen.append(e)
             used.add(e.left)
             used.add(e.right)
-            if extend(colors, k + 1, chosen, used):
-                return True
-            chosen.pop()
-            used.discard(e.left)
-            used.discard(e.right)
-        return False
-
-    for colors in itertools.combinations(range(count), size):
-        chosen: list[Edge] = []
-        if extend(colors, 0, chosen, set()):
-            return RainbowMatching(tuple(zip(colors, chosen)))
+            if len(chosen) == size:
+                return RainbowMatching(tuple(zip(colors, chosen)))
+            stack.append(iter(member_edges[colors[len(chosen)]]))
     return None
 
 
@@ -288,7 +289,7 @@ def _gen_network(rng: random.Random, inner: int, groups: int,
     Private exits pin the instances to the regime where the constructive
     witness count provably beats the path count: no contraction step can then
     collapse two paths of a group onto the direct source-sink edge, so the
-    recursion's counting goes through level by level. Prefix nodes are drawn
+    construction's counting goes through level by level. Prefix nodes are drawn
     from a pool shared across groups, so paths still overlap freely away from
     their exits. The total path count is capped by the inner node supply.
     """

@@ -241,14 +241,32 @@ class TestFindMulticoloredStPath:
         # contraction turns the hop into the second group's direct edge
         sink = reachable_witness_set(fam)[SINK]
         assert (sink.nodes, sink.colors) == ((SOURCE, 0, SINK), (0, 1))
-        # the two searches stop differently on one level loop: the st-path
-        # takes the first level with a direct edge, the witness set the
-        # deepest pivot with one
-        fam = build_family([[path("s", "t"), path("s", 0, 1, "t")], [path("s", 0, "t")]])
-        found = find_multicolored_st_path(fam, 2)
-        assert (found.nodes, found.colors) == ((SOURCE, SINK), (0,))
-        sink = reachable_witness_set(fam)[SINK]
-        assert (sink.nodes, sink.colors) == ((SOURCE, 0, SINK), (0, 1))
+        # the two searches stop differently on one pass: the st-path takes
+        # the earliest level L at which a path of a later group is reached
+        # up to its step to the sink, then the first such group; the witness
+        # set takes the last such group, then its latest L; a tie goes to the
+        # path whose part after its last node reached below L sorts first
+        cases = [
+            ([[("s", "t"), ("s", 0, 1, "t")], [("s", 0, "t")]],
+             ((SOURCE, SINK), (0,)), ((SOURCE, 0, SINK), (0, 1))),
+            # s->0->t beats s->1->t, though s->2->0->t sorts after s->1->t
+            ([[("s", 2, "t")]] + [[("s", 2, 0, "t"), ("s", 1, "t")]] * 2,
+             ((SOURCE, 2, 0, SINK), (0, 1, 2)), ((SOURCE, 2, 0, SINK), (0, 1, 2))),
+            # the last group steps to the sink from node 1 (level 0) and from
+            # node 0 (level 1)
+            ([[("s", 1, "t")], [("s", 0, "t")], [("s", 0, "t"), ("s", 1, "t")]],
+             ((SOURCE, 1, SINK), (0, 2)), ((SOURCE, 0, SINK), (1, 2))),
+            # a later reach beats the group's own direct edge
+            ([[("s", 0, "t")], [("s", 0, "t"), ("s", "t")]],
+             ((SOURCE, SINK), (1,)), ((SOURCE, 0, SINK), (0, 1))),
+        ]
+        for groups, first, deepest in cases:
+            fam = build_family([[path(*p) for p in g] for g in groups])
+            assert fam.total_paths > len(fam.inner_nodes)
+            found = find_multicolored_st_path(fam, len(fam.inner_nodes))
+            assert (found.nodes, found.colors) == first
+            sink = reachable_witness_set(fam)[SINK]
+            assert (sink.nodes, sink.colors) == deepest
 
     def test_inner_count_must_cover_used_nodes(self):
         fam = build_family([[path("s", 0, 1, "t")]])

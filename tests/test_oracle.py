@@ -63,6 +63,13 @@ class TestBruteRainbow:
         with pytest.raises(PreconditionError):
             brute_rainbow(c6_family, -1)
 
+    def test_a_thousand_colors_deep(self):
+        # one edge (i, i) per member: the search is 1,000 colors deep, past
+        # the interpreter's recursion limit
+        fam = MatchingFamily(tuple(validate_matching([edge(i, i)]) for i in range(1000)))
+        found = brute_rainbow(fam, 1000)
+        assert found.entries == tuple((i, edge(i, i)) for i in range(1000))
+
 
 class TestBruteMcPath:
     def test_empty(self):

@@ -23,7 +23,9 @@ Sections:
   ``find_rainbow_matching`` and on the coprime double piles mod 4-6 through
   ``classify_multiset``;
 - ``witnesses``: ``reachable_witness_set``'s whole witness map, in
-  insertion order, on a seeded stream of generated networks;
+  insertion order, on a seeded stream of generated networks and one of
+  arbitrary networks, where ties between paths stepping to the sink occur,
+  with ``find_multicolored_st_path``'s witness on those past its threshold;
 - ``mcpath``: ``rainbowkit solve mcpath`` (its exit code, stdout and
   stderr) on network files written by hand from generated networks, some
   groups doubled and empty groups inserted at seeded positions;
@@ -252,10 +254,33 @@ def search_section(draws: int, seed: int = 16) -> list:
     return records
 
 
+def _arbitrary_network(rng: random.Random) -> rk.PathGroupFamily:
+    """4-14 groups of 0-4 innerly disjoint paths over 2-10 inner nodes, every
+    group listed twice a third of the time. Unlike generated networks, two
+    paths of a group may step to the sink from nodes reached at one level."""
+    inner = rng.randint(2, 10)
+    groups = []
+    for _ in range(rng.randint(4, 14)):
+        taken: set[int] = set()
+        group = []
+        for _ in range(rng.randint(0, 4)):
+            free = [v for v in range(inner) if v not in taken]
+            interior = rng.sample(free, rng.randint(0, min(3, len(free))))
+            taken.update(interior)
+            group.append(rk.make_path(("s", *interior, "t")))
+        groups.append(group)
+    family = rk.build_family(groups)
+    if rng.random() < 1 / 3:
+        family = rk.PathGroupFamily(family.groups * 2)
+    return family
+
+
 def witness_section(draws: int, seed: int = 13) -> list:
     """``reachable_witness_set`` on generated networks of 1-7 inner nodes,
-    1-4 groups and 1-3 paths a group. Each record is the witness map in
-    insertion order."""
+    1-4 groups and 1-3 paths a group, then on as many arbitrary networks
+    (``_arbitrary_network``). Each record is the witness map in insertion
+    order; for an arbitrary network with more paths than inner nodes, it
+    also holds ``find_multicolored_st_path``'s outcome."""
     rng = random.Random(seed)
     records = []
     for _ in range(draws):
@@ -263,6 +288,14 @@ def witness_section(draws: int, seed: int = 13) -> list:
                                   rng.randint(1, 3), rng.getrandbits(63))
         wit = rk.reachable_witness_set(rk.generate(spec))
         records.append([[node, list(w.nodes), list(w.colors)] for node, w in wit.items()])
+    for _ in range(draws):
+        family = _arbitrary_network(rng)
+        wit = rk.reachable_witness_set(family)
+        record = [[node, list(w.nodes), list(w.colors)] for node, w in wit.items()]
+        inner = len(family.inner_nodes)
+        if family.total_paths > inner:
+            record.append(outcome(lambda: rk.find_multicolored_st_path(family, inner)))
+        records.append(record)
     return records
 
 
