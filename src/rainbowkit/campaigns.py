@@ -274,7 +274,7 @@ def _run_dichotomy(n, samples, exhaustive, seed, budget):
                 family = PathGroupFamily(tuple(group for _, _, group in multiset))
                 reaches_sink = brute_reaches_sink(family, budget)
                 try:
-                    outcome = verify_regimented_dichotomy(p for _, p, _ in multiset)
+                    outcome = verify_regimented_dichotomy((p for _, p, _ in multiset), budget)
                 except DichotomyViolation:
                     yield True
                     continue

@@ -439,7 +439,7 @@ def is_regimented(paths: Iterable[NetPath]) -> Optional[Regimentation]:
 
 
 def verify_regimented_dichotomy(
-    paths: Iterable[NetPath],
+    paths: Iterable[NetPath], budget: int = DEFAULT_BUDGET,
 ) -> Union[Regimentation, ColoredPath]:
     """Decide which side of the regimented/traversable dichotomy holds.
 
@@ -448,7 +448,9 @@ def verify_regimented_dichotomy(
     always admit one: the first in exhaustive order (the contraction needs
     more paths than inner nodes), with each path as its own singleton group,
     so witness colors index the paths in input order. Both sides failing
-    would be a bug and raises DichotomyViolation.
+    would be a bug and raises DichotomyViolation. The search for that path
+    costs one step of ``budget`` per edge it steps along, as in
+    ``iter_multicolored_st_paths``; running out raises BudgetExceeded.
     """
     plist = list(paths)
     used = len({v for p in plist for v in p.nodes[1:-1]})
@@ -459,7 +461,7 @@ def verify_regimented_dichotomy(
     if regimentation is not None:
         return regimentation
     family = PathGroupFamily(tuple(PathGroup((p,)) for p in plist))
-    witness = next(iter_multicolored_st_paths(family), None)
+    witness = next(iter_multicolored_st_paths(family, budget=budget), None)
     if witness is None:
         raise DichotomyViolation("multiset is neither regimented nor traversable")
     return witness

@@ -292,6 +292,15 @@ def _gen_network(rng: random.Random, inner: int, groups: int,
     construction's counting goes through level by level. Prefix nodes are drawn
     from a pool shared across groups, so paths still overlap freely away from
     their exits. The total path count is capped by the inner node supply.
+
+    Every path steps to the sink from its own exit, which no other path
+    reaches, and none is the direct source-sink edge. So ``_reach`` in
+    ``network_paths`` records no step to the sink on these networks, and
+    the ``counting`` campaign never runs ``reachable_witness_set``'s
+    contraction sink rule. The arbitrary families of
+    ``test_witnesses_valid_and_inside_exact_set_on_random_networks``, the
+    table of ``test_later_path_hopping_from_pivot_node_to_sink`` and the
+    ``witnesses`` digest of ``tools/differential.py`` cover that rule.
     """
     if inner < 1 or groups < 1 or paths_per_group < 1:
         raise InfeasibleSpec("network needs positive inner, group, and path counts")

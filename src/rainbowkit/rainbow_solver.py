@@ -215,11 +215,11 @@ def find_rainbow_matching(
     every network of the search walks; graph edges are pulled back only for
     the classes a tried witness uses.
 
-    Each search state costs one step of ``budget``, whether it is expanded
-    or refuted by the memo before it is built; running out raises
-    BudgetExceeded. Raises GuaranteeViolation when the sorted-size
-    threshold promises success but the search fails, which would flag a
-    bug, not an input property.
+    Each search state costs one step of ``budget``, expanded or refuted by the
+    memo before it is built, and each network's witness enumeration has its own
+    meter of ``budget`` edge steps; running out raises BudgetExceeded. Raises
+    GuaranteeViolation when the sorted-size threshold promises success but the
+    search fails, which would flag a bug, not an input property.
     """
     if size < 0:
         raise PreconditionError("size must be non-negative")
@@ -230,7 +230,7 @@ def find_rainbow_matching(
         first, maps = _member_maps(family)
         meter = Meter(budget)
         meter.spend()  # the empty state
-        result = _search(family, size, first, maps, meter)
+        result = _search(family, size, first, maps, meter, budget)
         if result is None and drisko_condition(family.sizes, size):
             raise GuaranteeViolation(
                 "size-threshold condition holds but the search failed")
@@ -250,21 +250,21 @@ def _member_maps(family: MatchingFamily) -> tuple[list[int], dict[int, _MemberMa
     return first, maps
 
 
-def _search(family, target, first, maps, meter) -> Optional[RainbowMatching]:
+def _search(family, target, first, maps, meter, budget) -> Optional[RainbowMatching]:
     """Depth first from the empty matching, keeping for each state on the
     current path its memo key and its untried children. A state out of
     children is marked dead and popped; a child of ``target`` edges is
     returned before any network is built for it. No interpreter frame is held
     per state, so only the budget bounds the depth."""
     dead: set = set()
-    path = [(frozenset(), _children(family, {}, frozenset(), first, maps, dead, meter))]
+    path = [(frozenset(), _children(family, {}, frozenset(), first, maps, dead, meter, budget))]
     while path:
         key, children = path[-1]
         for child, child_key in children:
             if len(child) == target:
                 return RainbowMatching(tuple(child.items()))
             path.append((child_key, _children(family, child, child_key, first, maps,
-                                              dead, meter)))
+                                              dead, meter, budget)))
             break
         else:
             dead.add(key)
@@ -272,8 +272,8 @@ def _search(family, target, first, maps, meter) -> Optional[RainbowMatching]:
     return None
 
 
-def _children(family, assignment, key, first, maps, dead,
-              meter) -> Iterator[tuple[dict[int, Edge], frozenset]]:
+def _children(family, assignment, key, first, maps, dead, meter,
+              budget) -> Iterator[tuple[dict[int, Edge], frozenset]]:
     """The children of the partial rainbow matching ``assignment`` (color ->
     edge) whose memo key is ``key``, each with its own key, skipping dead
     ones; the network is built on the first request.
@@ -281,14 +281,15 @@ def _children(family, assignment, key, first, maps, dead,
     A memo key is one (class, left, right) triple per edge, where ``first``
     maps each color to the first color of its member's class: colors of one
     class are interchangeable. Each child costs one step of ``meter``, and a
-    child whose key is already dead costs nothing more. Colors of one class
+    child whose key is already dead costs nothing more; the network's witness
+    enumeration gets a meter of ``budget`` edge steps. Colors of one class
     share a pull-back map and a memo class, so the witnesses with the same
     nodes and color classes have the same children; only the first of them
     is tried.
     """
     network, inner_count, translation = build_contracted_network(
         family, assignment, first, maps)
-    for witness in _witnesses(network, inner_count, first):
+    for witness in _witnesses(network, inner_count, first, budget):
         choices = [translation.pullback(c)[step]
                    for step, c in zip(witness.edges, witness.colors)]
         # the assignment is a matching, so a right index names one of its edges
@@ -313,20 +314,19 @@ def _children(family, assignment, key, first, maps, dead,
             yield child, child_key
 
 
-def _witnesses(network: PathGroupFamily, inner_count: int,
-               first: list[int]) -> Iterator[ColoredPath]:
-    """Candidate augmentations: the constructed witness first when the network
-    holds more paths than matched edges, then the first multicolored path of
-    every (nodes, color classes) signature, less the constructed witness's."""
-    if network.total_paths <= inner_count:
-        yield from iter_multicolored_st_paths(network, classes=first)
-        return
-    constructed = find_multicolored_st_path(network, inner_count)
-    yield constructed
-    # resumed only once the constructed witness failed, and so did every
-    # witness of its signature: they all have its children, now dead
-    nodes, classes = constructed.nodes, [first[c] for c in constructed.colors]
-    for witness in iter_multicolored_st_paths(network, classes=first):
+def _witnesses(network: PathGroupFamily, inner_count: int, first: list[int],
+               budget: int) -> Iterator[ColoredPath]:
+    """Candidate augmentations: the constructed witness first when the network holds
+    more paths than matched edges, then the first multicolored path of every (nodes,
+    color classes) signature, less the constructed witness's, under ``budget``."""
+    nodes = classes = None
+    if network.total_paths > inner_count:
+        constructed = find_multicolored_st_path(network, inner_count)
+        yield constructed
+        # resumed only once the constructed witness failed, and so did every
+        # witness of its signature: they all have its children, now dead
+        nodes, classes = constructed.nodes, [first[c] for c in constructed.colors]
+    for witness in iter_multicolored_st_paths(network, classes=first, budget=budget):
         if witness.nodes != nodes or [first[c] for c in witness.colors] != classes:
             yield witness
 

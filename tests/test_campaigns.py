@@ -13,7 +13,7 @@ from rainbowkit import (
     TheoremViolation,
     build_family,
 )
-from rainbowkit import campaigns
+from rainbowkit import campaigns, network_paths
 from rainbowkit.errors import Meter, charge_multisets
 from rainbowkit.campaigns import THEOREMS, run_campaign
 from conftest import path
@@ -101,7 +101,7 @@ class TestRunCampaign:
 
     def test_dichotomy_counts_each_wrong_verdict(self, monkeypatch):
         monkeypatch.setattr(campaigns, "verify_regimented_dichotomy",
-                            lambda paths: Regimentation(()))
+                            lambda paths, budget: Regimentation(()))
         report = run_campaign("dichotomy", n=3)
         # the regimented multisets cut the inner nodes into ordered runs:
         # 1, 1, 3 and 13 ways for 0-3 inner nodes; every other one is
@@ -198,7 +198,7 @@ class TestBudgetRouting:
     SEARCHES = {"find_rainbow_matching", "classify_family", "classify_multiset",
                 "find_zero_sum_subset", "find_transversal", "brute_rainbow",
                 "brute_mc_path", "brute_reaches_sink", "brute_zero_sum",
-                "enumerate_multisets"}
+                "enumerate_multisets", "verify_regimented_dichotomy"}
 
     @pytest.mark.parametrize("theorem,kwargs", SMALL_RUNS)
     def test_every_call_gets_the_campaign_budget(self, monkeypatch, theorem, kwargs):
@@ -225,6 +225,25 @@ class TestBudgetRouting:
         run_campaign(theorem, budget=99_999, **kwargs)
         assert {name for name, _ in calls} & self.SEARCHES
         assert [call for call in calls if call[1] != 99_999] == []
+
+    @pytest.mark.parametrize("theorem,kwargs", SMALL_RUNS)
+    def test_every_enumeration_gets_the_campaign_budget(self, monkeypatch, theorem,
+                                                        kwargs):
+        # the multicolored-path enumerations inside the searches, the
+        # solver's own per network among them, start their meters at the
+        # campaign's budget too
+        budgets = []
+
+        class Recording(network_paths.Meter):
+            __slots__ = ()
+
+            def __init__(self, budget):
+                budgets.append(budget)
+                super().__init__(budget)
+
+        monkeypatch.setattr(network_paths, "Meter", Recording)
+        run_campaign(theorem, budget=99_999, **kwargs)
+        assert [b for b in budgets if b != 99_999] == []
 
     @pytest.mark.parametrize("theorem,checked", [
         ("egz", (120, 146)), ("egz-extremal", (84, 102))])

@@ -465,7 +465,8 @@ class TestShiftFamilyCharge:
 
 class TestSearchBudget:
     """RAINBOWKIT_BUDGET bounds the rainbow search behind every search verb,
-    not only ``solve rainbow``: one step per search state."""
+    not only ``solve rainbow``: one step per search state, and one per edge
+    that a network's witness enumeration steps along, on a meter of its own."""
 
     @pytest.mark.parametrize("argv,steps,code", [
         (("classify", "family", "--input", "{c10}"), 501, 0),
@@ -473,18 +474,24 @@ class TestSearchBudget:
         (("solve", "egz", "--n", "5", "--elements", "1,1,1,1,3,3,3,3"), 501, 1),
         (("solve", "transversal", "--input", "{latin2}"), 5, 1),
         (("solve", "transversal", "--input", "{latin3}"), 4, 0),
+        # 6 states, but one network's enumeration steps along 7 edges
+        (("solve", "rainbow", "--input", "{family_f}", "--target", "5"), 7, 0),
     ], ids=["classify-family", "classify-multiset", "solve-egz",
-            "solve-transversal-none", "solve-transversal"])
+            "solve-transversal-none", "solve-transversal", "solve-rainbow-enumeration"])
     def test_search_beyond_budget_exit_three(self, tmp_path, capsys, monkeypatch,
                                              argv, steps, code):
         files = {"c10": tmp_path / "c10.json", "latin2": tmp_path / "latin2.json",
-                 "latin3": tmp_path / "latin3.json"}
+                 "latin3": tmp_path / "latin3.json", "family_f": tmp_path / "f.json"}
         assert main(["generate", "--canonical", "c2n", "--n", "5",
                      "--out", str(files["c10"])]) == 0
         files["latin2"].write_text(json.dumps(
             {"rows": 2, "cols": 2, "cells": [[0, 1], [1, 0]]}))
         files["latin3"].write_text(json.dumps(
             {"rows": 3, "cols": 3, "cells": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}))
+        files["family_f"].write_text(json.dumps([
+            [[2, 0]], [[0, 4], [1, 0], [2, 1], [3, 2], [5, 5]], [[3, 1], [4, 2], [5, 3]],
+            [[2, 0], [3, 2], [4, 3], [5, 1]], [[0, 2], [1, 3], [2, 4], [3, 5], [4, 1], [5, 0]],
+            [[0, 5], [1, 0], [2, 1], [3, 3], [4, 4], [5, 2]]]))
         argv = [a.format(**files) for a in argv]
         monkeypatch.setenv("RAINBOWKIT_BUDGET", str(steps))
         assert run_cli(capsys, *argv)[0] == code

@@ -425,6 +425,16 @@ _REFUTED = [
 _REFUTED_IDS = ["cycle-8-interleaved", "cycle-10-interleaved", "egz-piles-5",
                 "cycle-12-interleaved"]
 
+# found in 6 search states, after one network's enumeration steps along 7 edges
+_FAMILY_F = family(
+    [edge(2, 0)],
+    [edge(0, 4), edge(1, 0), edge(2, 1), edge(3, 2), edge(5, 5)],
+    [edge(3, 1), edge(4, 2), edge(5, 3)],
+    [edge(2, 0), edge(3, 2), edge(4, 3), edge(5, 1)],
+    [edge(0, 2), edge(1, 3), edge(2, 4), edge(3, 5), edge(4, 1), edge(5, 0)],
+    [edge(0, 5), edge(1, 0), edge(2, 1), edge(3, 3), edge(4, 4), edge(5, 2)],
+)
+
 
 class TestBudget:
     def test_one_step_per_search_state(self):
@@ -483,6 +493,15 @@ class TestBudget:
         piles = ResidueMultiset(n, (0,) * (n - 1) + (1,) * (n - 1))
         assert classify_multiset(piles) == ExtremalPair(0, 1)
         assert len(built) == networks
+
+    def test_each_network_enumeration_runs_under_the_budget(self):
+        # the search's 6 states fit a budget of 6, but the enumeration's 7
+        # edge steps do not: it gets a meter of the caller's budget too
+        found = find_rainbow_matching(_FAMILY_F, 5, budget=7)
+        assert found.entries == ((0, edge(2, 0)), (1, edge(0, 4)), (2, edge(3, 1)),
+                                 (3, edge(4, 3)), (5, edge(5, 2)))
+        with pytest.raises(BudgetExceeded):
+            find_rainbow_matching(_FAMILY_F, 5, budget=6)
 
     def test_trivial_targets_spend_nothing(self):
         assert len(find_rainbow_matching(family([edge(0, 0)]), 0, budget=0)) == 0

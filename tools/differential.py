@@ -36,8 +36,12 @@ Sections:
   (``tests/test_differential.py``).
 
 Every section runs at the default budget, so none of them sees how a budget
-is routed; ``tests/test_campaigns.py`` checks that every search and oracle a
-campaign starts receives the campaign's budget.
+is routed. ``tests/test_campaigns.py`` checks that instead:
+``TestBudgetRouting.test_every_call_gets_the_campaign_budget`` that every
+search and oracle a campaign starts receives the campaign's budget, and
+``TestBudgetRouting.test_every_enumeration_gets_the_campaign_budget`` that
+every multicolored-path enumeration inside them, the solver's own per
+network among them, starts its meter at that budget.
 
 Inputs are drawn from seeded generators over sorted index lists, never from
 set iteration order, and every set or dict is serialized sorted, so the
