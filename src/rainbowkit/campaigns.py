@@ -20,7 +20,7 @@ from typing import Optional
 
 from .errors import (DEFAULT_BUDGET, BudgetExceeded, DichotomyViolation, PreconditionError,
                      charge, charge_multisets)
-from .graph_core import MatchingFamily, rainbow_is_valid
+from .graph_core import Edge, MatchingFamily, Side, rainbow_is_valid
 from .network_paths import (
     SINK,
     SOURCE,
@@ -304,17 +304,39 @@ def _six_cycle_splits(side: int) -> list[tuple]:
 
 def _check_classification(family: MatchingFamily, n: int, budget: int) -> bool:
     """True when classify_family agrees with brute feasibility and any
-    extremal verdict is structurally sound."""
+    extremal verdict certifies a split cycle of the family."""
     oracle_found = brute_rainbow(family, n, budget)
     verdict = _verdict(classify_family, family, budget)
     if verdict is None:
         return False
     if isinstance(verdict, ExtremalCycle):
-        if oracle_found is not None:
-            return False
-        counts = (len(verdict.even_colors), len(verdict.odd_colors))
-        return counts == (n - 1, n - 1) and len(verdict.cycle) == 2 * n
+        return oracle_found is None and _splits_cycle(verdict, family, n)
     return oracle_found is not None and rainbow_is_valid(verdict.witness, family)
+
+
+def _splits_cycle(verdict: ExtremalCycle, family: MatchingFamily, n: int) -> bool:
+    """True when ``verdict`` certifies a split 2n-cycle of ``family``, read
+    from the verdict alone: its cycle has 2n distinct vertices on
+    alternating sides, each of its n - 1 even colors has exactly the edges
+    (cycle[2i], cycle[2i+1]), each of its n - 1 odd colors exactly the edges
+    (cycle[2i+1], cycle[2i+2 mod 2n]), and the two color sets partition the
+    family."""
+    cycle = verdict.cycle
+    if len(cycle) != 2 * n or len(set(cycle)) != 2 * n or any(
+            u.side is v.side for u, v in zip(cycle, cycle[1:])):
+        return False
+
+    def edges(offset: int) -> frozenset[Edge]:
+        ends = [(cycle[i], cycle[(i + 1) % (2 * n)]) for i in range(offset, 2 * n, 2)]
+        return frozenset(Edge(u, v) if u.side is Side.LEFT else Edge(v, u) for u, v in ends)
+
+    even, odd = verdict.even_colors, verdict.odd_colors
+    if (len(even) != n - 1 or len(odd) != n - 1 or even & odd
+            or even | odd != set(range(len(family)))):
+        return False
+    even_edges, odd_edges = edges(0), edges(1)
+    return (all(family[c].edges == even_edges for c in even)
+            and all(family[c].edges == odd_edges for c in odd))
 
 
 def _run_extremal(n, samples, exhaustive, seed, budget):

@@ -445,12 +445,24 @@ def verify_regimented_dichotomy(
 
     Requires exactly as many paths as distinct inner nodes in use. Regimented
     multisets admit no multicolored source-sink path, and non-regimented ones
-    always admit one: the first in exhaustive order (the contraction needs
-    more paths than inner nodes), with each path as its own singleton group,
-    so witness colors index the paths in input order. Both sides failing
-    would be a bug and raises DichotomyViolation. The search for that path
-    costs one step of ``budget`` per edge it steps along, as in
-    ``iter_multicolored_st_paths``; running out raises BudgetExceeded.
+    always admit one, with each path as its own singleton group, so witness
+    colors index the paths in input order.
+
+    The witness follows the lemma's induction. Contracting a pivot path P of
+    color c, whose first inner node is x, drops P and cuts every other path
+    that visits x down to the part after x; k paths on k inner nodes leave
+    k - 1 paths on at most k - 1. A multicolored path of the contracted
+    family lifts back unchanged, or with s->x via c prepended when its first
+    edge came from a cut path. At each level the pivot is the first path in
+    color order whose contraction holds a direct edge, has fewer inner nodes
+    than paths (which every later contraction keeps, so the counting lemma
+    applies), or is not regimented; on exactly as many paths as inner nodes,
+    regimented means that every class of equal paths has as many copies as
+    inner nodes, since disjointness then follows from the counts. The levels
+    stop at the first direct edge, the first in color order. A level where no
+    pivot qualifies would refute the lemma and raises DichotomyViolation:
+    that is the proof check. Each pivot tried costs one step of ``budget``;
+    running out raises BudgetExceeded.
     """
     plist = list(paths)
     used = len({v for p in plist for v in p.nodes[1:-1]})
@@ -460,8 +472,39 @@ def verify_regimented_dichotomy(
     regimentation = is_regimented(plist)
     if regimentation is not None:
         return regimentation
-    family = PathGroupFamily(tuple(PathGroup((p,)) for p in plist))
-    witness = next(iter_multicolored_st_paths(family, budget=budget), None)
-    if witness is None:
-        raise DichotomyViolation("multiset is neither regimented nor traversable")
-    return witness
+    meter = Meter(budget)
+    family = [(c, p.nodes) for c, p in enumerate(plist)]
+    direct = (SOURCE, SINK)
+    # per level: the pivot's color, its first inner node, the colors it cut
+    lifts: list[tuple[int, NetNode, list[int]]] = []
+    while all(nodes != direct for _, nodes in family):
+        for c, pivot in family:
+            meter.spend()
+            x = pivot[1]
+            contracted: list[tuple[int, tuple[NetNode, ...]]] = []
+            cut: list[int] = []
+            copies: dict[tuple[NetNode, ...], int] = {}
+            for d, nodes in family:
+                if x in nodes:
+                    if d == c:
+                        continue
+                    nodes = (SOURCE,) + nodes[nodes.index(x) + 1:]
+                    cut.append(d)
+                contracted.append((d, nodes))
+                copies[nodes] = copies.get(nodes, 0) + 1
+            # not regimented, or surplus; a direct edge fails the counts,
+            # since its class would need no copies
+            if any(k != len(nodes) - 2 for nodes, k in copies.items()) or len(
+                    {v for nodes in copies for v in nodes[1:-1]}) < len(contracted):
+                break
+        else:
+            raise DichotomyViolation("multiset is neither regimented nor traversable")
+        lifts.append((c, x, cut))
+        family = contracted
+    nodes = [SOURCE, SINK]
+    colors = [next(d for d, path in family if path == direct)]
+    for c, x, cut in reversed(lifts):
+        if colors[0] in cut:
+            nodes.insert(1, x)
+            colors.insert(0, c)
+    return ColoredPath(tuple(nodes), tuple(colors))

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 
@@ -7,6 +8,7 @@ from rainbowkit import (
     BudgetExceeded,
     ColoredPath,
     DichotomyViolation,
+    ExtremalCycle,
     PreconditionError,
     RainbowMatching,
     Regimentation,
@@ -190,6 +192,34 @@ class TestRunCampaign:
             "drisko", "general", "bgs", "extremal", "counting", "dichotomy",
             "egz", "egz-extremal", "transversal", "sharpness"}
 
+
+
+class TestExtremalCertificate:
+    """The extremal campaign reads each split-cycle verdict against the
+    family itself, so a verdict naming the wrong cycle or colors is a fault
+    although the family has no rainbow matching."""
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda v: dataclasses.replace(v, even_colors=v.odd_colors, odd_colors=v.even_colors),
+        lambda v: dataclasses.replace(v, cycle=v.cycle[1:] + v.cycle[:1]),
+        lambda v: dataclasses.replace(v, even_colors=v.even_colors - {min(v.even_colors)}),
+    ], ids=["swap-even-and-odd", "rotate-by-one-vertex", "drop-a-color"])
+    def test_corrupted_cycle_verdict_is_a_fault(self, monkeypatch, corrupt):
+        classify = campaigns.classify_family
+        cycles = []
+
+        def corrupted(family, budget):
+            verdict = classify(family, budget)
+            if not isinstance(verdict, ExtremalCycle):
+                return verdict
+            cycles.append(verdict)
+            return corrupt(verdict)
+
+        assert run_campaign("extremal", n=3, samples=60, seed=4).violations == 0
+        monkeypatch.setattr(campaigns, "classify_family", corrupted)
+        report = run_campaign("extremal", n=3, samples=60, seed=4)
+        assert len(cycles) > 0
+        assert report.violations == len(cycles)
 
 class TestBudgetRouting:
     """Every search, oracle and charge a campaign starts gets the campaign's

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from rainbowkit import (
     BudgetExceeded,
     ColoredPath,
+    DEFAULT_BUDGET,
+    DichotomyViolation,
     GenSpec,
     InnerOverlapError,
     MalformedPathError,
@@ -20,6 +22,7 @@ from rainbowkit import (
     SOURCE,
     build_family,
     brute_mc_path,
+    brute_reaches_sink,
     colored_path_conforms,
     find_multicolored_st_path,
     generate,
@@ -555,3 +558,60 @@ class TestDichotomy:
                 else:
                     assert reaches
                     assert colored_path_conforms(outcome, fam)
+
+    def test_one_step_per_pivot_tried(self):
+        # the first pivot's contraction leaves s->1->t, tight and regimented;
+        # the second's cuts s->0->1->t to a direct edge
+        paths = [path("s", 0, 1, "t"), path("s", 1, "t")]
+        assert verify_regimented_dichotomy(paths, budget=2).nodes == (SOURCE, 1, SINK)
+        with pytest.raises(BudgetExceeded):
+            verify_regimented_dichotomy(paths, budget=1)
+
+    def test_no_qualifying_pivot_raises(self, monkeypatch):
+        # with the regimented side missed, no contraction of two copies of
+        # s->0->1->t holds a direct edge, a surplus or a broken class
+        monkeypatch.setattr(network_paths, "is_regimented", lambda paths: None)
+        with pytest.raises(DichotomyViolation):
+            verify_regimented_dichotomy([path("s", 0, 1, "t")] * 2)
+
+    def test_seeded_agreement_with_oracle_on_five_to_eight_nodes(self):
+        # a quarter regimented by construction, half of those with one path
+        # replaced by a copy of another (tight and, mostly, traversable);
+        # the rest draw paths of 1-4 inner nodes until every node is used
+        rng = random.Random(26)
+        checked = 0
+        while checked < 2000:
+            inner = rng.randint(5, 8)
+            if rng.random() < 0.25:
+                order = rng.sample(range(inner), inner)
+                cuts = sorted(rng.sample(range(1, inner), rng.randint(0, inner - 1)))
+                paths = [make_path(("s", *order[a:b], "t"))
+                         for a, b in zip([0, *cuts], [*cuts, inner]) for _ in range(b - a)]
+                if rng.random() < 0.5:
+                    paths[rng.randrange(inner)] = rng.choice(paths)
+            else:
+                paths = [make_path(("s", *rng.sample(range(inner), rng.randint(1, 4)), "t"))
+                         for _ in range(inner)]
+            if len({v for p in paths for v in p.inner_nodes}) != inner:
+                continue
+            checked += 1
+            fam = PathGroupFamily(tuple(PathGroup((p,)) for p in paths))
+            outcome = verify_regimented_dichotomy(paths)
+            if isinstance(outcome, Regimentation):
+                assert not brute_reaches_sink(fam)
+            else:
+                assert brute_reaches_sink(fam)
+                assert colored_path_conforms(outcome, fam)
+
+    def test_family_with_factorially_many_dead_ends(self):
+        # exhaustive order tries every order of the L chain copies before
+        # the two crossing paths on L and L + 1, which at L = 12 takes more
+        # than DEFAULT_BUDGET edge steps; contraction takes L + 1 levels,
+        # each on its first pivot: the chain copies, then s->L->L+1->t
+        L = 12
+        paths = [make_path(("s", *range(L), "t"))] * L + [
+            path("s", L, L + 1, "t"), path("s", L + 1, L, "t")]
+        outcome = verify_regimented_dichotomy(paths, budget=DEFAULT_BUDGET)
+        fam = PathGroupFamily(tuple(PathGroup((p,)) for p in paths))
+        assert colored_path_conforms(outcome, fam)
+        assert outcome.target == SINK

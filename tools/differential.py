@@ -32,6 +32,10 @@ Sections:
 - ``oracle``: ``brute_mc_path``'s whole witness map, in insertion order, on
   generated networks (half with every group doubled) and on dichotomy
   multisets of 4 and 5 inner nodes; the sink-only query must agree with it;
+- ``dichotomy``: ``verify_regimented_dichotomy``'s outcome on seeded
+  dichotomy multisets of 4-8 inner nodes and on a family of L copies of one
+  chain with two crossing paths, L = 3-12, which exhaustive order takes
+  factorial time to traverse;
 - ``slice``: the smaller, self-contained run that the test suite pins
   (``tests/test_differential.py``).
 
@@ -54,6 +58,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import io
 import itertools
@@ -331,6 +336,14 @@ def mcpath_section(draws: int, seed: int = 14) -> list:
     return records
 
 
+@functools.cache
+def _interiors(inner: int) -> list[tuple[int, ...]]:
+    """The inner-node sequences of every simple source-sink path on
+    ``inner`` nodes."""
+    return [interior for r in range(inner + 1)
+            for interior in itertools.permutations(range(inner), r)]
+
+
 def _dichotomy_multiset(rng: random.Random, inner: int) -> list[rk.NetPath]:
     """``inner`` source-sink paths that use every inner node: a quarter
     regimented (each run of a shuffled node order, as many copies as its
@@ -342,8 +355,7 @@ def _dichotomy_multiset(rng: random.Random, inner: int) -> list[rk.NetPath]:
         paths = [rk.NetPath(("s", *run, "t")) for run in runs for _ in run]
         rng.shuffle(paths)
         return paths
-    pool = [interior for r in range(inner + 1)
-            for interior in itertools.permutations(range(inner), r)]
+    pool = _interiors(inner)
     while True:
         drawn = [rng.choice(pool) for _ in range(inner)]
         if len({v for interior in drawn for v in interior}) == inner:
@@ -374,6 +386,20 @@ def oracle_section(draws: int, seed: int = 15) -> list:
         records.append([[node, list(w.nodes), list(w.colors)]
                         for node, w in reach.items()])
     return records
+
+
+def dichotomy_section(draws: int, seed: int = 17) -> list:
+    """``verify_regimented_dichotomy`` on dichotomy multisets of 4-8 inner
+    nodes, then on the family of L copies of s->0->...->L-1->t with the
+    crossing paths s->L->L+1->t and s->L+1->L->t, for L = 3-12. Each record
+    is the outcome, so the section pins which pivot the contraction takes
+    beyond the benchmark's multisets of 4 and 5 inner nodes."""
+    rng = random.Random(seed)
+    families = [_dichotomy_multiset(rng, rng.randint(4, 8)) for _ in range(draws)]
+    for L in range(3, 13):
+        families.append([rk.NetPath(("s", *range(L), "t"))] * L + [
+            rk.NetPath(("s", L, L + 1, "t")), rk.NetPath(("s", L + 1, L, "t"))])
+    return [outcome(lambda: rk.verify_regimented_dichotomy(paths)) for paths in families]
 
 
 def campaign_section(runs) -> list:
@@ -420,6 +446,7 @@ def main() -> None:
         "witnesses": lambda: witness_section(20_000),
         "mcpath": lambda: mcpath_section(5000),
         "oracle": lambda: oracle_section(20_000),
+        "dichotomy": lambda: dichotomy_section(20_000),
         "slice": slice_records,
     }
     for name, build in sections.items():
