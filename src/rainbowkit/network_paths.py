@@ -6,7 +6,9 @@ distinct group. The constructive searches below read the contraction
 construction, which contracts the source together with one pivot group's
 first inner nodes level by level, from one pass over the groups: each node is
 reached at the first level whose pivot steps to it from a node reached
-before, and its witness is that node's witness plus the step.
+before, and its witness is that node's witness plus the step. The
+dichotomy's verdict writes the same record of reached nodes with an adaptive
+pivot order, and every witness is read back from that record by one walk.
 """
 
 from __future__ import annotations
@@ -179,10 +181,10 @@ def colored_path_conforms(path: ColoredPath, family: PathGroupFamily) -> bool:
         return False
     if len(set(nodes)) != len(nodes) or len(set(colors)) != len(colors):
         return False
-    for e, c in zip(path.edges, colors):
+    for u, v, c in zip(nodes, nodes[1:], colors):
         if not 0 <= c < len(family.groups):
             return False
-        if not any(e in p.edges for p in family.groups[c].paths):
+        if not any((u, v) in zip(p.nodes, p.nodes[1:]) for p in family.groups[c].paths):
             return False
     return True
 
@@ -326,6 +328,11 @@ def find_multicolored_st_path(
         raise GuaranteeViolation(
             "more paths than inner nodes but no multicolored witness was built")
     _, _, _, node, color = min(steps)
+    return _walk_back(reached, node, color)
+
+
+def _walk_back(reached: _Reached, node: NetNode, color: int) -> ColoredPath:
+    """The witness that steps from ``node`` to the sink by ``color``."""
     nodes, colors = [SINK], [color]
     while node != SOURCE:
         nodes.append(node)
@@ -428,13 +435,12 @@ def is_regimented(paths: Iterable[NetPath]) -> Optional[Regimentation]:
     # copies counted by node tuple, whose hash runs in C, and classes sorted
     # by the NetPath.key of their nodes
     copies = Counter([p.nodes for p in paths])
-    reps = sorted(copies, key=lambda nodes: nodes[1:-1] + (math.inf,))
-    for nodes in reps:
-        if copies[nodes] != len(nodes) - 2:
-            return None
-    inner = [nodes[1:-1] for nodes in reps]
+    if any(k != len(nodes) - 2 for nodes, k in copies.items()):
+        return None
+    inner = [nodes[1:-1] for nodes in copies]
     if len(set().union(*inner)) != sum(map(len, inner)):
         return None
+    reps = sorted(copies, key=lambda nodes: nodes[1:-1] + (math.inf,))
     return Regimentation(tuple((NetPath(nodes), copies[nodes]) for nodes in reps))
 
 
@@ -450,19 +456,21 @@ def verify_regimented_dichotomy(
 
     The witness follows the lemma's induction. Contracting a pivot path P of
     color c, whose first inner node is x, drops P and cuts every other path
-    that visits x down to the part after x; k paths on k inner nodes leave
-    k - 1 paths on at most k - 1. A multicolored path of the contracted
-    family lifts back unchanged, or with s->x via c prepended when its first
-    edge came from a cut path. At each level the pivot is the first path in
+    that visits x down to the part after x; k paths on k inner nodes leave k-1
+    paths on at most k-1. A multicolored path of the contracted family lifts
+    back unchanged, or with s->x via c prepended when its first edge came from
+    a cut path; so paths are kept from their last reached node, x is reached
+    from P's start by c, and the witness is read back through that map, as in
+    ``find_multicolored_st_path``. Each level's pivot is the first path in
     color order whose contraction holds a direct edge, has fewer inner nodes
     than paths (which every later contraction keeps, so the counting lemma
-    applies), or is not regimented; on exactly as many paths as inner nodes,
+    applies), or is not regimented; on as many paths as inner nodes,
     regimented means that every class of equal paths has as many copies as
     inner nodes, since disjointness then follows from the counts. The levels
-    stop at the first direct edge, the first in color order. A level where no
-    pivot qualifies would refute the lemma and raises DichotomyViolation:
-    that is the proof check. Each pivot tried costs one step of ``budget``;
-    running out raises BudgetExceeded.
+    stop at the first direct edge in color order. A level where no pivot
+    qualifies would refute the lemma and raises DichotomyViolation: that is
+    the proof check. Each pivot tried costs one step of ``budget``; running
+    out raises BudgetExceeded.
     """
     plist = list(paths)
     used = len({v for p in plist for v in p.nodes[1:-1]})
@@ -474,37 +482,29 @@ def verify_regimented_dichotomy(
         return regimentation
     meter = Meter(budget)
     family = [(c, p.nodes) for c, p in enumerate(plist)]
-    direct = (SOURCE, SINK)
-    # per level: the pivot's color, its first inner node, the colors it cut
-    lifts: list[tuple[int, NetNode, list[int]]] = []
-    while all(nodes != direct for _, nodes in family):
+    reached: _Reached = {}
+    while all(len(nodes) > 2 for _, nodes in family):
         for c, pivot in family:
             meter.spend()
             x = pivot[1]
             contracted: list[tuple[int, tuple[NetNode, ...]]] = []
-            cut: list[int] = []
             copies: dict[tuple[NetNode, ...], int] = {}
             for d, nodes in family:
                 if x in nodes:
                     if d == c:
                         continue
-                    nodes = (SOURCE,) + nodes[nodes.index(x) + 1:]
-                    cut.append(d)
+                    nodes = nodes[nodes.index(x):]
                 contracted.append((d, nodes))
-                copies[nodes] = copies.get(nodes, 0) + 1
+                rest = nodes[1:]
+                copies[rest] = copies.get(rest, 0) + 1
             # not regimented, or surplus; a direct edge fails the counts,
             # since its class would need no copies
-            if any(k != len(nodes) - 2 for nodes, k in copies.items()) or len(
-                    {v for nodes in copies for v in nodes[1:-1]}) < len(contracted):
+            if any(k != len(rest) - 1 for rest, k in copies.items()) or len(
+                    {v for rest in copies for v in rest[:-1]}) < len(contracted):
                 break
         else:
             raise DichotomyViolation("multiset is neither regimented nor traversable")
-        lifts.append((c, x, cut))
+        reached[x] = (len(reached), pivot[0], c)
         family = contracted
-    nodes = [SOURCE, SINK]
-    colors = [next(d for d, path in family if path == direct)]
-    for c, x, cut in reversed(lifts):
-        if colors[0] in cut:
-            nodes.insert(1, x)
-            colors.insert(0, c)
-    return ColoredPath(tuple(nodes), tuple(colors))
+    node, color = next((nodes[0], d) for d, nodes in family if len(nodes) == 2)
+    return _walk_back(reached, node, color)

@@ -138,9 +138,12 @@ class TestColoredPath:
         (("s", 0, 1, 0), (0, 3, 2), False),
         (("s", 0, 1), (0, 1), False),
         (("s", 0, 1), (0, -1), False),
+        (("s", 0), (2,), False),
+        (("s", 1, 0), (2, 3), False),
     ], ids=["source-only", "stops-inside", "reaches-sink", "empty", "not-from-source",
             "too-few-colors", "too-many-colors", "repeated-node", "edge-off-its-group",
-            "negative-color"])
+            "negative-color", "both-nodes-on-its-group-but-not-the-edge",
+            "edge-reversed-on-its-group"])
     def test_checks_every_condition(self, nodes, colors, conforms):
         assert colored_path_conforms(ColoredPath(nodes, colors), self.fam) is conforms
 
@@ -531,6 +534,15 @@ class TestDichotomy:
         assert isinstance(outcome, ColoredPath)
         assert outcome.nodes == (SOURCE, 1, SINK)
         assert outcome.colors == (1, 0)
+
+    @pytest.mark.parametrize("interiors,nodes,colors", [
+        ([(0,), (1,), (0, 1, 2)], (SOURCE, 0, 1, SINK), (0, 2, 1)),
+        ([(0,), (1,), (0, 2), (2, 1, 3)], (SOURCE, 0, 2, 1, SINK), (0, 2, 3, 1)),
+    ], ids=["lifted-through-two-levels", "lifted-through-three-levels"])
+    def test_witness_lifted_through_several_levels(self, interiors, nodes, colors):
+        outcome = verify_regimented_dichotomy(
+            [make_path(("s", *interior, "t")) for interior in interiors])
+        assert (outcome.nodes, outcome.colors) == (nodes, colors)
 
     def test_two_classes_branch(self):
         outcome = verify_regimented_dichotomy([path("s", 0, "t"), path("s", 1, "t")])

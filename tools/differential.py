@@ -35,7 +35,9 @@ Sections:
 - ``dichotomy``: ``verify_regimented_dichotomy``'s outcome on seeded
   dichotomy multisets of 4-8 inner nodes and on a family of L copies of one
   chain with two crossing paths, L = 3-12, which exhaustive order takes
-  factorial time to traverse;
+  factorial time to traverse, then ``is_regimented``'s outcome on seeded
+  lists of 0-8 paths over up to 5 inner nodes that need not be tight, some
+  with every class at its regimented count, some with a direct path;
 - ``slice``: the smaller, self-contained run that the test suite pins
   (``tests/test_differential.py``).
 
@@ -388,18 +390,40 @@ def oracle_section(draws: int, seed: int = 15) -> list:
     return records
 
 
+def _untight_list(rng: random.Random) -> list[rk.NetPath]:
+    """0-8 source-sink paths over up to 5 inner nodes, drawn without tying
+    the path count to the node count: half give each of up to three drawn
+    paths as many copies as it has inner nodes, so every class has its
+    regimented count and the representatives may still share nodes; the
+    rest draw paths from all simple ones, the direct path among them."""
+    pool = _interiors(rng.randint(0, 5))
+    if rng.random() < 0.5:
+        paths = []
+        for interior in rng.sample(pool, min(3, len(pool))):
+            if len(paths) + len(interior) <= 8:
+                paths += [rk.NetPath(("s", *interior, "t"))] * len(interior)
+        rng.shuffle(paths)
+        return paths
+    return [rk.NetPath(("s", *rng.choice(pool), "t")) for _ in range(rng.randint(0, 8))]
+
+
 def dichotomy_section(draws: int, seed: int = 17) -> list:
     """``verify_regimented_dichotomy`` on dichotomy multisets of 4-8 inner
     nodes, then on the family of L copies of s->0->...->L-1->t with the
-    crossing paths s->L->L+1->t and s->L+1->L->t, for L = 3-12. Each record
+    crossing paths s->L->L+1->t and s->L+1->L->t, for L = 3-12, then
+    ``is_regimented`` on ``draws`` lists that need not be tight. Each record
     is the outcome, so the section pins which pivot the contraction takes
-    beyond the benchmark's multisets of 4 and 5 inner nodes."""
+    beyond the benchmark's multisets of 4 and 5 inner nodes, and the
+    disjointness test failing after every class count matched, which it
+    never does on a tight multiset."""
     rng = random.Random(seed)
     families = [_dichotomy_multiset(rng, rng.randint(4, 8)) for _ in range(draws)]
     for L in range(3, 13):
         families.append([rk.NetPath(("s", *range(L), "t"))] * L + [
             rk.NetPath(("s", L, L + 1, "t")), rk.NetPath(("s", L + 1, L, "t"))])
-    return [outcome(lambda: rk.verify_regimented_dichotomy(paths)) for paths in families]
+    records = [outcome(lambda: rk.verify_regimented_dichotomy(paths)) for paths in families]
+    lists = [_untight_list(rng) for _ in range(draws)]
+    return records + [outcome(lambda: rk.is_regimented(paths)) for paths in lists]
 
 
 def campaign_section(runs) -> list:
