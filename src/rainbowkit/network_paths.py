@@ -35,17 +35,6 @@ SINK = "t"
 NetNode = Union[str, int]
 
 
-def node_key(node: NetNode) -> float:
-    """Total order as one number: the source is -1, an inner node is its
-    index and the sink is infinity, so the source comes first and the sink
-    last."""
-    if node == SOURCE:
-        return -1
-    if node == SINK:
-        return math.inf
-    return node
-
-
 def _is_inner(node: object) -> bool:
     return isinstance(node, int) and not isinstance(node, bool) and node >= 0
 
@@ -73,10 +62,11 @@ class NetPath:
         """The inner nodes, then infinity for the sink.
 
         Every path starts at the source and ends at the sink, so comparing
-        keys compares node sequences under the ``node_key`` order: paths sort
-        by their inner nodes, and since the sink's infinity sorts after every
-        inner node, a path sorts after each of its extensions (s->0->1->t
-        before s->0->t) and the direct path s->t sorts last.
+        keys compares node sequences with the source first, inner nodes by
+        index and the sink last: paths sort by their inner nodes, and since
+        the sink's infinity sorts after every inner node, a path sorts after
+        each of its extensions (s->0->1->t before s->0->t) and the direct
+        path s->t sorts last.
         """
         return self.nodes[1:-1] + (math.inf,)
 
@@ -201,7 +191,7 @@ def _edge_options(groups: _Groups) -> dict[NetNode, list[tuple[NetNode, int]]]:
     edges: set[tuple[float, float, int, NetNode, NetNode]] = set()
     for color, paths in groups:
         for p in paths:
-            keys = (-1,) + p.key()  # the node_key of every node
+            keys = (-1,) + p.key()  # every node's rank, the source's -1 first
             edges.update(zip(keys, keys[1:], repeat(color), p.nodes, p.nodes[1:]))
     options: dict[NetNode, list[tuple[NetNode, int]]] = {}
     for _, _, color, u, v in sorted(edges):
@@ -284,7 +274,9 @@ def _close_witnesses(wit: dict[NetNode, ColoredPath], groups: _Groups) -> None:
     """Grow the witness map to a fixpoint: extend any witness by one edge of
     any group it does not use yet. Each node keeps its first witness."""
     options = _edge_options(groups)
-    queue = deque(sorted(wit, key=node_key))
+    # popping the source adds nothing, as every source head has its one-edge
+    # witness already, and no option leaves the sink
+    queue = deque(sorted(filter(_is_inner, wit)))
     while queue:
         u = queue.popleft()
         nodes, colors = wit[u].nodes, wit[u].colors

@@ -108,7 +108,7 @@ def _first_reached(family: PathGroupFamily, budget: int,
     edges: set[tuple[float, float, int, NetNode, NetNode]] = set()
     for color, group in enumerate(family.groups):
         for p in group.paths:
-            keys = (-1,) + p.key()  # the node_key of every node
+            keys = (-1,) + p.key()  # every node's rank, the source's -1 first
             edges.update(zip(keys, keys[1:], itertools.repeat(color),
                              p.nodes, p.nodes[1:]))
     options: dict[NetNode, list[tuple[NetNode, int, int, dict]]] = {}

@@ -227,10 +227,7 @@ def find_rainbow_matching(
         return RainbowMatching(())
     result = None
     if size <= len(family):
-        first, maps = _member_maps(family)
-        meter = Meter(budget)
-        meter.spend()  # the empty state
-        result = _search(family, size, first, maps, meter, budget)
+        result = _search(family, size, budget)
         if result is None and drisko_condition(family.sizes, size):
             raise GuaranteeViolation(
                 "size-threshold condition holds but the search failed")
@@ -250,68 +247,69 @@ def _member_maps(family: MatchingFamily) -> tuple[list[int], dict[int, _MemberMa
     return first, maps
 
 
-def _search(family, target, first, maps, meter, budget) -> Optional[RainbowMatching]:
+def _search(family: MatchingFamily, target: int, budget: int) -> Optional[RainbowMatching]:
     """Depth first from the empty matching, keeping for each state on the
-    current path its memo key and its untried children. A state out of
-    children is marked dead and popped; a child of ``target`` edges is
+    current path its generator of untried children, which reads the search's
+    class maps, meter and memo of dead states. A generator out of children
+    marks its state dead and is popped; a child of ``target`` edges is
     returned before any network is built for it. No interpreter frame is held
     per state, so only the budget bounds the depth."""
+    first, maps = _member_maps(family)
+    meter = Meter(budget)
+    meter.spend()  # the empty state
     dead: set = set()
-    path = [(frozenset(), _children(family, {}, frozenset(), first, maps, dead, meter, budget))]
+
+    def children(assignment, key) -> Iterator[tuple[dict[int, Edge], frozenset]]:
+        """The children of the partial rainbow matching ``assignment`` (color
+        -> edge) whose memo key is ``key``, each with its own key, skipping
+        dead ones; the network is built on the first request.
+
+        A memo key is one (class, left, right) triple per edge, where
+        ``first`` maps each color to the first color of its member's class:
+        colors of one class are interchangeable. Each child costs one step of
+        ``meter``, and a child whose key is already dead costs nothing more;
+        the network's witness enumeration gets a meter of ``budget`` edge
+        steps. Colors of one class share a pull-back map and a memo class, so
+        the witnesses with the same nodes and color classes have the same
+        children; only the first of them is tried.
+        """
+        network, inner_count, translation = build_contracted_network(
+            family, assignment, first, maps)
+        for witness in _witnesses(network, inner_count, first, budget):
+            choices = [translation.pullback(c)[step]
+                       for step, c in zip(witness.edges, witness.colors)]
+            # the assignment is a matching, so a right index names one of its edges
+            removed = {translation.matched_edges[v].right.index for v in witness.nodes[1:-1]}
+            kept = {c: e for c, e in assignment.items() if e.right.index not in removed}
+            kept_key = frozenset(t for t in key if t[2] not in removed) if removed else key
+            for new_edges in itertools.product(*choices):
+                meter.spend()
+                child_key = kept_key.union([
+                    (first[c], e.left.index, e.right.index)
+                    for c, e in zip(witness.colors, new_edges)])
+                if child_key in dead:
+                    # one more edge than here, on a state already checked
+                    assert len(child_key) == len(assignment) + 1
+                    continue
+                child = dict(kept)
+                child.update(zip(witness.colors, new_edges))
+                # one more edge, and the edges still form a matching
+                assert len(child) == len(assignment) + 1
+                assert len({e.left.index for e in child.values()}) == len(child)
+                assert len({e.right.index for e in child.values()}) == len(child)
+                yield child, child_key
+        dead.add(key)
+
+    path = [children({}, frozenset())]
     while path:
-        key, children = path[-1]
-        for child, child_key in children:
+        for child, child_key in path[-1]:
             if len(child) == target:
                 return RainbowMatching(tuple(child.items()))
-            path.append((child_key, _children(family, child, child_key, first, maps,
-                                              dead, meter, budget)))
+            path.append(children(child, child_key))
             break
         else:
-            dead.add(key)
             path.pop()
     return None
-
-
-def _children(family, assignment, key, first, maps, dead, meter,
-              budget) -> Iterator[tuple[dict[int, Edge], frozenset]]:
-    """The children of the partial rainbow matching ``assignment`` (color ->
-    edge) whose memo key is ``key``, each with its own key, skipping dead
-    ones; the network is built on the first request.
-
-    A memo key is one (class, left, right) triple per edge, where ``first``
-    maps each color to the first color of its member's class: colors of one
-    class are interchangeable. Each child costs one step of ``meter``, and a
-    child whose key is already dead costs nothing more; the network's witness
-    enumeration gets a meter of ``budget`` edge steps. Colors of one class
-    share a pull-back map and a memo class, so the witnesses with the same
-    nodes and color classes have the same children; only the first of them
-    is tried.
-    """
-    network, inner_count, translation = build_contracted_network(
-        family, assignment, first, maps)
-    for witness in _witnesses(network, inner_count, first, budget):
-        choices = [translation.pullback(c)[step]
-                   for step, c in zip(witness.edges, witness.colors)]
-        # the assignment is a matching, so a right index names one of its edges
-        removed = {translation.matched_edges[v].right.index for v in witness.nodes[1:-1]}
-        kept = {c: e for c, e in assignment.items() if e.right.index not in removed}
-        kept_key = frozenset(t for t in key if t[2] not in removed) if removed else key
-        for new_edges in itertools.product(*choices):
-            meter.spend()
-            child_key = kept_key.union([
-                (first[c], e.left.index, e.right.index)
-                for c, e in zip(witness.colors, new_edges)])
-            if child_key in dead:
-                # one more edge than here, on a state already checked
-                assert len(child_key) == len(assignment) + 1
-                continue
-            child = dict(kept)
-            child.update(zip(witness.colors, new_edges))
-            # one more edge, and the edges still form a matching
-            assert len(child) == len(assignment) + 1
-            assert len({e.left.index for e in child.values()}) == len(child)
-            assert len({e.right.index for e in child.values()}) == len(child)
-            yield child, child_key
 
 
 def _witnesses(network: PathGroupFamily, inner_count: int, first: list[int],

@@ -54,20 +54,18 @@ class TestNetPath:
 
 
 def _pair_key(node):
-    """The (rank, index) node order that the scalar ``node_key`` encodes."""
+    """The (rank, index) node order that ``NetPath.key`` encodes."""
     return (0, 0) if node == SOURCE else (2, 0) if node == SINK else (1, node)
 
 
-_nodes = st.one_of(st.sampled_from([SOURCE, SINK]), st.integers(0, 8))
 _paths = st.permutations(range(6)).flatmap(
     lambda order: st.integers(0, 6).map(lambda r: NetPath(("s", *order[:r], "t"))))
 
 
 class TestScalarOrder:
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
-    @given(st.lists(_nodes, max_size=12), st.lists(_paths, max_size=12))
-    def test_equals_the_pair_order(self, nodes, paths):
-        assert sorted(nodes, key=network_paths.node_key) == sorted(nodes, key=_pair_key)
+    @given(st.lists(_paths, max_size=12))
+    def test_equals_the_pair_order(self, paths):
         assert sorted(paths, key=NetPath.key) == sorted(
             paths, key=lambda p: tuple(_pair_key(v) for v in p.nodes))
 
@@ -219,6 +217,26 @@ class TestReachableWitnessSet:
             assert witness.target == node
             assert colored_path_conforms(witness, fam)
 
+    @pytest.mark.parametrize("groups,witnesses", [
+        ([[path("s", 0, 1, 2, "t")], [path("s", 3, "t")], [path("s", 3, 1, "t")]],
+         ["s via []", "s->0 via [0]", "s->3 via [1]", "s->3->1 via [1, 2]",
+          "s->3->1->2 via [1, 2, 0]"]),
+        ([[path("s", 1, "t")], [path("s", "t"), path("s", 0, 2, "t")],
+          [path("s", 2, 1, "t")]],
+         ["s via []", "s->1 via [0]", "s->0 via [1]", "s->1->t via [0, 2]",
+          "s->2 via [2]"]),
+        # 1 and 2 both step to the sink in the closure pass; 1 is popped first
+        ([[path("s", 0, 2, "t")], [path("s", 2, 1, "t")], [path("s", 1, "t")]],
+         ["s via []", "s->0 via [0]", "s->2 via [1]", "s->1 via [2]",
+          "s->1->t via [2, 1]"]),
+    ], ids=["closure-reaches-the-last-node", "sink-before-a-source-head",
+            "closure-pops-the-smallest-node-first"])
+    def test_insertion_order(self, groups, witnesses):
+        # contraction levels first, then source heads, then the closure pass
+        wit = reachable_witness_set(build_family(groups))
+        assert [repr(w) for w in wit.values()] == witnesses
+        assert [w.target for w in wit.values()] == list(wit)
+
 
 class TestFindMulticoloredStPath:
     def test_direct_edge(self):
@@ -359,7 +377,7 @@ def _reference_paths(family):
 
     def extend(nodes, colors):
         for v, c in sorted(options.get(nodes[-1], ()),
-                           key=lambda o: (network_paths.node_key(o[0]), o[1])):
+                           key=lambda o: (_pair_key(o[0]), o[1])):
             if v in nodes or c in colors:
                 continue
             if v == SINK:
