@@ -25,7 +25,6 @@ from .network_paths import (
     SINK,
     SOURCE,
     NetPath,
-    PathGroup,
     PathGroupFamily,
     colored_path_conforms,
     reachable_witness_set,
@@ -262,7 +261,7 @@ def _run_dichotomy(n, samples, exhaustive, seed, budget):
     def faults():
         for inner in range(0, n + 1):
             # each path with its inner-node bitmask and its singleton group
-            pool = [(sum(1 << v for v in p.nodes[1:-1]), p, PathGroup((p,)))
+            pool = [(sum(1 << v for v in p.nodes[1:-1]), p, (p,))
                     for p in _all_simple_paths(inner)]
             full = (1 << inner) - 1
             for multiset in itertools.combinations_with_replacement(pool, inner):

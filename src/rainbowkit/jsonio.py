@@ -92,7 +92,7 @@ def network_from_obj(obj: Any) -> PathGroupFamily:
 
 
 def network_to_obj(family: PathGroupFamily) -> list:
-    return [[list(p.nodes) for p in g.paths] for g in family.groups]
+    return [[list(p.nodes) for p in g] for g in family.groups]
 
 
 def matrix_from_obj(obj: Any) -> SymbolMatrix:

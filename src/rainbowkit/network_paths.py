@@ -99,12 +99,9 @@ def _inner_conflict(paths: Iterable[NetPath]) -> Optional[int]:
     return None
 
 
-@dataclass(frozen=True, slots=True)
-class PathGroup:
-    """A set of source-sink paths sharing no inner vertex: a plain record,
-    which ``build_family`` checks."""
-
-    paths: tuple[NetPath, ...]
+# A set of source-sink paths sharing no inner vertex, which ``build_family``
+# checks.
+PathGroup = tuple[NetPath, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,12 +112,12 @@ class PathGroupFamily:
 
     @property
     def total_paths(self) -> int:
-        return sum(len(g.paths) for g in self.groups)
+        return sum(map(len, self.groups))
 
     @property
     def inner_nodes(self) -> frozenset[int]:
         return frozenset(
-            v for g in self.groups for p in g.paths for v in p.nodes[1:-1])
+            v for g in self.groups for p in g for v in p.nodes[1:-1])
 
 
 def build_family(groups: Iterable[Iterable[NetPath]]) -> PathGroupFamily:
@@ -138,7 +135,7 @@ def build_family(groups: Iterable[Iterable[NetPath]]) -> PathGroupFamily:
         conflict = _inner_conflict(unique)
         if conflict is not None:
             raise InnerOverlapError(pos, conflict)
-        kept.append(PathGroup(unique))
+        kept.append(unique)
     return PathGroupFamily(tuple(kept))
 
 
@@ -174,16 +171,16 @@ def colored_path_conforms(path: ColoredPath, family: PathGroupFamily) -> bool:
     for u, v, c in zip(nodes, nodes[1:], colors):
         if not 0 <= c < len(family.groups):
             return False
-        if not any((u, v) in zip(p.nodes, p.nodes[1:]) for p in family.groups[c].paths):
+        if not any((u, v) in zip(p.nodes, p.nodes[1:]) for p in family.groups[c]):
             return False
     return True
 
 
-_Groups = list[tuple[int, tuple[NetPath, ...]]]
+_Groups = list[tuple[int, PathGroup]]
 
 
 def _groups(family: PathGroupFamily) -> _Groups:
-    return [(c, g.paths) for c, g in enumerate(family.groups) if g.paths]
+    return [(c, g) for c, g in enumerate(family.groups) if g]
 
 
 def _edge_options(groups: _Groups) -> dict[NetNode, list[tuple[NetNode, int]]]:

@@ -107,7 +107,7 @@ def _first_reached(family: PathGroupFamily, budget: int,
     """
     edges: set[tuple[float, float, int, NetNode, NetNode]] = set()
     for color, group in enumerate(family.groups):
-        for p in group.paths:
+        for p in group:
             keys = (-1,) + p.key()  # every node's rank, the source's -1 first
             edges.update(zip(keys, keys[1:], itertools.repeat(color),
                              p.nodes, p.nodes[1:]))

@@ -65,7 +65,7 @@ class NetworkTranslation:
         self._pulled: dict[int, _Pullback] = {}
 
     def pullback(self, color: int) -> _Pullback:
-        if not self._groups[color].paths:
+        if not self._groups[color]:
             return {}
         k = self._first[color]
         pulled = self._pulled.get(k)
@@ -79,7 +79,6 @@ class NetworkTranslation:
 
 _Pullback = dict[tuple[NetNode, NetNode], tuple[Edge, ...]]
 _MemberMap = dict[int, int]
-_EMPTY = PathGroup(())
 _DIRECT = NetPath((SOURCE, SINK))
 
 
@@ -127,7 +126,7 @@ def build_contracted_network(
     groups: list[PathGroup] = []
     for color, k in enumerate(first):
         if color in assignment:
-            groups.append(_EMPTY)
+            groups.append(())
             continue
         group = walked.get(k)
         if group is None:
@@ -173,7 +172,7 @@ def _walk(member: _MemberMap, node_of: dict[int, int], left_of: list[int],
     paths = [NetPath((SOURCE, *run, SINK)) for run in runs]
     if direct:
         paths.append(_DIRECT)
-    return PathGroup(tuple(paths))
+    return tuple(paths)
 
 
 def _pull_back(base: Matching, member: Matching, node_of: dict[int, int]) -> _Pullback:

@@ -13,6 +13,7 @@ from rainbowkit import (
     RainbowMatching,
     Regimentation,
     TheoremViolation,
+    Transversal,
     build_family,
 )
 from rainbowkit import campaigns, network_paths
@@ -150,6 +151,8 @@ class TestRunCampaign:
          {"find_zero_sum_subset": None}, (26, 26)),
         ("transversal", {"n": 3, "samples": 50, "seed": 5},
          {"find_transversal": None}, (50, 50)),
+        ("transversal", {"n": 3, "samples": 50, "seed": 5},
+         {"find_transversal": Transversal(frozenset())}, (50, 50)),
         ("sharpness", {"n": 3},
          {"find_rainbow_matching": object(), "brute_rainbow": object()}, (2, 4)),
         ("sharpness", {"n": 3}, {"find_rainbow_matching": object()}, (2, 2)),
@@ -203,7 +206,11 @@ class TestExtremalCertificate:
         lambda v: dataclasses.replace(v, even_colors=v.odd_colors, odd_colors=v.even_colors),
         lambda v: dataclasses.replace(v, cycle=v.cycle[1:] + v.cycle[:1]),
         lambda v: dataclasses.replace(v, even_colors=v.even_colors - {min(v.even_colors)}),
-    ], ids=["swap-even-and-odd", "rotate-by-one-vertex", "drop-a-color"])
+        # breaks the alternation, so only the shape check stands between the
+        # verdict and an Edge built from two vertices of one side
+        lambda v: dataclasses.replace(v, cycle=(v.cycle[1], v.cycle[0]) + v.cycle[2:]),
+    ], ids=["swap-even-and-odd", "rotate-by-one-vertex", "drop-a-color",
+            "swap-first-two-vertices"])
     def test_corrupted_cycle_verdict_is_a_fault(self, monkeypatch, corrupt):
         classify = campaigns.classify_family
         cycles = []

@@ -144,6 +144,14 @@ class TestSolve:
         assert run_cli(capsys, "solve", "mcpath", "--input", str(net)) == (
             3, "", "budget: step budget exhausted\n")
 
+    @pytest.mark.parametrize("raw", ["0", "-1", "x", "1.5", ""])
+    def test_malformed_budget_exit_two(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("RAINBOWKIT_BUDGET", raw)
+        code, out, err = run_cli(capsys, "solve", "egz", "--n", "3",
+                                 "--elements", "0,1,2,0,1")
+        assert (code, out) == (2, "")
+        assert err == f"error: RAINBOWKIT_BUDGET must be a positive integer, got {raw!r}\n"
+
     @pytest.mark.parametrize("witness", [
         ColoredPath(("s", 0, "t"), (0, 0)),
         ColoredPath(("s", 0, "t"), (0, 2)),
@@ -395,12 +403,21 @@ class TestClassify:
         assert payload["even_colors"] == [0, 1]
         assert payload["odd_colors"] == [2, 3]
 
+    def test_family_with_rainbow_matching(self, tmp_path, capsys):
+        fixture = tmp_path / "fam.json"
+        fixture.write_text(json.dumps([[[0, 0], [1, 1], [2, 2]], [[0, 0], [1, 1], [2, 2]],
+                                       [[0, 1], [1, 2], [2, 0]], [[0, 0], [1, 2], [2, 1]]]))
+        code, out, err = run_cli(capsys, "classify", "family", "--input", str(fixture))
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {
+            "verdict": "rainbow",
+            "witness": {"assignment": [[0, [0, 0]], [2, [1, 2]], [3, [2, 1]]], "size": 3}}
+
     def test_wrong_size_is_input_error(self, tmp_path, capsys):
         fixture = tmp_path / "bad.json"
-        fixture.write_text(json.dumps([[[0, 0]]]))
-        code, _, err = run_cli(capsys, "classify", "family", "--input", str(fixture))
-        assert code == 2
-        assert "2n-2" in err
+        fixture.write_text(json.dumps([[[0, 0], [1, 1]], [[0, 0]]]))
+        code, out, err = run_cli(capsys, "classify", "family", "--input", str(fixture))
+        assert (code, out, err) == (2, "", "error: every member must have size 2\n")
 
     def test_odd_member_count_is_input_error(self, tmp_path, capsys):
         fixture = tmp_path / "odd.json"

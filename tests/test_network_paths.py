@@ -97,7 +97,7 @@ class TestBuildFamily:
 
     def test_duplicate_direct_paths_collapse(self):
         fam = build_family([[path("s", "t"), path("s", "t")]])
-        assert fam.groups[0].paths == (path("s", "t"),)
+        assert fam.groups[0] == (path("s", "t"),)
 
     def test_empty_groups_kept_in_place(self):
         fam = build_family([[], [path("s", 0, "t")], [], [path("s", 0, "t")]])
@@ -370,7 +370,7 @@ def _reference_paths(family):
     in (head, color) order under the source/inner/sink order."""
     options = {}
     for c, group in enumerate(family.groups):
-        for p in group.paths:
+        for p in group:
             for u, v in p.edges:
                 options.setdefault(u, set()).add((v, c))
     found = []
@@ -423,7 +423,7 @@ class TestCanonicalEnumeration:
     def test_permutations_add_up_to_every_path(self, drawn):
         fam, classes = drawn
         # m_K: the colors of class K whose group is not empty
-        free = Counter(classes[c] for c, g in enumerate(fam.groups) if g.paths)
+        free = Counter(classes[c] for c, g in enumerate(fam.groups) if g)
         copies = 0
         for p in iter_multicolored_st_paths(fam, classes=classes):
             uses = Counter(classes[c] for c in p.colors)
@@ -466,7 +466,7 @@ def padded_families(draw):
     for group in fam.groups:
         padded += [[]] * draw(st.integers(0, 2))
         positions.append(len(padded))
-        padded.append(group.paths)
+        padded.append(group)
     padded += [[]] * draw(st.integers(0, 2))
     return fam, build_family(padded), positions
 

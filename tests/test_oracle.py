@@ -63,6 +63,9 @@ class TestBruteRainbow:
         with pytest.raises(PreconditionError):
             brute_rainbow(c6_family, -1)
 
+    def test_size_beyond_color_count(self, c6_family):
+        assert brute_rainbow(c6_family, len(c6_family) + 1) is None
+
     def test_a_thousand_colors_deep(self):
         # one edge (i, i) per member: the search is 1,000 colors deep, past
         # the interpreter's recursion limit
@@ -165,7 +168,7 @@ def _full_breadth_first(fam: PathGroupFamily) -> list[tuple]:
 
     edges = sorted({(rank(u), rank(v), c, u, v)
                     for c, group in enumerate(fam.groups)
-                    for p in group.paths for u, v in zip(p.nodes, p.nodes[1:])})
+                    for p in group for u, v in zip(p.nodes, p.nodes[1:])})
     first = {SOURCE: ((SOURCE,), ())}
     seen = {(SOURCE, frozenset())}
     queue = [(SOURCE, (SOURCE,), ())]
@@ -278,12 +281,12 @@ class TestGenerate:
     def test_network_regime(self):
         for seed in range(200):
             fam = generate(GenSpec.network(5, 3, 2, seed=seed))
-            exits = [p.nodes[-2] for g in fam.groups for p in g.paths]
+            exits = [p.nodes[-2] for g in fam.groups for p in g]
             assert len(set(exits)) == len(exits)
             assert fam.total_paths <= len(fam.inner_nodes)
             for g in fam.groups:
-                for p in g.paths:
-                    others = [q for h in fam.groups for q in h.paths if q is not p]
+                for p in g:
+                    others = [q for h in fam.groups for q in h if q is not p]
                     assert all(p.nodes[-2] not in q.inner_nodes for q in others)
 
     def test_canonical_cycle_family(self, c6_family):

@@ -53,7 +53,7 @@ class TestBuildContractedNetwork:
     def test_empty_base_single_edge_color(self):
         network, inner, translation = build_contracted_network(family([edge(0, 0)]), {})
         assert inner == 0
-        assert [tuple(p.nodes for p in g.paths) for g in network.groups] == [
+        assert [tuple(p.nodes for p in g) for g in network.groups] == [
             (("s", "t"),)]
         assert translation.pullback(0) == {("s", "t"): (edge(0, 0),)}
         # every color represented: one empty group over the one matched edge
@@ -67,7 +67,7 @@ class TestBuildContractedNetwork:
         network, inner, translation = build_contracted_network(fam, {1: edge(0, 0)})
         assert inner == 1
         # group c is color c; the represented color 1 keeps an empty group
-        assert [tuple(p.nodes for p in g.paths) for g in network.groups] == [
+        assert [tuple(p.nodes for p in g) for g in network.groups] == [
             (("s", 0, "t"),), (), (("s", "t"),)]
         assert [translation.pullback(c) for c in range(3)] == [
             {("s", 0): (edge(1, 0),), (0, "t"): (edge(0, 1),)},
@@ -95,7 +95,7 @@ class TestBuildContractedNetwork:
         fam = self._shared_family()
         network, inner, translation = build_contracted_network(fam, {4: edge(0, 0)})
         assert inner == 1
-        assert [tuple(p.nodes for p in g.paths) for g in network.groups] == [
+        assert [tuple(p.nodes for p in g) for g in network.groups] == [
             (("s", 0, "t"), ("s", "t"))] * 3 + [(("s", "t"),), ()]
         # one group object and one pull-back object for the three equal members
         assert network.groups[0] is network.groups[1] is network.groups[2]
@@ -164,6 +164,10 @@ class TestFindRainbowMatching:
 
     def test_target_beyond_color_count(self):
         assert find_rainbow_matching(family([edge(0, 0)]), 2) is None
+
+    def test_negative_target_rejected(self):
+        with pytest.raises(PreconditionError, match="^size must be non-negative$"):
+            find_rainbow_matching(family([edge(0, 0)]), -1)
 
     def test_backtracking_past_a_greedy_dead_end(self):
         fam = family([edge(0, 0), edge(1, 1)], [edge(0, 2)])
@@ -309,14 +313,14 @@ class TestPullback:
         for c, member in enumerate(fam):
             pullback = translation.pullback(c)
             if c in assignment or not augmenting_paths(base, member):
-                assert network.groups[c].paths == () and pullback == {}
+                assert network.groups[c] == () and pullback == {}
                 continue
             pulled = [e for edges in pullback.values() for e in edges]
             assert all(e in member for e in pulled)
             assert sorted(pulled) == sorted(
                 e for alt in augmenting_paths(base, member) for e in alt[0::2])
             assert all(list(edges) == sorted(edges) for edges in pullback.values())
-            assert {ne for p in network.groups[c].paths for ne in p.edges} == set(pullback)
+            assert {ne for p in network.groups[c] for ne in p.edges} == set(pullback)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(families_with_assignments())
@@ -376,7 +380,7 @@ class TestPullback:
         for order in (sorted, lambda items: sorted(items, reverse=True)):
             ordered = {k: dict(order(m.items())) for k, m in maps.items()}
             network, _, _ = build_contracted_network(fam, assignment, first, ordered)
-            assert [p.nodes for p in network.groups[0].paths] == [
+            assert [p.nodes for p in network.groups[0]] == [
                 ("s", 0, "t"), ("s", 1, "t")]
 
 

@@ -14,6 +14,7 @@ from rainbowkit import (
     ResidueMultiset,
     RowDuplicateError,
     SymbolMatrix,
+    Transversal,
     brute_zero_sum,
     classify_multiset,
     edge,
@@ -38,6 +39,26 @@ class TestSymbolMatrix:
     def test_ragged_rejected(self):
         with pytest.raises(PreconditionError):
             SymbolMatrix(((1, 2), (1,)))
+
+
+class TestTransversalIsValid:
+    MATRIX = SymbolMatrix(((0, 1), (1, 2), (2, 0)))
+
+    def test_full_transversal_accepted(self):
+        assert transversal_is_valid(self.MATRIX, Transversal(frozenset({(0, 0), (1, 1)})))
+
+    @pytest.mark.parametrize("entries", [
+        {(0, 0), (0, 1)},
+        {(0, 0), (1, 0)},
+        {(0, 1), (1, 0)},
+        {(0, 0)},
+        {(0, 0), (5, 1)},
+        # out of range, though as an index -1 would read the row's last symbol
+        {(0, 0), (1, -1)},
+    ], ids=["repeated-row", "repeated-column", "repeated-symbol", "short",
+            "row-out-of-range", "negative-column"])
+    def test_invalid_transversal_rejected(self, entries):
+        assert not transversal_is_valid(self.MATRIX, Transversal(frozenset(entries)))
 
 
 class TestMatrixToFamily:
@@ -83,6 +104,12 @@ class TestFindTransversal:
             result = find_transversal(matrix)
             assert result is not None
             assert transversal_is_valid(matrix, result)
+
+
+class TestResidueMultiset:
+    def test_zero_modulus_rejected(self):
+        with pytest.raises(PreconditionError, match="^modulus must be positive, got 0$"):
+            ResidueMultiset(0, ())
 
 
 class TestEgzFamily:

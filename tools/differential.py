@@ -72,7 +72,7 @@ import tempfile
 from pathlib import Path
 
 import rainbowkit as rk
-from rainbowkit import cli, rainbow_solver
+from rainbowkit import cli, jsonio, rainbow_solver
 from rainbowkit.campaigns import run_campaign
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -322,7 +322,7 @@ def mcpath_section(draws: int, seed: int = 14) -> list:
         for _ in range(draws):
             spec = rk.GenSpec.network(rng.randint(1, 6), rng.randint(1, 4),
                                       rng.randint(1, 2), rng.getrandbits(63))
-            groups = [[list(p.nodes) for p in g.paths] for g in rk.generate(spec).groups]
+            groups = jsonio.network_to_obj(rk.generate(spec))
             if rng.random() < 0.5:
                 groups += groups
             padded: list = []
