@@ -151,13 +151,13 @@ class TestRunCampaign:
          {"find_zero_sum_subset": None}, (26, 26)),
         ("transversal", {"n": 3, "samples": 50, "seed": 5},
          {"find_transversal": None}, (50, 50)),
-        ("transversal", {"n": 3, "samples": 50, "seed": 5},
-         {"find_transversal": Transversal(frozenset())}, (50, 50)),
         ("sharpness", {"n": 3},
          {"find_rainbow_matching": object(), "brute_rainbow": object()}, (2, 4)),
         ("sharpness", {"n": 3}, {"find_rainbow_matching": object()}, (2, 2)),
         ("dichotomy", {"n": 3},
          {"verify_regimented_dichotomy": DichotomyViolation("neither")}, (734, 734)),
+        ("transversal", {"n": 3, "samples": 50, "seed": 5},
+         {"find_transversal": Transversal(frozenset())}, (50, 50)),
     ])
     def test_each_wrong_answer_counts(self, monkeypatch, theorem, kwargs, patches,
                                       expected):
