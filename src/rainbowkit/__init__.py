@@ -70,6 +70,7 @@ from .reductions import (
     find_zero_sum_subset,
     matrix_to_family,
     transversal_is_valid,
+    zero_sum_is_valid,
 )
 from .oracle import (
     GenSpec,

@@ -54,6 +54,7 @@ from .reductions import (
     find_transversal,
     find_zero_sum_subset,
     transversal_is_valid,
+    zero_sum_is_valid,
 )
 
 @dataclass
@@ -309,11 +310,11 @@ def _check_classification(family: MatchingFamily, n: int, budget: int) -> bool:
     if verdict is None:
         return False
     if isinstance(verdict, ExtremalCycle):
-        return oracle_found is None and _splits_cycle(verdict, family, n)
+        return oracle_found is None and splits_cycle(verdict, family, n)
     return oracle_found is not None and rainbow_is_valid(verdict.witness, family)
 
 
-def _splits_cycle(verdict: ExtremalCycle, family: MatchingFamily, n: int) -> bool:
+def splits_cycle(verdict: ExtremalCycle, family: MatchingFamily, n: int) -> bool:
     """True when ``verdict`` certifies a split 2n-cycle of ``family``, read
     from the verdict alone: its cycle has 2n distinct vertices on
     alternating sides, each of its n - 1 even colors has exactly the edges
@@ -367,8 +368,13 @@ def _run_egz(n, samples, exhaustive, seed, budget):
     """Every multiset of 2n-1 residues mod n has a zero-sum sub-multiset of
     size n; witnesses are revalidated and feasibility matches the oracle."""
     multisets, params = _residue_multisets(n, 1, exhaustive, -1, budget)
-    return params, (find_zero_sum_subset(multiset, budget) is None
-                    or brute_zero_sum(multiset, budget) is None for multiset in multisets)
+
+    def faults():
+        for multiset in multisets:
+            found = find_zero_sum_subset(multiset, budget)
+            yield (found is None or not zero_sum_is_valid(multiset, found)
+                   or brute_zero_sum(multiset, budget) is None)
+    return params, faults()
 
 
 def _run_egz_extremal(n, samples, exhaustive, seed, budget):
@@ -389,7 +395,7 @@ def _run_egz_extremal(n, samples, exhaustive, seed, budget):
                             and math.gcd(verdict.high - verdict.low, k) == 1)
                 yield oracle_found is not None or not shape_ok
             else:
-                yield oracle_found is None
+                yield oracle_found is None or not zero_sum_is_valid(multiset, verdict.witness)
     return params, faults()
 
 

@@ -31,7 +31,7 @@ import sys
 from typing import Optional
 
 from . import jsonio
-from .campaigns import THEOREMS, run_campaign
+from .campaigns import THEOREMS, run_campaign, splits_cycle
 from .errors import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -44,7 +44,7 @@ from .errors import (
 )
 from .network_paths import SINK, colored_path_conforms, find_multicolored_st_path
 from .oracle import GenSpec, canonical_cycle_family, generate
-from .rainbow_solver import classify_family, find_rainbow_matching
+from .rainbow_solver import ExtremalCycle, classify_family, find_rainbow_matching
 from .reductions import (
     ResidueMultiset,
     classify_multiset,
@@ -250,7 +250,11 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         _refuse_unread(args, "classify family", "--n", "--elements")
         if not args.input:
             raise InputError("classify family needs --input")
-        verdict = classify_family(jsonio.family_from_obj(_load(args.input)), _budget())
+        family = jsonio.family_from_obj(_load(args.input))
+        verdict = classify_family(family, _budget())
+        if isinstance(verdict, ExtremalCycle) and not splits_cycle(
+                verdict, family, len(family) // 2 + 1):
+            raise GuaranteeViolation("cycle verdict does not split the family")
         _emit(jsonio.family_classification_to_obj(verdict))
         return EXIT_OK
     assert args.kind == "multiset"

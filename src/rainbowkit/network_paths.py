@@ -14,7 +14,7 @@ pivot order, and every witness is read back from that record by one walk.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Hashable, Iterable, Iterator, Optional, Sequence, Union
@@ -232,55 +232,31 @@ def _reach(groups: _Groups) -> tuple[_Reached, list[_SinkStep]]:
 
 
 def reachable_witness_set(family: PathGroupFamily) -> dict[NetNode, ColoredPath]:
-    """A set of reachable nodes, each with a multicolored witness path.
+    """The nodes the contraction construction reaches, each with its
+    multicolored witness path, all inside the exact reachable set.
 
-    Construction: at every contraction level, the inner endpoints of the
-    pivot group's source edges are reachable through that group, by the
-    witness of the node the edge leaves from plus that edge; the deepest
-    pivot with a direct source-sink edge, made direct by the latest
-    contraction, gives the sink its witness the same way, after every inner
-    node. Then every source edge of every group contributes its one-edge
-    witness, and a closure pass extends the witnesses until no single edge
-    can add a node. The result is always a subset of the exact reachable set.
+    The map holds the source, then each reached node by level and then node:
+    at every level, the pivot group's paths reach the node after their last
+    node reached before, by that node's witness plus one step of the pivot's
+    color. Last comes the sink, when some path steps to it: the deepest pivot
+    with a direct source-sink edge, made direct by the latest contraction,
+    gives it its witness the same way.
 
     Witness count: when every path ends on a private inner node that no
-    other path visits, the count strictly exceeds the number of paths (no
+    other path visits, each path reaches one new node, so the map holds
+    exactly one entry per path plus the source and outnumbers the paths (no
     contraction can then collapse two paths of one group onto the direct
-    source-sink edge, so the per-level counts telescope). Without some such
-    restriction no bound is possible at all: the whole node set may be
-    smaller than the family.
+    source-sink edge). Without some such restriction no bound is possible at
+    all: the whole node set may be smaller than the family.
     """
-    groups = _groups(family)
-    reached, steps = _reach(groups)
+    reached, steps = _reach(_groups(family))
     if steps:
         _, j, _, before, color = min(steps, key=lambda s: (-s[1], -s[0], s[2]))
         reached[SINK] = (j, before, color)
     wit = {SOURCE: ColoredPath((SOURCE,), ())}
     for x, (_, before, color) in list(reached.items())[1:]:
         wit[x] = ColoredPath(wit[before].nodes + (x,), wit[before].colors + (color,))
-    for color, paths in groups:
-        for p in paths:
-            z = p.nodes[1]
-            if z not in wit:
-                wit[z] = ColoredPath((SOURCE, z), (color,))
-    _close_witnesses(wit, groups)
     return wit
-
-
-def _close_witnesses(wit: dict[NetNode, ColoredPath], groups: _Groups) -> None:
-    """Grow the witness map to a fixpoint: extend any witness by one edge of
-    any group it does not use yet. Each node keeps its first witness."""
-    options = _edge_options(groups)
-    # popping the source adds nothing, as every source head has its one-edge
-    # witness already, and no option leaves the sink
-    queue = deque(sorted(filter(_is_inner, wit)))
-    while queue:
-        u = queue.popleft()
-        nodes, colors = wit[u].nodes, wit[u].colors
-        for v, c in options.get(u, ()):
-            if v not in wit and c not in colors and v not in nodes:
-                wit[v] = ColoredPath(nodes + (v,), colors + (c,))
-                queue.append(v)
 
 
 def find_multicolored_st_path(

@@ -173,14 +173,19 @@ def find_zero_sum_subset(multiset: ResidueMultiset,
     return None if rainbow is None else _zero_sum_witness(multiset, rainbow)
 
 
+def zero_sum_is_valid(multiset: ResidueMultiset, witness: tuple[int, ...]) -> bool:
+    """Check size n, sum zero mod n and sub-multiset from scratch."""
+    n = multiset.modulus
+    return (len(witness) == n and sum(witness) % n == 0
+            and not Counter(witness) - Counter(multiset.elements))
+
+
 def _zero_sum_witness(multiset: ResidueMultiset,
                       rainbow: RainbowMatching) -> tuple[int, ...]:
     """The residues behind a full rainbow matching of the shift family,
-    sorted, after checking size, sum and sub-multiset from scratch."""
-    n = multiset.modulus
+    sorted, after checking them with ``zero_sum_is_valid``."""
     witness = tuple(sorted(multiset.elements[c] for c in rainbow.colors))
-    if (len(witness) != n or sum(witness) % n != 0
-            or Counter(witness) - Counter(multiset.elements)):
+    if not zero_sum_is_valid(multiset, witness):
         raise GuaranteeViolation("zero-sum witness failed revalidation")
     return witness
 

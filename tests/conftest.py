@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import strategies as st
 
@@ -38,6 +40,22 @@ def c6_family(even3, odd3):
 
 def path(*nodes):
     return make_path(nodes)
+
+
+# wrong split-cycle verdicts, each still naming n - 1 even and n - 1 odd
+# colors and a cycle of 2n vertices
+CYCLE_CORRUPTIONS = [
+    pytest.param(lambda v: dataclasses.replace(
+        v, even_colors=v.odd_colors, odd_colors=v.even_colors), id="swap-even-and-odd"),
+    pytest.param(lambda v: dataclasses.replace(v, cycle=v.cycle[1:] + v.cycle[:1]),
+                 id="rotate-by-one-vertex"),
+    pytest.param(lambda v: dataclasses.replace(
+        v, even_colors=v.even_colors - {min(v.even_colors)}), id="drop-a-color"),
+    # breaks the alternation, so only the shape check stands between the
+    # verdict and an Edge built from two vertices of one side
+    pytest.param(lambda v: dataclasses.replace(
+        v, cycle=(v.cycle[1], v.cycle[0]) + v.cycle[2:]), id="swap-first-two-vertices"),
+]
 
 
 @st.composite

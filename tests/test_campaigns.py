@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import math
 
@@ -9,9 +8,11 @@ from rainbowkit import (
     ColoredPath,
     DichotomyViolation,
     ExtremalCycle,
+    HasZeroSum,
     PreconditionError,
     RainbowMatching,
     Regimentation,
+    SOURCE,
     TheoremViolation,
     Transversal,
     build_family,
@@ -19,7 +20,7 @@ from rainbowkit import (
 from rainbowkit import campaigns, network_paths
 from rainbowkit.errors import Meter, charge_multisets
 from rainbowkit.campaigns import THEOREMS, run_campaign
-from conftest import path
+from conftest import CYCLE_CORRUPTIONS, path
 
 
 SMALL_RUNS = [
@@ -158,6 +159,9 @@ class TestRunCampaign:
          {"verify_regimented_dichotomy": DichotomyViolation("neither")}, (734, 734)),
         ("transversal", {"n": 3, "samples": 50, "seed": 5},
          {"find_transversal": Transversal(frozenset())}, (50, 50)),
+        ("egz", {"n": 3, "exhaustive": True}, {"find_zero_sum_subset": (1,)}, (26, 26)),
+        ("egz-extremal", {"n": 3, "exhaustive": True},
+         {"classify_multiset": HasZeroSum((1,))}, (18, 18)),
     ])
     def test_each_wrong_answer_counts(self, monkeypatch, theorem, kwargs, patches,
                                       expected):
@@ -190,6 +194,14 @@ class TestRunCampaign:
         report = run_campaign("counting", samples=5, seed=1)
         assert (report.instances_checked, report.violations) == (5, violations)
 
+    def test_counting_reads_the_contraction(self, monkeypatch):
+        # a contraction that reaches nothing leaves only the source's witness,
+        # which never outnumbers the paths
+        monkeypatch.setattr(network_paths, "_reach",
+                            lambda groups: ({SOURCE: (-1, SOURCE, -1)}, []))
+        report = run_campaign("counting", samples=200, seed=5)
+        assert (report.instances_checked, report.violations) == (200, 200)
+
     def test_every_name_has_a_runner(self):
         assert set(THEOREMS) == {
             "drisko", "general", "bgs", "extremal", "counting", "dichotomy",
@@ -202,15 +214,7 @@ class TestExtremalCertificate:
     family itself, so a verdict naming the wrong cycle or colors is a fault
     although the family has no rainbow matching."""
 
-    @pytest.mark.parametrize("corrupt", [
-        lambda v: dataclasses.replace(v, even_colors=v.odd_colors, odd_colors=v.even_colors),
-        lambda v: dataclasses.replace(v, cycle=v.cycle[1:] + v.cycle[:1]),
-        lambda v: dataclasses.replace(v, even_colors=v.even_colors - {min(v.even_colors)}),
-        # breaks the alternation, so only the shape check stands between the
-        # verdict and an Edge built from two vertices of one side
-        lambda v: dataclasses.replace(v, cycle=(v.cycle[1], v.cycle[0]) + v.cycle[2:]),
-    ], ids=["swap-even-and-odd", "rotate-by-one-vertex", "drop-a-color",
-            "swap-first-two-vertices"])
+    @pytest.mark.parametrize("corrupt", CYCLE_CORRUPTIONS)
     def test_corrupted_cycle_verdict_is_a_fault(self, monkeypatch, corrupt):
         classify = campaigns.classify_family
         cycles = []

@@ -15,6 +15,7 @@ import rainbowkit
 from rainbowkit import ColoredPath, campaigns, cli, reductions
 from rainbowkit.cli import main
 from rainbowkit.errors import Meter
+from conftest import CYCLE_CORRUPTIONS
 
 
 def run_cli(capsys, *argv):
@@ -403,6 +404,19 @@ class TestClassify:
         assert payload["even_colors"] == [0, 1]
         assert payload["odd_colors"] == [2, 3]
 
+    @pytest.mark.parametrize("corrupt", CYCLE_CORRUPTIONS)
+    def test_corrupted_cycle_verdict_exit_four(self, tmp_path, capsys, monkeypatch,
+                                               corrupt):
+        fixture = tmp_path / "c6.json"
+        run_cli(capsys, "generate", "--canonical", "c2n", "--n", "3",
+                "--out", str(fixture))
+        classify = cli.classify_family
+        monkeypatch.setattr(cli, "classify_family",
+                            lambda family, budget: corrupt(classify(family, budget)))
+        code, out, err = run_cli(capsys, "classify", "family", "--input", str(fixture))
+        assert (code, out) == (4, "")
+        assert err == "internal invariant failure: cycle verdict does not split the family\n"
+
     def test_family_with_rainbow_matching(self, tmp_path, capsys):
         fixture = tmp_path / "fam.json"
         fixture.write_text(json.dumps([[[0, 0], [1, 1], [2, 2]], [[0, 0], [1, 1], [2, 2]],
@@ -560,6 +574,32 @@ class TestUnreadFlags:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == f"error: {run} ignores {flag}\n"
+
+
+class TestMissingArguments:
+    @pytest.mark.parametrize("argv,message", [
+        (("solve", "egz"), "need either --input or both --n and --elements"),
+        (("classify", "multiset", "--n", "3"),
+         "need either --input or both --n and --elements"),
+        (("solve", "transversal"), "solve transversal needs --input"),
+        (("solve", "rainbow", "--input", "{family}"), "solve rainbow needs --target"),
+        (("generate",), "pick exactly one instance kind to generate"),
+        (("classify", "family"), "classify family needs --input"),
+    ], ids=["solve-egz", "classify-multiset-n-only", "solve-transversal",
+            "solve-rainbow-target", "generate", "classify-family"])
+    def test_exit_two_naming_what_is_missing(self, tmp_path, capsys, argv, message):
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps([[[0, 0]], [[1, 1]]]))
+        argv = [arg.format(family=family) for arg in argv]
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    def test_missing_file_exit_two(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        code, out, err = run_cli(capsys, "solve", "rainbow", "--input", str(missing),
+                                 "--target", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {missing}: ")
+        assert err.count("\n") == 1
 
 
 class TestListFlags:

@@ -12,6 +12,7 @@ from rainbowkit import (
     DEFAULT_BUDGET,
     DichotomyViolation,
     GenSpec,
+    GuaranteeViolation,
     InnerOverlapError,
     MalformedPathError,
     PathGroup,
@@ -219,20 +220,16 @@ class TestReachableWitnessSet:
 
     @pytest.mark.parametrize("groups,witnesses", [
         ([[path("s", 0, 1, 2, "t")], [path("s", 3, "t")], [path("s", 3, 1, "t")]],
-         ["s via []", "s->0 via [0]", "s->3 via [1]", "s->3->1 via [1, 2]",
-          "s->3->1->2 via [1, 2, 0]"]),
+         ["s via []", "s->0 via [0]", "s->3 via [1]", "s->3->1 via [1, 2]"]),
         ([[path("s", 1, "t")], [path("s", "t"), path("s", 0, 2, "t")],
           [path("s", 2, 1, "t")]],
-         ["s via []", "s->1 via [0]", "s->0 via [1]", "s->1->t via [0, 2]",
-          "s->2 via [2]"]),
-        # 1 and 2 both step to the sink in the closure pass; 1 is popped first
+         ["s via []", "s->1 via [0]", "s->0 via [1]", "s->1->t via [0, 2]"]),
         ([[path("s", 0, 2, "t")], [path("s", 2, 1, "t")], [path("s", 1, "t")]],
-         ["s via []", "s->0 via [0]", "s->2 via [1]", "s->1 via [2]",
-          "s->1->t via [2, 1]"]),
-    ], ids=["closure-reaches-the-last-node", "sink-before-a-source-head",
-            "closure-pops-the-smallest-node-first"])
+         ["s via []", "s->0 via [0]", "s->2 via [1]", "s->1 via [2]"]),
+    ], ids=["a-later-level-extends-a-reached-node", "the-sink-comes-last",
+            "no-path-steps-to-the-sink"])
     def test_insertion_order(self, groups, witnesses):
-        # contraction levels first, then source heads, then the closure pass
+        # the source, then each level's reached nodes, then the sink
         wit = reachable_witness_set(build_family(groups))
         assert [repr(w) for w in wit.values()] == witnesses
         assert [w.target for w in wit.values()] == list(wit)
@@ -291,6 +288,14 @@ class TestFindMulticoloredStPath:
             assert (found.nodes, found.colors) == first
             sink = reachable_witness_set(fam)[SINK]
             assert (sink.nodes, sink.colors) == deepest
+
+    def test_unbuilt_witness_above_threshold_raises(self, monkeypatch):
+        # a contraction that reaches nothing, on two paths over one node
+        monkeypatch.setattr(network_paths, "_reach",
+                            lambda groups: ({SOURCE: (-1, SOURCE, -1)}, []))
+        fam = build_family([[path("s", 0, "t")], [path("s", 0, "t")]])
+        with pytest.raises(GuaranteeViolation, match="^more paths than inner nodes "):
+            find_multicolored_st_path(fam, 1)
 
     def test_inner_count_must_cover_used_nodes(self):
         fam = build_family([[path("s", 0, 1, "t")]])

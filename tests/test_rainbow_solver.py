@@ -18,6 +18,7 @@ from rainbowkit import (
     PreconditionError,
     ResidueMultiset,
     Side,
+    TheoremViolation,
     Vertex,
     augmenting_paths,
     brute_rainbow,
@@ -674,6 +675,13 @@ class TestClassifyFamily:
         verdict = classify_family(MatchingFamily((even3, even3, even3, odd3)))
         assert isinstance(verdict, HasRainbow)
         assert len(verdict.witness) == 3
+
+    def test_miss_without_a_cycle_raises(self, monkeypatch, even3, odd3):
+        # three even members and one odd: no split cycle to fall back on
+        monkeypatch.setattr(rainbow_solver, "find_rainbow_matching", lambda *args: None)
+        with pytest.raises(TheoremViolation,
+                           match="^no full rainbow matching and no blocking cycle$"):
+            classify_family(MatchingFamily((even3,) * 3 + (odd3,)))
 
     def test_bad_shape_rejected(self, even3):
         with pytest.raises(PreconditionError):

@@ -11,6 +11,7 @@ from rainbowkit import (
     GuaranteeViolation,
     HasZeroSum,
     PreconditionError,
+    RainbowMatching,
     ResidueMultiset,
     RowDuplicateError,
     SymbolMatrix,
@@ -26,6 +27,7 @@ from rainbowkit import (
     matrix_to_family,
     transversal_is_valid,
     validate_matching,
+    zero_sum_is_valid,
 )
 from rainbowkit import rainbow_solver, reductions
 
@@ -180,6 +182,19 @@ class TestFindZeroSumSubset:
             assert (witness is None) == (brute_zero_sum(multiset) is None)
 
 
+class TestZeroSumIsValid:
+    MULTISET = ResidueMultiset(3, (0, 1, 2, 1, 1))
+
+    @pytest.mark.parametrize("witness", [(0, 1, 2), (1, 1, 1)])
+    def test_zero_sum_accepted(self, witness):
+        assert zero_sum_is_valid(self.MULTISET, witness)
+
+    @pytest.mark.parametrize("witness", [(0, 0, 0), (0, 1), (0, 1, 1)],
+                             ids=["not-a-sub-multiset", "short", "nonzero-sum"])
+    def test_invalid_witness_rejected(self, witness):
+        assert not zero_sum_is_valid(self.MULTISET, witness)
+
+
 class TestClassifyMultiset:
     def test_blocking_pair(self):
         verdict = classify_multiset(ResidueMultiset(3, (0, 0, 1, 1)))
@@ -250,3 +265,17 @@ class TestGuaranteeOwnedBySolver:
             find_transversal(SymbolMatrix(((1, 2), (1, 2), (2, 1))))
         with pytest.raises(GuaranteeViolation):
             find_zero_sum_subset(ResidueMultiset(3, (0, 0, 1, 1, 2)))
+
+    def test_wrong_pullback_raises(self, monkeypatch):
+        # a rainbow matching too small for the instance fails the from-scratch
+        # revalidation of what it pulls back to
+        monkeypatch.setattr(reductions, "find_rainbow_matching",
+                            lambda *args: RainbowMatching(()))
+        with pytest.raises(GuaranteeViolation,
+                           match="^pulled-back transversal failed revalidation$"):
+            find_transversal(SymbolMatrix(((0,),)))
+        monkeypatch.setattr(reductions, "find_rainbow_matching",
+                            lambda *args: RainbowMatching(((0, edge(0, 1)),)))
+        with pytest.raises(GuaranteeViolation,
+                           match="^zero-sum witness failed revalidation$"):
+            find_zero_sum_subset(ResidueMultiset(2, (0, 1, 1)))
