@@ -15,15 +15,16 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import Callable, Optional
 
-from .errors import (DEFAULT_BUDGET, BudgetExceeded, DichotomyViolation, PreconditionError,
-                     charge, charge_multisets)
-from .graph_core import Edge, MatchingFamily, Side, rainbow_is_valid
+from .errors import DEFAULT_BUDGET, BudgetExceeded, PreconditionError, charge, charge_multisets
+from .graph_core import Edge, MatchingFamily, RainbowMatching, Side, rainbow_is_valid
 from .network_paths import (
     SINK,
     SOURCE,
+    ColoredPath,
     NetPath,
     PathGroupFamily,
     colored_path_conforms,
@@ -44,12 +45,16 @@ from .oracle import (
 )
 from .rainbow_solver import (
     ExtremalCycle,
+    HasRainbow,
     classify_family,
     drisko_condition,
     find_rainbow_matching,
 )
 from .reductions import (
     ExtremalPair,
+    HasZeroSum,
+    ResidueMultiset,
+    Transversal,
     classify_multiset,
     find_transversal,
     find_zero_sum_subset,
@@ -117,19 +122,95 @@ def run_campaign(theorem: str, *, n: Optional[int] = None,
                           seed, parameters)
 
 
-def _rainbow_fault(found, family: MatchingFamily, size: int) -> bool:
-    """True unless ``found`` is a valid rainbow matching of ``size`` edges."""
-    return found is None or len(found) != size or not rainbow_is_valid(found, family)
+def _path_reaches(path: ColoredPath, network: PathGroupFamily, node: object) -> bool:
+    """True when ``path`` is a multicolored path of ``network`` ending at ``node``."""
+    return colored_path_conforms(path, network) and path.target == node
 
 
-def _verdict(classify, instance, budget):
-    """``classify(instance, budget)``, or None on any error but BudgetExceeded."""
+def splits_cycle(verdict: ExtremalCycle, family: MatchingFamily, n: int) -> bool:
+    """True when ``verdict`` certifies a split 2n-cycle of ``family``, read
+    from the verdict alone: its cycle has 2n distinct vertices on
+    alternating sides, each of its n - 1 even colors has exactly the edges
+    (cycle[2i], cycle[2i+1]), each of its n - 1 odd colors exactly the edges
+    (cycle[2i+1], cycle[2i+2 mod 2n]), and the two color sets partition the
+    family."""
+    cycle = verdict.cycle
+    if len(cycle) != 2 * n or len(set(cycle)) != 2 * n or any(
+            u.side is v.side for u, v in zip(cycle, cycle[1:])):
+        return False
+
+    def edges(offset: int) -> frozenset[Edge]:
+        ends = [(cycle[i], cycle[(i + 1) % (2 * n)]) for i in range(offset, 2 * n, 2)]
+        return frozenset(Edge(u, v) if u.side is Side.LEFT else Edge(v, u) for u, v in ends)
+
+    even, odd = verdict.even_colors, verdict.odd_colors
+    if (len(even) != n - 1 or len(odd) != n - 1 or even & odd
+            or even | odd != set(range(len(family)))):
+        return False
+    even_edges, odd_edges = edges(0), edges(1)
+    return (all(family[c].edges == even_edges for c in even)
+            and all(family[c].edges == odd_edges for c in odd))
+
+
+def pair_is_extremal(pair: ExtremalPair, multiset: ResidueMultiset, n: int) -> bool:
+    """True when ``pair`` names the blocking double pile of ``multiset``: both
+    residues occur exactly n - 1 times and their difference is coprime to n."""
+    count = multiset.elements.count
+    return (count(pair.low) == count(pair.high) == n - 1
+            and math.gcd(pair.high - pair.low, n) == 1)
+
+
+def regimentation_is_valid(verdict: Regimentation, family: PathGroupFamily,
+                           size: int) -> bool:
+    """True when ``verdict`` regiments the paths of ``family``, read from the
+    verdict alone: each class holds as many copies as its path's edge count
+    minus one (so at least one), the representatives share no inner node, and
+    the class copies are the family's paths, with multiplicity."""
+    inner = [v for path, _ in verdict.classes for v in path.nodes[1:-1]]
+    return (all(count == path.edge_count - 1 >= 1 for path, count in verdict.classes)
+            and len(set(inner)) == len(inner)
+            and Counter(dict(verdict.classes)) == Counter(
+                path for group in family.groups for path in group))
+
+
+# verdict or witness type -> (checker of (verdict, instance, size), whether
+# the verdict claims a solution); HasRainbow and HasZeroSum go by their witness
+_CERTIFICATES: dict[type, tuple[Callable[..., bool], bool]] = {
+    RainbowMatching: (lambda w, family, size: len(w) == size and rainbow_is_valid(w, family), True),
+    tuple: (lambda found, multiset, size: zero_sum_is_valid(multiset, found), True),
+    Transversal: (lambda found, matrix, size: transversal_is_valid(matrix, found), True),
+    ColoredPath: (lambda path, network, size: _path_reaches(path, network, SINK), True),
+    ExtremalCycle: (splits_cycle, False),
+    ExtremalPair: (pair_is_extremal, False),
+    Regimentation: (regimentation_is_valid, False),
+}
+
+
+def _claim(verdict, instance, size: int) -> Optional[bool]:
+    """Whether ``verdict`` claims a solution, or None when it fails its check."""
+    if verdict is None:
+        return False
+    if isinstance(verdict, (HasRainbow, HasZeroSum)):
+        verdict = verdict.witness
+    check, claims = _CERTIFICATES.get(type(verdict), (None, None))
+    return claims if check is not None and check(verdict, instance, size) else None
+
+
+def certifies(verdict, instance, size: int) -> bool:
+    """True when ``verdict`` passes its type's check; None always passes."""
+    return _claim(verdict, instance, size) is not None
+
+
+def _fault(solve: Callable[[], object], instance, size: int, feasible: bool) -> bool:
+    """The one fault rule: True when ``solve()`` raises anything but
+    BudgetExceeded, or its verdict fails its check, or the verdict's claim
+    that a solution exists disagrees with ``feasible``."""
     try:
-        return classify(instance, budget)
+        return _claim(solve(), instance, size) != feasible
     except BudgetExceeded:
         raise
     except Exception:
-        return None
+        return True
 
 
 def _uniform_families(n, count, samples, exhaustive, seed, budget):
@@ -158,7 +239,7 @@ def _run_drisko(n, samples, exhaustive, seed, budget):
     """Every family of 2n-1 matchings of size n has a rainbow matching of
     size n; witnesses are revalidated."""
     families, params = _uniform_families(n, 2 * n - 1, samples, exhaustive, seed, budget)
-    return params, (_rainbow_fault(find_rainbow_matching(family, n, budget), family, n)
+    return params, (_fault(lambda: find_rainbow_matching(family, n, budget), family, n, True)
                     for family in families)
 
 
@@ -166,13 +247,10 @@ def _run_sharpness(n, samples, exhaustive, seed, budget):
     """The canonical 2n-cycle family of 2n-2 matchings is infeasible at
     target n, per both the solver and the oracle (one fault each)."""
     charge((2 * n - 2) * n, "edges", budget)
-
-    def faults():
-        for k in range(2, n + 1):
-            family = canonical_cycle_family(k)
-            yield ((find_rainbow_matching(family, k, budget) is not None)
-                   + (brute_rainbow(family, k, budget) is not None))
-    return {"n_max": n}, faults()
+    families = ((k, canonical_cycle_family(k)) for k in range(2, n + 1))
+    return {"n_max": n}, (
+        _fault(lambda: find_rainbow_matching(family, k, budget), family, k, False)
+        + (brute_rainbow(family, k, budget) is not None) for k, family in families)
 
 
 def _run_general(n, samples, exhaustive, seed, budget):
@@ -189,13 +267,10 @@ def _run_general(n, samples, exhaustive, seed, budget):
             side = max(sizes) + rng.randint(0, 2)
             family = generate(GenSpec.family_mixed(tuple(sizes), side, rng.getrandbits(63)))
             target = rng.randint(1, min(m, n))
-            found = find_rainbow_matching(family, target, budget)
-            if found is not None and _rainbow_fault(found, family, target):
-                yield True
-            elif drisko_condition(family.sizes, target):
-                yield found is None
-            else:
-                yield (found is None) != (brute_rainbow(family, target, budget) is None)
+            feasible = (drisko_condition(family.sizes, target)
+                        or brute_rainbow(family, target, budget) is not None)
+            yield _fault(lambda: find_rainbow_matching(family, target, budget),
+                         family, target, feasible)
     return {"samples": samples, "max_size": n, "max_m": 9}, faults()
 
 
@@ -213,8 +288,8 @@ def _run_bgs(n, samples, exhaustive, seed, budget):
             m = (k + 2) * nn // (k + 1) - (k + 1)
             family = generate(GenSpec.family_uniform(nn, m, nn + 1, rng.getrandbits(63)))
             target = nn - k
-            yield (not drisko_condition(family.sizes, target)
-                   or _rainbow_fault(find_rainbow_matching(family, target, budget), family, target))
+            yield (not drisko_condition(family.sizes, target) or _fault(
+                lambda: find_rainbow_matching(family, target, budget), family, target, True))
     return {"samples": samples, "n_max": n, "k": [1, 2]}, faults()
 
 
@@ -236,8 +311,7 @@ def _run_counting(n, samples, exhaustive, seed, budget):
             witnesses = reachable_witness_set(family)
             exact = brute_mc_path(family, budget)
             yield len(witnesses) <= family.total_paths or not all(
-                colored_path_conforms(path, family) and node in exact
-                and path.target == node
+                node in exact and _path_reaches(path, family, node)
                 for node, path in witnesses.items())
     return {"samples": samples, "max_inner": n, "max_paths": 6}, faults()
 
@@ -272,16 +346,9 @@ def _run_dichotomy(n, samples, exhaustive, seed, budget):
                 if used != full:
                     continue
                 family = PathGroupFamily(tuple(group for _, _, group in multiset))
-                reaches_sink = brute_reaches_sink(family, budget)
-                try:
-                    outcome = verify_regimented_dichotomy((p for _, p, _ in multiset), budget)
-                except DichotomyViolation:
-                    yield True
-                    continue
-                if isinstance(outcome, Regimentation):
-                    yield reaches_sink
-                else:
-                    yield not (reaches_sink and colored_path_conforms(outcome, family))
+                yield _fault(
+                    lambda: verify_regimented_dichotomy((p for _, p, _ in multiset), budget),
+                    family, inner, brute_reaches_sink(family, budget))
     return {"max_inner": n, "mode": "exhaustive"}, faults()
 
 
@@ -302,43 +369,6 @@ def _six_cycle_splits(side: int) -> list[tuple]:
     return sorted(pairs, key=lambda pair: (pair[0].key(), pair[1].key()))
 
 
-def _check_classification(family: MatchingFamily, n: int, budget: int) -> bool:
-    """True when classify_family agrees with brute feasibility and any
-    extremal verdict certifies a split cycle of the family."""
-    oracle_found = brute_rainbow(family, n, budget)
-    verdict = _verdict(classify_family, family, budget)
-    if verdict is None:
-        return False
-    if isinstance(verdict, ExtremalCycle):
-        return oracle_found is None and splits_cycle(verdict, family, n)
-    return oracle_found is not None and rainbow_is_valid(verdict.witness, family)
-
-
-def splits_cycle(verdict: ExtremalCycle, family: MatchingFamily, n: int) -> bool:
-    """True when ``verdict`` certifies a split 2n-cycle of ``family``, read
-    from the verdict alone: its cycle has 2n distinct vertices on
-    alternating sides, each of its n - 1 even colors has exactly the edges
-    (cycle[2i], cycle[2i+1]), each of its n - 1 odd colors exactly the edges
-    (cycle[2i+1], cycle[2i+2 mod 2n]), and the two color sets partition the
-    family."""
-    cycle = verdict.cycle
-    if len(cycle) != 2 * n or len(set(cycle)) != 2 * n or any(
-            u.side is v.side for u, v in zip(cycle, cycle[1:])):
-        return False
-
-    def edges(offset: int) -> frozenset[Edge]:
-        ends = [(cycle[i], cycle[(i + 1) % (2 * n)]) for i in range(offset, 2 * n, 2)]
-        return frozenset(Edge(u, v) if u.side is Side.LEFT else Edge(v, u) for u, v in ends)
-
-    even, odd = verdict.even_colors, verdict.odd_colors
-    if (len(even) != n - 1 or len(odd) != n - 1 or even & odd
-            or even | odd != set(range(len(family)))):
-        return False
-    even_edges, odd_edges = edges(0), edges(1)
-    return (all(family[c].edges == even_edges for c in even)
-            and all(family[c].edges == odd_edges for c in odd))
-
-
 def _run_extremal(n, samples, exhaustive, seed, budget):
     """No-rainbow families of 2n-2 size-n matchings are exactly the split
     cycles; classify_family never falls through."""
@@ -349,7 +379,9 @@ def _run_extremal(n, samples, exhaustive, seed, budget):
             families = itertools.chain(families, (
                 MatchingFamily((even,) * even_count + (odd,) * (4 - even_count))
                 for even, odd in _six_cycle_splits(4) for even_count in range(0, 5)))
-    return params, (not _check_classification(family, n, budget) for family in families)
+    return params, (_fault(lambda: classify_family(family, budget), family, n,
+                           brute_rainbow(family, n, budget) is not None)
+                    for family in families)
 
 
 def _residue_multisets(n, lowest, exhaustive, extra, budget):
@@ -368,35 +400,19 @@ def _run_egz(n, samples, exhaustive, seed, budget):
     """Every multiset of 2n-1 residues mod n has a zero-sum sub-multiset of
     size n; witnesses are revalidated and feasibility matches the oracle."""
     multisets, params = _residue_multisets(n, 1, exhaustive, -1, budget)
-
-    def faults():
-        for multiset in multisets:
-            found = find_zero_sum_subset(multiset, budget)
-            yield (found is None or not zero_sum_is_valid(multiset, found)
-                   or brute_zero_sum(multiset, budget) is None)
-    return params, faults()
+    return params, (_fault(lambda: find_zero_sum_subset(multiset, budget),
+                           multiset, multiset.modulus, True)
+                    or brute_zero_sum(multiset, budget) is None
+                    for multiset in multisets)
 
 
 def _run_egz_extremal(n, samples, exhaustive, seed, budget):
     """Multisets of 2n-2 residues with no zero-sum sub-multiset are exactly
     the coprime-difference double piles."""
     multisets, params = _residue_multisets(n, 2, exhaustive, -2, budget)
-
-    def faults():
-        for multiset in multisets:
-            k = multiset.modulus
-            oracle_found = brute_zero_sum(multiset, budget)
-            verdict = _verdict(classify_multiset, multiset, budget)
-            if verdict is None:
-                yield True
-            elif isinstance(verdict, ExtremalPair):
-                count = multiset.elements.count
-                shape_ok = (count(verdict.low) == count(verdict.high) == k - 1
-                            and math.gcd(verdict.high - verdict.low, k) == 1)
-                yield oracle_found is not None or not shape_ok
-            else:
-                yield oracle_found is None or not zero_sum_is_valid(multiset, verdict.witness)
-    return params, faults()
+    return params, (_fault(lambda: classify_multiset(multiset, budget), multiset,
+                           multiset.modulus, brute_zero_sum(multiset, budget) is not None)
+                    for multiset in multisets)
 
 
 def _run_transversal(n, samples, exhaustive, seed, budget):
@@ -409,10 +425,8 @@ def _run_transversal(n, samples, exhaustive, seed, budget):
         for _ in range(samples):
             cols = rng.randint(1, n)
             symbols = cols + rng.randint(0, 2)
-            spec = GenSpec.matrix(2 * cols - 1, cols, symbols, rng.getrandbits(63))
-            matrix = generate(spec)
-            found = find_transversal(matrix, budget)
-            yield found is None or not transversal_is_valid(matrix, found)
+            matrix = generate(GenSpec.matrix(2 * cols - 1, cols, symbols, rng.getrandbits(63)))
+            yield _fault(lambda: find_transversal(matrix, budget), matrix, cols, True)
     return {"samples": samples, "n_max": n}, faults()
 
 

@@ -10,14 +10,15 @@ Verbs:
 Exit codes: 0 success or clean campaign, 1 infeasible instance or campaign
 violations, 2 malformed input, impossible generator spec or output that
 cannot be written (a failed ``--out`` write, or stdout closed early), 3 step
-budget exhausted, 4 internal invariant failure (never expected). Results go to
-stdout as JSON with sorted keys; diagnostics go to stderr. The environment
-variable RAINBOWKIT_BUDGET overrides the default step budget, and each verb
-passes it on as it is: to every search and oracle a ``verify`` campaign
-starts, to the search behind every ``solve`` and ``classify`` kind (the
-library functions behind ``solve egz`` and ``classify multiset`` also charge
-their shift family's edges against it), and to the instance sizes
-``generate`` may build.
+budget exhausted, 4 internal invariant failure (never expected), which
+includes a ``solve`` or ``classify`` verdict that ``campaigns.certifies``
+rejects before it is printed. Results go to stdout as JSON with sorted keys;
+diagnostics go to stderr. The environment variable RAINBOWKIT_BUDGET
+overrides the default step budget, and each verb passes it on as it is: to
+every search and oracle a ``verify`` campaign starts, to the search behind
+every ``solve`` and ``classify`` kind (the library functions behind ``solve
+egz`` and ``classify multiset`` also charge their shift family's edges
+against it), and to the instance sizes ``generate`` may build.
 
 Instance file schemas are documented in ``rainbowkit.jsonio``.
 """
@@ -31,7 +32,7 @@ import sys
 from typing import Optional
 
 from . import jsonio
-from .campaigns import THEOREMS, run_campaign, splits_cycle
+from .campaigns import THEOREMS, certifies, run_campaign
 from .errors import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -42,9 +43,9 @@ from .errors import (
     TheoremViolation,
     charge,
 )
-from .network_paths import SINK, colored_path_conforms, find_multicolored_st_path
+from .network_paths import find_multicolored_st_path
 from .oracle import GenSpec, canonical_cycle_family, generate
-from .rainbow_solver import ExtremalCycle, classify_family, find_rainbow_matching
+from .rainbow_solver import classify_family, find_rainbow_matching
 from .reductions import (
     ResidueMultiset,
     classify_multiset,
@@ -74,6 +75,13 @@ def _budget() -> int:
 
 def _emit(obj: object) -> None:
     print(json.dumps(obj, sort_keys=True))
+
+
+def _certified(verdict, instance, size: int):
+    """``verdict``, or GuaranteeViolation when ``certifies`` rejects it."""
+    if not certifies(verdict, instance, size):
+        raise GuaranteeViolation(f"{type(verdict).__name__} verdict fails its check")
+    return verdict
 
 
 def _load(path: str) -> object:
@@ -137,26 +145,28 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         if not args.input:
             raise InputError(f"{run} needs --input")
     if args.kind == "rainbow":
-        family = jsonio.family_from_obj(_load(args.input))
-        if args.target is None:
+        instance, size = jsonio.family_from_obj(_load(args.input)), args.target
+        if size is None:
             raise InputError("solve rainbow needs --target")
-        found = find_rainbow_matching(family, args.target, _budget())
+        found = find_rainbow_matching(instance, size, _budget())
         to_obj = jsonio.rainbow_to_obj
     elif args.kind == "transversal":
-        found = find_transversal(jsonio.matrix_from_obj(_load(args.input)), _budget())
+        instance = jsonio.matrix_from_obj(_load(args.input))
+        size = min(instance.rows, instance.cols)
+        found = find_transversal(instance, _budget())
         to_obj = jsonio.transversal_to_obj
     elif args.kind == "egz":
-        found = find_zero_sum_subset(_multiset_argument(args, run), _budget())
+        instance = _multiset_argument(args, run)
+        size = instance.modulus
+        found = find_zero_sum_subset(instance, _budget())
         to_obj = jsonio.zero_sum_to_obj
     else:
         assert args.kind == "mcpath"
-        network = jsonio.network_from_obj(_load(args.input))
-        found = find_multicolored_st_path(network, len(network.inner_nodes), _budget())
-        if found is not None and not (
-                found.target == SINK and colored_path_conforms(found, network)):
-            raise GuaranteeViolation(f"witness {found!r} is not a multicolored path")
+        instance = jsonio.network_from_obj(_load(args.input))
+        size = len(instance.inner_nodes)
+        found = find_multicolored_st_path(instance, size, _budget())
         to_obj = jsonio.colored_path_to_obj
-    if found is None:
+    if _certified(found, instance, size) is None:
         print("infeasible")
         return EXIT_INFEASIBLE
     _emit(to_obj(found))
@@ -251,14 +261,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         if not args.input:
             raise InputError("classify family needs --input")
         family = jsonio.family_from_obj(_load(args.input))
-        verdict = classify_family(family, _budget())
-        if isinstance(verdict, ExtremalCycle) and not splits_cycle(
-                verdict, family, len(family) // 2 + 1):
-            raise GuaranteeViolation("cycle verdict does not split the family")
+        verdict = _certified(classify_family(family, _budget()), family, len(family) // 2 + 1)
         _emit(jsonio.family_classification_to_obj(verdict))
         return EXIT_OK
     assert args.kind == "multiset"
-    verdict = classify_multiset(_multiset_argument(args, "classify multiset"), _budget())
+    multiset = _multiset_argument(args, "classify multiset")
+    verdict = _certified(classify_multiset(multiset, _budget()), multiset, multiset.modulus)
     _emit(jsonio.multiset_classification_to_obj(verdict))
     return EXIT_OK
 

@@ -1,5 +1,7 @@
+import dataclasses
 import inspect
 import math
+from typing import get_args, get_origin, get_type_hints
 
 import pytest
 
@@ -8,7 +10,13 @@ from rainbowkit import (
     ColoredPath,
     DichotomyViolation,
     ExtremalCycle,
+    ExtremalPair,
+    FamilyClassification,
+    GuaranteeViolation,
+    HasRainbow,
     HasZeroSum,
+    MatchingFamily,
+    MultisetClassification,
     PreconditionError,
     RainbowMatching,
     Regimentation,
@@ -16,8 +24,14 @@ from rainbowkit import (
     TheoremViolation,
     Transversal,
     build_family,
+    canonical_cycle_family,
+    classify_family,
+    edge,
+    is_regimented,
+    validate_matching,
 )
 from rainbowkit import campaigns, network_paths
+from rainbowkit.campaigns import certifies, regimentation_is_valid, splits_cycle
 from rainbowkit.errors import Meter, charge_multisets
 from rainbowkit.campaigns import THEOREMS, run_campaign
 from conftest import CYCLE_CORRUPTIONS, path
@@ -104,12 +118,14 @@ class TestRunCampaign:
                         charge_multisets(kinds, k, budget)
 
     def test_dichotomy_counts_each_wrong_verdict(self, monkeypatch):
-        monkeypatch.setattr(campaigns, "verify_regimented_dichotomy",
-                            lambda paths, budget: Regimentation(()))
+        monkeypatch.setattr(
+            campaigns, "verify_regimented_dichotomy",
+            lambda paths, budget: network_paths.is_regimented(list(paths)) or Regimentation(()))
         report = run_campaign("dichotomy", n=3)
         # the regimented multisets cut the inner nodes into ordered runs:
-        # 1, 1, 3 and 13 ways for 0-3 inner nodes; every other one is
-        # traversable, so calling it regimented is one violation each
+        # 1, 1, 3 and 13 ways for 0-3 inner nodes, and keep their true
+        # regimentation; every other one is traversable, so calling it
+        # regimented is one violation each
         assert report.instances_checked == 734
         assert report.violations == 734 - 18
 
@@ -162,6 +178,22 @@ class TestRunCampaign:
         ("egz", {"n": 3, "exhaustive": True}, {"find_zero_sum_subset": (1,)}, (26, 26)),
         ("egz-extremal", {"n": 3, "exhaustive": True},
          {"classify_multiset": HasZeroSum((1,))}, (18, 18)),
+        # Regimentation(()) regiments only the empty multiset
+        ("dichotomy", {"n": 3},
+         {"verify_regimented_dichotomy": Regimentation(())}, (734, 733)),
+        ("extremal", {"n": 2, "exhaustive": True},
+         {"classify_family": HasRainbow(RainbowMatching(()))}, (171, 171)),
+        # 0,0,2,2 mod 3 is the one multiset that ExtremalPair(0, 2) describes
+        ("egz-extremal", {"n": 3, "exhaustive": True},
+         {"classify_multiset": ExtremalPair(0, 2)}, (18, 17)),
+        # s->t via 0 is right only where the first path is the direct one
+        ("dichotomy", {"n": 3},
+         {"verify_regimented_dichotomy": ColoredPath(("s", "t"), (0,))}, (734, 633)),
+        # a solver that raises answers wrongly on that instance
+        ("drisko", {"n": 2, "samples": 50, "seed": 1},
+         {"find_rainbow_matching": GuaranteeViolation("miss")}, (50, 50)),
+        ("transversal", {"n": 3, "samples": 50, "seed": 5},
+         {"find_transversal": AssertionError()}, (50, 50)),
     ])
     def test_each_wrong_answer_counts(self, monkeypatch, theorem, kwargs, patches,
                                       expected):
@@ -231,6 +263,56 @@ class TestExtremalCertificate:
         report = run_campaign("extremal", n=3, samples=60, seed=4)
         assert len(cycles) > 0
         assert report.violations == len(cycles)
+
+    def test_one_wrong_odd_member_fails(self):
+        family = canonical_cycle_family(3)
+        verdict = classify_family(family)
+        members = list(family)
+        members[max(verdict.odd_colors)] = validate_matching(
+            [edge(0, 1), edge(1, 0), edge(2, 2)])
+        assert splits_cycle(verdict, family, 3)
+        assert not splits_cycle(verdict, MatchingFamily(tuple(members)), 3)
+
+
+class TestRegimentationCertificate:
+    """regimentation_is_valid reads a Regimentation against the paths alone."""
+
+    def test_the_regimentation_found_passes(self):
+        paths = [path("s", 0, 1, "t"), path("s", 2, "t"), path("s", 0, 1, "t")]
+        family = build_family([[p] for p in paths])
+        verdict = is_regimented(paths)
+        assert regimentation_is_valid(verdict, family, 3)
+        assert certifies(verdict, family, 3)
+
+    @pytest.mark.parametrize("paths,classes", [
+        ([path("s", 0, 1, "t"), path("s", 2, "t")],
+         ((path("s", 0, 1, "t"), 1), (path("s", 2, "t"), 1))),
+        ([path("s", 0, "t"), path("s", 0, 1, "t"), path("s", 0, 1, "t")],
+         ((path("s", 0, "t"), 1), (path("s", 0, 1, "t"), 2))),
+        ([path("s", 0, 1, "t"), path("s", 0, 1, "t"), path("s", 2, "t")],
+         ((path("s", 0, 1, "t"), 2),)),
+        # the direct path's edge count asks for no copies, and a class has one
+        ([path("s", 0, "t")], ((path("s", 0, "t"), 1), (path("s", "t"), 0))),
+    ], ids=["wrong-count", "overlapping-representatives", "missing-class",
+            "empty-class"])
+    def test_wrong_regimentation_fails(self, paths, classes):
+        family = build_family([[p] for p in paths])
+        assert not regimentation_is_valid(Regimentation(classes), family, len(paths))
+
+
+class TestCertificateTable:
+    def test_every_verdict_type_has_a_checker(self):
+        types = {RainbowMatching, tuple, Transversal, ColoredPath, Regimentation}
+        for verdict in get_args(FamilyClassification) + get_args(MultisetClassification):
+            witness = get_type_hints(verdict).get("witness")
+            types.add(verdict if witness is None else get_origin(witness) or witness)
+        assert HasRainbow not in types and tuple in types
+        assert types <= set(campaigns._CERTIFICATES)
+
+    def test_unknown_type_fails_and_none_passes(self):
+        family = canonical_cycle_family(2)
+        assert not certifies(object(), family, 1)
+        assert certifies(None, family, 1)
 
 class TestBudgetRouting:
     """Every search, oracle and charge a campaign starts gets the campaign's

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rainbowkit
-from rainbowkit import ColoredPath, campaigns, cli, reductions
+from rainbowkit import (ColoredPath, ExtremalPair, GuaranteeViolation, HasRainbow,
+                        RainbowMatching, Transversal, campaigns, cli, edge, reductions)
 from rainbowkit.cli import main
 from rainbowkit.errors import Meter
 from conftest import CYCLE_CORRUPTIONS
@@ -179,6 +180,16 @@ class TestVerify:
         assert report["instances_checked"] == 25
         assert report["violations"] == 0
         assert report["seed"] == 7
+
+    def test_raising_solver_is_a_violation(self, capsys, monkeypatch):
+        def fail(*args):
+            raise GuaranteeViolation("miss")
+
+        monkeypatch.setattr(campaigns, "find_rainbow_matching", fail)
+        code, out, err = run_cli(capsys, "verify", "drisko", "--n", "2",
+                                 "--samples", "5")
+        assert (code, err) == (1, "")
+        assert json.loads(out)["violations"] == 5
 
     def test_exhaustive_egz_count(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "egz", "--n", "3", "--exhaustive")
@@ -415,7 +426,7 @@ class TestClassify:
                             lambda family, budget: corrupt(classify(family, budget)))
         code, out, err = run_cli(capsys, "classify", "family", "--input", str(fixture))
         assert (code, out) == (4, "")
-        assert err == "internal invariant failure: cycle verdict does not split the family\n"
+        assert err == "internal invariant failure: ExtremalCycle verdict fails its check\n"
 
     def test_family_with_rainbow_matching(self, tmp_path, capsys):
         fixture = tmp_path / "fam.json"
@@ -446,6 +457,40 @@ class TestClassify:
                                  "--elements", "0,0")
         assert (code, out) == (2, "")
         assert err == "error: need exactly 4 elements, got 2\n"
+
+
+class TestWrongVerdictExitFour:
+    """solve and classify check each verdict through campaigns.certifies
+    before printing it."""
+
+    FILES = {
+        "family.json": [[[0, 0], [1, 1], [2, 2]], [[0, 0], [1, 1], [2, 2]],
+                        [[0, 1], [1, 2], [2, 0]], [[0, 0], [1, 2], [2, 1]]],
+        "matrix.json": {"rows": 3, "cols": 2, "cells": [[0, 1], [1, 2], [2, 0]]},
+    }
+
+    @pytest.mark.parametrize("argv,name,answer", [
+        (("classify", "multiset", "--n", "3", "--elements", "0,0,1,1"),
+         "classify_multiset", ExtremalPair(0, 2)),
+        (("classify", "family", "--input", "family.json"),
+         "classify_family", HasRainbow(RainbowMatching(()))),
+        (("solve", "rainbow", "--input", "family.json", "--target", "3"),
+         "find_rainbow_matching", RainbowMatching(((0, edge(0, 1)),))),
+        (("solve", "transversal", "--input", "matrix.json"),
+         "find_transversal", Transversal(frozenset({(0, 0), (1, 0)}))),
+        (("solve", "egz", "--n", "3", "--elements", "1,1,1,1,1"),
+         "find_zero_sum_subset", (0, 0, 0)),
+    ], ids=["extremal-pair", "has-rainbow", "rainbow", "transversal", "egz"])
+    def test_exit_four(self, tmp_path, capsys, monkeypatch, argv, name, answer):
+        for file_name, obj in self.FILES.items():
+            (tmp_path / file_name).write_text(json.dumps(obj))
+        argv = [str(tmp_path / a) if a in self.FILES else a for a in argv]
+        assert run_cli(capsys, *argv)[0] == 0
+        monkeypatch.setattr(cli, name, lambda *args: answer)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (4, "")
+        assert err == ("internal invariant failure: "
+                       f"{type(answer).__name__} verdict fails its check\n")
 
 
 class TestShiftFamilyCharge:

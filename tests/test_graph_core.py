@@ -5,12 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from rainbowkit import (
     Edge,
+    MatchingFamily,
     OverlapError,
     RainbowMatching,
     Side,
     Vertex,
     augmenting_paths,
     edge,
+    rainbow_is_valid,
     validate_matching,
 )
 
@@ -133,6 +135,16 @@ class TestRainbowMatching:
     def test_overlapping_range_rejected(self):
         with pytest.raises(OverlapError):
             RainbowMatching(((0, edge(0, 0)), (1, edge(0, 1))))
+
+
+class TestRainbowIsValid:
+    FAMILY = MatchingFamily((validate_matching([edge(0, 0)]),))
+
+    def test_edge_outside_its_member_fails(self):
+        assert not rainbow_is_valid(RainbowMatching(((0, edge(1, 1)),)), self.FAMILY)
+
+    def test_color_equal_to_the_family_size_fails(self):
+        assert not rainbow_is_valid(RainbowMatching(((1, edge(0, 0)),)), self.FAMILY)
 
 
 class TestAugmentingPaths:

@@ -57,8 +57,11 @@ class TestTransversalIsValid:
         {(0, 0), (5, 1)},
         # out of range, though as an index -1 would read the row's last symbol
         {(0, 0), (1, -1)},
+        {(3, 0), (0, 1)},
+        {(0, 2), (1, 0)},
     ], ids=["repeated-row", "repeated-column", "repeated-symbol", "short",
-            "row-out-of-range", "negative-column"])
+            "row-out-of-range", "negative-column", "row-at-the-row-count",
+            "column-at-the-column-count"])
     def test_invalid_transversal_rejected(self, entries):
         assert not transversal_is_valid(self.MATRIX, Transversal(frozenset(entries)))
 
