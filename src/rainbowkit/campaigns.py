@@ -276,10 +276,11 @@ def _run_general(n, samples, exhaustive, seed, budget):
 
 def _run_bgs(n, samples, exhaustive, seed, budget):
     """Uniform families at the floor((k+2)n/(k+1)) - (k+1) member count have
-    a rainbow matching of size n-k, for k in {1, 2}."""
+    a rainbow matching of size n-k, for every 1 <= k < n (the count is at
+    least 1 exactly when k < n); k = 1 has the most members, so its charge
+    bounds every draw."""
     charge((3 * n // 2 - 2) * n, "edges", budget)
-    combos = [(nn, k) for k in (1, 2) for nn in range(2, n + 1)
-              if (k + 2) * nn // (k + 1) - (k + 1) >= 1 and nn - k >= 1]
+    combos = [(nn, k) for k in range(1, n) for nn in range(k + 1, n + 1)]
 
     def faults():
         rng = random.Random(seed)
@@ -290,7 +291,7 @@ def _run_bgs(n, samples, exhaustive, seed, budget):
             target = nn - k
             yield (not drisko_condition(family.sizes, target) or _fault(
                 lambda: find_rainbow_matching(family, target, budget), family, target, True))
-    return {"samples": samples, "n_max": n, "k": [1, 2]}, faults()
+    return {"samples": samples, "n_max": n, "k": list(range(1, n))}, faults()
 
 
 def _run_counting(n, samples, exhaustive, seed, budget):

@@ -381,12 +381,11 @@ class TestBudgetRouting:
 class TestBgsBound:
     def test_member_counts_satisfy_threshold(self):
         from rainbowkit import drisko_condition
-        for k in (1, 2):
-            for n in range(2, 6):
+        for n in range(2, 40):
+            for k in range(1, n):
                 m = (k + 2) * n // (k + 1) - (k + 1)
-                if m < 1 or n - k < 1:
-                    continue
-                assert drisko_condition([n] * m, n - k)
+                if m >= 1:
+                    assert drisko_condition([n] * m, n - k)
 
     def test_larger_sample(self):
         report = run_campaign("bgs", n=5, samples=300, seed=99)

@@ -13,7 +13,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 import differential  # noqa: E402
 
-SLICE_DIGEST = "4f8b212a5e85b534686adee618fa96c35ada246ed6524f71847ed2113a4f73e5"
+SLICE_DIGEST = "0a10703c026a6304747959b9afe4e9061f948dd98c696a3969d6fc40b355bbf2"
 
 
 def test_slice_digest_is_pinned():
