@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import math
 from typing import get_args, get_origin, get_type_hints
@@ -31,9 +30,9 @@ from rainbowkit import (
     validate_matching,
 )
 from rainbowkit import campaigns, network_paths
-from rainbowkit.campaigns import certifies, regimentation_is_valid, splits_cycle
 from rainbowkit.errors import Meter, charge_multisets
-from rainbowkit.campaigns import THEOREMS, run_campaign
+from rainbowkit.campaigns import (THEOREMS, certifies, regimentation_is_valid, run_campaign,
+                                  splits_cycle)
 from conftest import CYCLE_CORRUPTIONS, path
 
 
