@@ -152,16 +152,15 @@ def splits_cycle(verdict: ExtremalCycle, family: MatchingFamily, n: int) -> bool
             and all(family[c].edges == odd_edges for c in odd))
 
 
-def pair_is_extremal(pair: ExtremalPair, multiset: ResidueMultiset, n: int) -> bool:
+def pair_is_extremal(pair: ExtremalPair, multiset: ResidueMultiset) -> bool:
     """True when ``pair`` names the blocking double pile of ``multiset``: both
     residues occur exactly n - 1 times and their difference is coprime to n."""
-    count = multiset.elements.count
+    count, n = multiset.elements.count, multiset.modulus
     return (count(pair.low) == count(pair.high) == n - 1
             and math.gcd(pair.high - pair.low, n) == 1)
 
 
-def regimentation_is_valid(verdict: Regimentation, family: PathGroupFamily,
-                           size: int) -> bool:
+def regimentation_is_valid(verdict: Regimentation, family: PathGroupFamily) -> bool:
     """True when ``verdict`` regiments the paths of ``family``, read from the
     verdict alone: each class holds as many copies as its path's edge count
     minus one (so at least one), the representatives share no inner node, and
@@ -181,32 +180,34 @@ _CERTIFICATES: dict[type, tuple[Callable[..., bool], bool]] = {
     Transversal: (lambda found, matrix, size: transversal_is_valid(matrix, found), True),
     ColoredPath: (lambda path, network, size: _path_reaches(path, network, SINK), True),
     ExtremalCycle: (splits_cycle, False),
-    ExtremalPair: (pair_is_extremal, False),
-    Regimentation: (regimentation_is_valid, False),
+    ExtremalPair: (lambda pair, multiset, size: pair_is_extremal(pair, multiset), False),
+    Regimentation: (lambda verdict, family, size: regimentation_is_valid(verdict, family), False),
 }
 
 
-def _claim(verdict, instance, size: int) -> Optional[bool]:
+def _claim(verdict, instance, size: Optional[int], required: bool) -> Optional[bool]:
     """Whether ``verdict`` claims a solution, or None when it fails its check."""
     if verdict is None:
-        return False
+        return None if required else False
     if isinstance(verdict, (HasRainbow, HasZeroSum)):
         verdict = verdict.witness
     check, claims = _CERTIFICATES.get(type(verdict), (None, None))
     return claims if check is not None and check(verdict, instance, size) else None
 
 
-def certifies(verdict, instance, size: int) -> bool:
-    """True when ``verdict`` passes its type's check; None always passes."""
-    return _claim(verdict, instance, size) is not None
+def certifies(verdict, instance, size: Optional[int], required: bool = False) -> bool:
+    """True when ``verdict`` passes its type's check; None (no solution)
+    passes unless a certificate is ``required``, as it is of a classifier."""
+    return _claim(verdict, instance, size, required) is not None
 
 
-def _fault(solve: Callable[[], object], instance, size: int, feasible: bool) -> bool:
+def _fault(solve: Callable[[], object], instance, size: int, feasible: bool,
+           required: bool = False) -> bool:
     """The one fault rule: True when ``solve()`` raises anything but
-    BudgetExceeded, or its verdict fails its check, or the verdict's claim
-    that a solution exists disagrees with ``feasible``."""
+    BudgetExceeded, or its verdict fails ``certifies(..., required)``, or the
+    verdict's claim that a solution exists disagrees with ``feasible``."""
     try:
-        return _claim(solve(), instance, size) != feasible
+        return _claim(solve(), instance, size, required) != feasible
     except BudgetExceeded:
         raise
     except Exception:
@@ -349,7 +350,7 @@ def _run_dichotomy(n, samples, exhaustive, seed, budget):
                 family = PathGroupFamily(tuple(group for _, _, group in multiset))
                 yield _fault(
                     lambda: verify_regimented_dichotomy((p for _, p, _ in multiset), budget),
-                    family, inner, brute_reaches_sink(family, budget))
+                    family, inner, brute_reaches_sink(family, budget), required=True)
     return {"max_inner": n, "mode": "exhaustive"}, faults()
 
 
@@ -381,7 +382,7 @@ def _run_extremal(n, samples, exhaustive, seed, budget):
                 MatchingFamily((even,) * even_count + (odd,) * (4 - even_count))
                 for even, odd in _six_cycle_splits(4) for even_count in range(0, 5)))
     return params, (_fault(lambda: classify_family(family, budget), family, n,
-                           brute_rainbow(family, n, budget) is not None)
+                           brute_rainbow(family, n, budget) is not None, required=True)
                     for family in families)
 
 
@@ -411,8 +412,8 @@ def _run_egz_extremal(n, samples, exhaustive, seed, budget):
     """Multisets of 2n-2 residues with no zero-sum sub-multiset are exactly
     the coprime-difference double piles."""
     multisets, params = _residue_multisets(n, 2, exhaustive, -2, budget)
-    return params, (_fault(lambda: classify_multiset(multiset, budget), multiset,
-                           multiset.modulus, brute_zero_sum(multiset, budget) is not None)
+    return params, (_fault(lambda: classify_multiset(multiset, budget), multiset, multiset.modulus,
+                           brute_zero_sum(multiset, budget) is not None, required=True)
                     for multiset in multisets)
 
 

@@ -77,9 +77,9 @@ def _emit(obj: object) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
-def _certified(verdict, instance, size: int):
+def _certified(verdict, instance, size: Optional[int] = None, required: bool = False):
     """``verdict``, or GuaranteeViolation when ``certifies`` rejects it."""
-    if not certifies(verdict, instance, size):
+    if not certifies(verdict, instance, size, required):
         raise GuaranteeViolation(f"{type(verdict).__name__} verdict fails its check")
     return verdict
 
@@ -145,28 +145,26 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         if not args.input:
             raise InputError(f"{run} needs --input")
     if args.kind == "rainbow":
-        instance, size = jsonio.family_from_obj(_load(args.input)), args.target
-        if size is None:
+        instance = jsonio.family_from_obj(_load(args.input))
+        if args.target is None:
             raise InputError("solve rainbow needs --target")
-        found = find_rainbow_matching(instance, size, _budget())
+        found = find_rainbow_matching(instance, args.target, _budget())
         to_obj = jsonio.rainbow_to_obj
     elif args.kind == "transversal":
         instance = jsonio.matrix_from_obj(_load(args.input))
-        size = min(instance.rows, instance.cols)
         found = find_transversal(instance, _budget())
         to_obj = jsonio.transversal_to_obj
     elif args.kind == "egz":
         instance = _multiset_argument(args, run)
-        size = instance.modulus
         found = find_zero_sum_subset(instance, _budget())
         to_obj = jsonio.zero_sum_to_obj
     else:
         assert args.kind == "mcpath"
         instance = jsonio.network_from_obj(_load(args.input))
-        size = len(instance.inner_nodes)
-        found = find_multicolored_st_path(instance, size, _budget())
+        found = find_multicolored_st_path(instance, len(instance.inner_nodes), _budget())
         to_obj = jsonio.colored_path_to_obj
-    if _certified(found, instance, size) is None:
+    # only a rainbow matching's check reads a size: the target, None elsewhere
+    if _certified(found, instance, args.target) is None:
         print("infeasible")
         return EXIT_INFEASIBLE
     _emit(to_obj(found))
@@ -261,12 +259,13 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         if not args.input:
             raise InputError("classify family needs --input")
         family = jsonio.family_from_obj(_load(args.input))
-        verdict = _certified(classify_family(family, _budget()), family, len(family) // 2 + 1)
+        verdict = _certified(classify_family(family, _budget()), family,
+                             len(family) // 2 + 1, required=True)
         _emit(jsonio.family_classification_to_obj(verdict))
         return EXIT_OK
     assert args.kind == "multiset"
     multiset = _multiset_argument(args, "classify multiset")
-    verdict = _certified(classify_multiset(multiset, _budget()), multiset, multiset.modulus)
+    verdict = _certified(classify_multiset(multiset, _budget()), multiset, required=True)
     _emit(jsonio.multiset_classification_to_obj(verdict))
     return EXIT_OK
 

@@ -193,6 +193,10 @@ class TestRunCampaign:
          {"find_rainbow_matching": GuaranteeViolation("miss")}, (50, 50)),
         ("transversal", {"n": 3, "samples": 50, "seed": 5},
          {"find_transversal": AssertionError()}, (50, 50)),
+        # a classifier always names a certificate, so None is wrong everywhere
+        ("extremal", {"n": 2, "exhaustive": True}, {"classify_family": None}, (171, 171)),
+        ("egz-extremal", {"n": 3, "exhaustive": True}, {"classify_multiset": None}, (18, 18)),
+        ("dichotomy", {"n": 3}, {"verify_regimented_dichotomy": None}, (734, 734)),
     ])
     def test_each_wrong_answer_counts(self, monkeypatch, theorem, kwargs, patches,
                                       expected):
@@ -280,7 +284,7 @@ class TestRegimentationCertificate:
         paths = [path("s", 0, 1, "t"), path("s", 2, "t"), path("s", 0, 1, "t")]
         family = build_family([[p] for p in paths])
         verdict = is_regimented(paths)
-        assert regimentation_is_valid(verdict, family, 3)
+        assert regimentation_is_valid(verdict, family)
         assert certifies(verdict, family, 3)
 
     @pytest.mark.parametrize("paths,classes", [
@@ -296,7 +300,7 @@ class TestRegimentationCertificate:
             "empty-class"])
     def test_wrong_regimentation_fails(self, paths, classes):
         family = build_family([[p] for p in paths])
-        assert not regimentation_is_valid(Regimentation(classes), family, len(paths))
+        assert not regimentation_is_valid(Regimentation(classes), family)
 
 
 class TestCertificateTable:
@@ -312,6 +316,11 @@ class TestCertificateTable:
         family = canonical_cycle_family(2)
         assert not certifies(object(), family, 1)
         assert certifies(None, family, 1)
+
+    def test_none_fails_where_a_certificate_is_required(self):
+        family = canonical_cycle_family(2)
+        assert not certifies(None, family, 2, required=True)
+        assert certifies(classify_family(family), family, 2, required=True)
 
 class TestBudgetRouting:
     """Every search, oracle and charge a campaign starts gets the campaign's

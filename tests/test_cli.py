@@ -492,6 +492,19 @@ class TestWrongVerdictExitFour:
         assert err == ("internal invariant failure: "
                        f"{type(answer).__name__} verdict fails its check\n")
 
+    @pytest.mark.parametrize("argv,name", [
+        (("classify", "multiset", "--n", "3", "--elements", "0,0,1,1"), "classify_multiset"),
+        (("classify", "family", "--input", "family.json"), "classify_family"),
+    ], ids=["multiset", "family"])
+    def test_classifier_none_exit_four(self, tmp_path, capsys, monkeypatch, argv, name):
+        # a classifier always names a certificate; None has none to print
+        (tmp_path / "family.json").write_text(json.dumps(self.FILES["family.json"]))
+        argv = [str(tmp_path / a) if a in self.FILES else a for a in argv]
+        monkeypatch.setattr(cli, name, lambda *args: None)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (
+            4, "", "internal invariant failure: NoneType verdict fails its check\n")
+
 
 class TestShiftFamilyCharge:
     def test_fewer_than_n_residues_infeasible_at_once(self, capsys):
