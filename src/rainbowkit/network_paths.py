@@ -281,6 +281,15 @@ def find_multicolored_st_path(
             f"inner_count {inner_count} is below the {used} inner nodes in use")
     if family.total_paths <= inner_count:
         return next(iter_multicolored_st_paths(family, budget=budget), None)
+    return _construct_witness(family)
+
+
+def _construct_witness(family: PathGroupFamily) -> ColoredPath:
+    """The contraction construction's witness on a family that holds more
+    paths than the inner nodes it may use: a group's own direct edge at
+    level 0, or else the first of ``_reach``'s steps to the sink. The caller
+    checks that count; failing to build a witness raises GuaranteeViolation,
+    which would flag a bug."""
     groups = _groups(family)
     # most calls end at level 0, on a group's own direct edge
     for color, paths in groups:

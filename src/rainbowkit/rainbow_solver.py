@@ -32,7 +32,7 @@ from .network_paths import (
     NetPath,
     PathGroup,
     PathGroupFamily,
-    find_multicolored_st_path,
+    _construct_witness,
     iter_multicolored_st_paths,
 )
 
@@ -315,10 +315,14 @@ def _witnesses(network: PathGroupFamily, inner_count: int, first: list[int],
                budget: int) -> Iterator[ColoredPath]:
     """Candidate augmentations: the constructed witness first when the network holds
     more paths than matched edges, then the first multicolored path of every (nodes,
-    color classes) signature, less the constructed witness's, under ``budget``."""
+    color classes) signature, less the constructed witness's, under ``budget``.
+
+    Inner node i stands for the i-th matched edge, so the network uses no inner
+    node outside ``range(inner_count)`` and the construction is called directly,
+    without ``find_multicolored_st_path``'s check of that."""
     nodes = classes = None
     if network.total_paths > inner_count:
-        constructed = find_multicolored_st_path(network, inner_count)
+        constructed = _construct_witness(network)
         yield constructed
         # resumed only once the constructed witness failed, and so did every
         # witness of its signature: they all have its children, now dead

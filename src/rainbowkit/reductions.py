@@ -5,16 +5,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Union
 
 from .errors import DEFAULT_BUDGET, GuaranteeViolation, PreconditionError, RowDuplicateError, charge
 from .graph_core import (
-    Edge,
     Matching,
     MatchingFamily,
     RainbowMatching,
-    Side,
-    Vertex,
     edge,
     validate_matching,
 )
@@ -132,17 +130,26 @@ def egz_family(multiset: ResidueMultiset) -> MatchingFamily:
     """One shift matching per element, sorted and with multiplicity.
 
     Element a becomes the perfect matching joining each left residue i to the
-    right residue i + a mod n; color k corresponds to ``elements[k]``. Equal
-    elements share one member object, and all members share the 2n vertices.
+    right residue i + a mod n; color k corresponds to ``elements[k]``. Each
+    member is taken from a memo of the last ``_SHIFT_MEMO_SIZE`` shifts used,
+    so equal elements, which the sort makes adjacent, share one member
+    object, and later calls with the same modulus and element get it again.
     A shift is a bijection of the residues, so each member is a plain
     ``Matching`` record, built without ``validate_matching``.
     """
     n = multiset.modulus
-    lefts = [Vertex(Side.LEFT, i) for i in range(n)]
-    rights = [Vertex(Side.RIGHT, i) for i in range(n)]
-    shifts = {a: Matching(frozenset(Edge(lefts[i], rights[(i + a) % n]) for i in range(n)))
-              for a in set(multiset.elements)}
-    return MatchingFamily(tuple(shifts[a] for a in multiset.elements))
+    return MatchingFamily(tuple(_shift(n, a) for a in multiset.elements))
+
+
+# the shifts ``_shift`` keeps, which hold at most this many times the largest
+# modulus in edges
+_SHIFT_MEMO_SIZE = 64
+
+
+@lru_cache(maxsize=_SHIFT_MEMO_SIZE)
+def _shift(n: int, a: int) -> Matching:
+    """The shift i -> i + a mod n as a matching of the residues mod n."""
+    return Matching(frozenset(edge(i, (i + a) % n) for i in range(n)))
 
 
 def _charge_shift_family(multiset: ResidueMultiset, budget: int) -> None:

@@ -1,5 +1,5 @@
-"""The summary of ``tools/ab.py`` on canned benchmark result lines; no
-benchmark runs here."""
+"""The summary of ``tools/ab.py`` on canned benchmark result lines, and the
+refusals of its command line; no benchmark runs here."""
 
 import json
 import sys
@@ -104,3 +104,22 @@ def test_verdicts_refuse_like_the_summary():
         ab.verdicts(END_TO_END, [(_line(100, 1.0, correct=False), _line(100, 1.0))])
     with pytest.raises(ab.Refused):
         ab.verdicts(END_TO_END, [])
+
+
+@pytest.mark.parametrize("options,message", [
+    (["--workload", "egz-shift", "--pairs", "1", "--seconds", "1"],
+     "unknown workload 'egz-shift'; BENCHMARK.json has drisko-threshold, "),
+    (["--workload", "egz-shifts", "--pairs", "0", "--seconds", "1"],
+     "--pairs and --seconds must be positive"),
+    (["--workload", "egz-shifts", "--pairs", "1", "--seconds", "0"],
+     "--pairs and --seconds must be positive"),
+])
+def test_main_refuses_bad_options_before_any_run(monkeypatch, capsys, options, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a benchmark run started")
+
+    monkeypatch.setattr(ab.subprocess, "run", refuse)
+    with pytest.raises(SystemExit) as info:
+        ab.main(["parent", "change", "--seed", "1", *options])
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err

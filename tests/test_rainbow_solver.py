@@ -10,6 +10,7 @@ from rainbowkit import (
     ExtremalCycle,
     ExtremalPair,
     GenSpec,
+    GuaranteeViolation,
     HasRainbow,
     Matching,
     MatchingFamily,
@@ -17,6 +18,7 @@ from rainbowkit import (
     PathGroup,
     PreconditionError,
     ResidueMultiset,
+    SOURCE,
     Side,
     TheoremViolation,
     Vertex,
@@ -30,12 +32,13 @@ from rainbowkit import (
     edge,
     egz_family,
     enumerate_matchings,
+    find_multicolored_st_path,
     find_rainbow_matching,
     generate,
     rainbow_is_valid,
     validate_matching,
 )
-from rainbowkit import rainbow_solver
+from rainbowkit import network_paths, rainbow_solver
 from rainbowkit.errors import Meter
 from rainbowkit.rainbow_solver import _cycle_split
 
@@ -224,6 +227,72 @@ class TestFindRainbowMatching:
             assert (mine is None) == (brute_rainbow(fam, target) is None)
             if mine is not None:
                 assert len(mine) == target and rainbow_is_valid(mine, fam)
+
+
+def _threshold_stream():
+    """Seeded (family, target) pairs: uniform and mixed families at the
+    target their sizes guarantee, and shift families of 2n - 2 and 2n - 1
+    residues mod n at n."""
+    rng = random.Random(32)
+    for n in (3, 4):
+        for _ in range(15):
+            spec = GenSpec.family_uniform(n, 2 * n - 1, n + 1, rng.getrandbits(63))
+            yield generate(spec), n
+    for _ in range(60):
+        sizes = tuple(rng.randint(1, 5) for _ in range(rng.randint(3, 7)))
+        target = max(t for t in range(1, min(len(sizes), max(sizes)) + 1)
+                     if drisko_condition(sizes, t))
+        side = max(sizes) + rng.randint(0, 2)
+        yield generate(GenSpec.family_mixed(sizes, side, rng.getrandbits(63))), target
+    for n in range(2, 7):
+        for count in (2 * n - 2, 2 * n - 1):
+            for _ in range(4):
+                multiset = generate(GenSpec.multiset(n, count, rng.getrandbits(63)))
+                yield egz_family(multiset), n
+
+
+class TestSolverNetworksSkipThePublicCheck:
+    """The search hands each network it builds straight to the contraction
+    construction, without ``find_multicolored_st_path``'s check that the
+    inner count covers the nodes in use; on the search's own networks that
+    holds by construction, and the witness is the public function's."""
+
+    def test_every_network_meets_the_check_and_gets_the_public_witness(
+            self, monkeypatch):
+        real = rainbow_solver._witnesses
+        seen = []
+
+        def spy(network, inner_count, first, budget):
+            witnesses = real(network, inner_count, first, budget)
+            head = next(witnesses, None)
+            seen.append((network, inner_count, head))
+            if head is not None:
+                yield head
+                yield from witnesses
+
+        monkeypatch.setattr(rainbow_solver, "_witnesses", spy)
+        for fam, target in _threshold_stream():
+            find_rainbow_matching(fam, target)
+        constructed = contracted = 0
+        for network, inner_count, head in seen:
+            assert all(0 <= v < inner_count for v in network.inner_nodes)
+            if network.total_paths > inner_count:
+                constructed += 1
+                contracted += all(p.edge_count > 1 for g in network.groups for p in g)
+                assert head == find_multicolored_st_path(network, inner_count)
+        # the stream reaches both the level-0 direct edge and the contraction
+        assert constructed > contracted > 0
+
+    def test_unbuilt_witness_raises_from_the_solver(self, monkeypatch):
+        # once color 0 takes (0, 0), colors 1 and 2 (one class) each step
+        # s->0->t: two paths over one inner node, and no direct edge
+        fam = family([edge(0, 0)], [edge(1, 0), edge(0, 1)], [edge(1, 0), edge(0, 1)])
+        assert find_rainbow_matching(fam, 2).entries == (
+            (1, edge(1, 0)), (2, edge(0, 1)))
+        monkeypatch.setattr(network_paths, "_reach",
+                            lambda groups: ({SOURCE: (-1, SOURCE, -1)}, []))
+        with pytest.raises(GuaranteeViolation, match="^more paths than inner nodes "):
+            find_rainbow_matching(fam, 2)
 
 
 @st.composite

@@ -152,6 +152,52 @@ class TestEgzFamily:
                 (i, (i + a) % n) for i in range(n)]
 
 
+class TestShiftMemo:
+    """egz_family takes each shift from a bounded memo keyed by (modulus,
+    residue); what it and the searches return does not depend on the memo."""
+
+    def test_equal_shifts_are_one_object_across_calls(self):
+        before = egz_family(ResidueMultiset(5, (1, 2)))
+        after = egz_family(ResidueMultiset(5, (2, 2, 3)))
+        assert after[0] is before[1] and after[1] is before[1]
+        assert egz_family(ResidueMultiset(6, (2,)))[0] is not before[1]
+
+    def test_searches_agree_with_a_cleared_and_a_warm_memo(self):
+        rng = random.Random(32)
+        multisets = [
+            (generate(GenSpec.multiset(n, 2 * n - 1, rng.getrandbits(63))),
+             generate(GenSpec.multiset(n, 2 * n - 2, rng.getrandbits(63))))
+            for n in range(2, 10) for _ in range(5)]
+
+        def solve(full, short):
+            return find_zero_sum_subset(full), classify_multiset(short)
+
+        cold = []
+        for full, short in multisets:
+            reductions._shift.cache_clear()
+            cold.append(solve(full, short))
+        hits = reductions._shift.cache_info().hits
+        warm = [solve(full, short) for full, short in multisets]
+        assert warm == cold
+        assert reductions._shift.cache_info().hits > hits
+
+    def test_memo_holds_at_most_its_bound(self):
+        shifts = [(n, a) for n in range(2, 16) for a in range(n)]
+        assert len(shifts) > reductions._SHIFT_MEMO_SIZE
+        for n, a in shifts:
+            egz_family(ResidueMultiset(n, (a,)))
+        info = reductions._shift.cache_info()
+        assert info.maxsize == reductions._SHIFT_MEMO_SIZE
+        assert info.currsize <= reductions._SHIFT_MEMO_SIZE
+        # an evicted shift is built again, equal to what it was
+        (member,) = egz_family(ResidueMultiset(2, (1,)))
+        assert list(member) == [edge(0, 1), edge(1, 0)]
+        # more distinct residues than the memo keeps: equal ones still share
+        fam = egz_family(ResidueMultiset(100, tuple(range(100)) * 2))
+        assert all(fam[2 * a] is fam[2 * a + 1] for a in range(100))
+        assert reductions._shift.cache_info().currsize <= reductions._SHIFT_MEMO_SIZE
+
+
 class TestFindZeroSumSubset:
     def test_three_residues_mod_two(self):
         assert find_zero_sum_subset(ResidueMultiset(2, (0, 0, 1))) == (0, 0)

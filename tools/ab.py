@@ -128,6 +128,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.pairs < 1 or args.seconds <= 0:
         parser.error("--pairs and --seconds must be positive")
     spec = json.loads(BENCHMARK.read_text(encoding="utf-8"))
+    workloads = [workload["name"] for workload in spec["workloads"]]
+    if args.workload not in workloads:
+        parser.error(f"unknown workload {args.workload!r}; "
+                     f"BENCHMARK.json has {', '.join(workloads)}")
     pairs = []
     try:
         for i in range(args.pairs):
