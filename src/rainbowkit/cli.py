@@ -161,7 +161,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     else:
         assert args.kind == "mcpath"
         instance = jsonio.network_from_obj(_load(args.input))
-        found = find_multicolored_st_path(instance, len(instance.inner_nodes), _budget())
+        found = find_multicolored_st_path(instance, budget=_budget())
         to_obj = jsonio.colored_path_to_obj
     # only a rainbow matching's check reads a size: the target, None elsewhere
     if _certified(found, instance, args.target) is None:

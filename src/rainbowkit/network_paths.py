@@ -6,9 +6,13 @@ distinct group. The constructive searches below read the contraction
 construction, which contracts the source together with one pivot group's
 first inner nodes level by level, from one pass over the groups: each node is
 reached at the first level whose pivot steps to it from a node reached
-before, and its witness is that node's witness plus the step. The
+before, and its witness is that node's witness plus the step.
+``reachable_witness_set`` builds every reached node's witness forward from
+that record. The counting lemma's witness stream, which the rainbow solver
+and ``find_multicolored_st_path`` read, walks back from one step to the sink
+when the family holds more paths than inner nodes, and then enumerates. The
 dichotomy's verdict writes the same record of reached nodes with an adaptive
-pivot order, and every witness is read back from that record by one walk.
+pivot order and walks its witness back the same way.
 """
 
 from __future__ import annotations
@@ -260,49 +264,57 @@ def reachable_witness_set(family: PathGroupFamily) -> dict[NetNode, ColoredPath]
 
 
 def find_multicolored_st_path(
-    family: PathGroupFamily, inner_count: int, budget: int = DEFAULT_BUDGET
+    family: PathGroupFamily, *, budget: int = DEFAULT_BUDGET
 ) -> Optional[ColoredPath]:
     """Find a source-to-sink path using each group for at most one edge.
 
-    With more paths than ``inner_count`` ambient inner nodes a witness always
-    exists and is produced by the contraction construction, from the first
+    With more paths than the inner nodes it uses, a family always has a
+    witness, and the contraction construction produces one from the first
     level where some group has the direct edge; failing to build one in that
     regime raises GuaranteeViolation, which would flag a bug. At or below the
     threshold, an exhaustive search decides existence exactly and returns
     the lexicographically first witness, or None; it runs under ``budget``
-    as in ``iter_multicolored_st_paths``.
-
-    ``inner_count`` is the ambient network's inner node count; it must cover
-    every inner node the family uses.
+    as in ``iter_multicolored_st_paths``. Both are the head of the witness
+    stream that the rainbow solver reads.
     """
-    used = len(family.inner_nodes)
-    if inner_count < used:
-        raise PreconditionError(
-            f"inner_count {inner_count} is below the {used} inner nodes in use")
-    if family.total_paths <= inner_count:
-        return next(iter_multicolored_st_paths(family, budget=budget), None)
-    return _construct_witness(family)
+    return next(_witnesses(family, len(family.inner_nodes),
+                           range(len(family.groups)), budget), None)
 
 
-def _construct_witness(family: PathGroupFamily) -> ColoredPath:
-    """The contraction construction's witness on a family that holds more
-    paths than the inner nodes it may use: a group's own direct edge at
-    level 0, or else the first of ``_reach``'s steps to the sink. The caller
-    checks that count; failing to build a witness raises GuaranteeViolation,
-    which would flag a bug."""
-    groups = _groups(family)
-    # most calls end at level 0, on a group's own direct edge
-    for color, paths in groups:
-        if any(p.edge_count == 1 for p in paths):
-            return ColoredPath((SOURCE, SINK), (color,))
-    # before the first direct edge, contraction merges two paths of a group
-    # only into it, and otherwise the group sizes carry over exactly
-    reached, steps = _reach(groups)
-    if not steps:
-        raise GuaranteeViolation(
-            "more paths than inner nodes but no multicolored witness was built")
-    _, _, _, node, color = min(steps)
-    return _walk_back(reached, node, color)
+def _witnesses(family: PathGroupFamily, inner_count: int,
+               classes: Sequence[Hashable], budget: int) -> Iterator[ColoredPath]:
+    """The counting lemma's witness stream. With more paths than
+    ``inner_count``, which must cover the inner nodes in use, the contraction
+    construction's witness comes first: a group's own direct edge at level 0,
+    or else the first of ``_reach``'s steps to the sink; failing to build it
+    raises GuaranteeViolation, which would flag a bug. Then come
+    ``iter_multicolored_st_paths``' witnesses under ``classes`` and
+    ``budget``, less those with the constructed witness's nodes and color
+    classes."""
+    nodes = signature = None
+    if family.total_paths > inner_count:
+        groups = _groups(family)
+        # most calls end at level 0, on a group's own direct edge
+        for color, paths in groups:
+            if any(p.edge_count == 1 for p in paths):
+                constructed = ColoredPath((SOURCE, SINK), (color,))
+                break
+        else:
+            # before the first direct edge, contraction merges two paths of a
+            # group only into it, and otherwise the group sizes carry over
+            reached, steps = _reach(groups)
+            if not steps:
+                raise GuaranteeViolation(
+                    "more paths than inner nodes but no multicolored witness was built")
+            _, _, _, node, color = min(steps)
+            constructed = _walk_back(reached, node, color)
+        yield constructed
+        # the witnesses of the head's signature have its children in the
+        # search, so the stream resumes past all of them
+        nodes, signature = constructed.nodes, [classes[c] for c in constructed.colors]
+    for witness in iter_multicolored_st_paths(family, classes=classes, budget=budget):
+        if witness.nodes != nodes or [classes[c] for c in witness.colors] != signature:
+            yield witness
 
 
 def _walk_back(reached: _Reached, node: NetNode, color: int) -> ColoredPath:

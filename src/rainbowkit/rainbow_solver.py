@@ -27,13 +27,11 @@ from .graph_core import (
 from .network_paths import (
     SINK,
     SOURCE,
-    ColoredPath,
     NetNode,
     NetPath,
     PathGroup,
     PathGroupFamily,
-    _construct_witness,
-    iter_multicolored_st_paths,
+    _witnesses,
 )
 
 
@@ -201,11 +199,12 @@ def find_rainbow_matching(
 
     The search grows a partial rainbow matching by multicolored augmentation:
     translate all augmenting paths of every unrepresented color into the
-    contracted network, take a multicolored source-sink path (constructed
-    directly whenever the network holds more paths than matched edges), pull
-    it back, and apply the symmetric difference, recoloring each new edge by
-    the color that supplied its network edge. Dead ends backtrack over the
-    remaining multicolored paths and pull-back choices, so the search is
+    contracted network, take a multicolored source-sink path from
+    ``network_paths``' witness stream (constructed first whenever the network
+    holds more paths than matched edges, then enumerated), pull it back, and
+    apply the symmetric difference, recoloring each new edge by the color
+    that supplied its network edge. Dead ends backtrack over the rest of the
+    stream and the pull-back choices, so the search is
     exhaustive: None means no rainbow matching of the requested size exists.
     A state's memo key is the set of (first color of its member's class, left
     index, right index) triples, one per edge, so states that differ only by
@@ -309,27 +308,6 @@ def _search(family: MatchingFamily, target: int, budget: int) -> Optional[Rainbo
         else:
             path.pop()
     return None
-
-
-def _witnesses(network: PathGroupFamily, inner_count: int, first: list[int],
-               budget: int) -> Iterator[ColoredPath]:
-    """Candidate augmentations: the constructed witness first when the network holds
-    more paths than matched edges, then the first multicolored path of every (nodes,
-    color classes) signature, less the constructed witness's, under ``budget``.
-
-    Inner node i stands for the i-th matched edge, so the network uses no inner
-    node outside ``range(inner_count)`` and the construction is called directly,
-    without ``find_multicolored_st_path``'s check of that."""
-    nodes = classes = None
-    if network.total_paths > inner_count:
-        constructed = _construct_witness(network)
-        yield constructed
-        # resumed only once the constructed witness failed, and so did every
-        # witness of its signature: they all have its children, now dead
-        nodes, classes = constructed.nodes, [first[c] for c in constructed.colors]
-    for witness in iter_multicolored_st_paths(network, classes=first, budget=budget):
-        if witness.nodes != nodes or [first[c] for c in witness.colors] != classes:
-            yield witness
 
 
 def drisko_condition(sizes: Iterable[int], size: int) -> bool:

@@ -163,7 +163,8 @@ class TestSolve:
                                                     monkeypatch, witness):
         net = tmp_path / "net.json"
         net.write_text(json.dumps([[["s", 0, "t"]], [["s", 0, "t"]]]))
-        monkeypatch.setattr(cli, "find_multicolored_st_path", lambda *args: witness)
+        monkeypatch.setattr(cli, "find_multicolored_st_path",
+                            lambda *args, **kwargs: witness)
         code, out, err = run_cli(capsys, "solve", "mcpath", "--input", str(net))
         assert (code, out) == (4, "")
         assert err.startswith("internal invariant failure: ")

@@ -100,7 +100,7 @@ class TestWitnessSerialization:
     def test_colored_path_colors_are_input_positions(self):
         fam = jsonio.network_from_obj([[], [["s", 0, "t"]], [["s", 0, "t"]]])
         from rainbowkit import find_multicolored_st_path
-        witness = find_multicolored_st_path(fam, 1)
+        witness = find_multicolored_st_path(fam)
         obj = jsonio.colored_path_to_obj(witness)
         assert obj == {"nodes": ["s", 0, "t"], "colors": [1, 2]}
 

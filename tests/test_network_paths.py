@@ -106,7 +106,7 @@ class TestBuildFamily:
         assert fam.groups == (empty, full, empty, full)
         assert fam.total_paths == 2
         # the empty groups color nothing; the witness colors are input positions
-        witness = find_multicolored_st_path(fam, 1)
+        witness = find_multicolored_st_path(fam)
         assert (witness.nodes, witness.colors) == (("s", 0, "t"), (1, 3))
 
 
@@ -238,25 +238,25 @@ class TestReachableWitnessSet:
 class TestFindMulticoloredStPath:
     def test_direct_edge(self):
         fam = build_family([[path("s", "t")]])
-        found = find_multicolored_st_path(fam, 0)
+        found = find_multicolored_st_path(fam)
         assert found.nodes == (SOURCE, SINK)
         assert found.colors == (0,)
 
     def test_two_copies_above_threshold(self):
         fam = build_family([[path("s", 0, "t")], [path("s", 0, "t")]])
-        found = find_multicolored_st_path(fam, 1)
+        found = find_multicolored_st_path(fam)
         assert found.nodes == (SOURCE, 0, SINK)
         assert found.colors == (0, 1)
 
     def test_search_below_threshold(self):
         fam = build_family([[path("s", 0, 1, "t")], [path("s", 1, "t")]])
-        found = find_multicolored_st_path(fam, 2)
+        found = find_multicolored_st_path(fam)
         assert found.nodes == (SOURCE, 1, SINK)
         assert found.colors == (1, 0)
 
     def test_later_path_hopping_from_pivot_node_to_sink(self):
         fam = build_family([[path("s", 0, 1, "t")], [path("s", 2, 0, "t")]])
-        found = find_multicolored_st_path(fam, 3)
+        found = find_multicolored_st_path(fam)
         assert found.nodes == (SOURCE, 0, SINK)
         assert found.colors == (0, 1)
         # contraction turns the hop into the second group's direct edge
@@ -284,7 +284,7 @@ class TestFindMulticoloredStPath:
         for groups, first, deepest in cases:
             fam = build_family([[path(*p) for p in g] for g in groups])
             assert fam.total_paths > len(fam.inner_nodes)
-            found = find_multicolored_st_path(fam, len(fam.inner_nodes))
+            found = find_multicolored_st_path(fam)
             assert (found.nodes, found.colors) == first
             sink = reachable_witness_set(fam)[SINK]
             assert (sink.nodes, sink.colors) == deepest
@@ -295,11 +295,13 @@ class TestFindMulticoloredStPath:
                             lambda groups: ({SOURCE: (-1, SOURCE, -1)}, []))
         fam = build_family([[path("s", 0, "t")], [path("s", 0, "t")]])
         with pytest.raises(GuaranteeViolation, match="^more paths than inner nodes "):
-            find_multicolored_st_path(fam, 1)
+            find_multicolored_st_path(fam)
 
-    def test_inner_count_must_cover_used_nodes(self):
-        fam = build_family([[path("s", 0, 1, "t")]])
-        with pytest.raises(PreconditionError):
+    def test_stale_inner_count_is_refused(self):
+        # the inner count is the family's own; a stale positional count
+        # must not be read as the budget
+        fam = build_family([[path("s", 0, "t")], [path("s", 0, "t")]])
+        with pytest.raises(TypeError):
             find_multicolored_st_path(fam, 1)
 
     def test_agrees_with_oracle_at_or_below_threshold(self):
@@ -320,10 +322,9 @@ class TestFindMulticoloredStPath:
                         g.append(p)
                 groups.append(g)
             fam = build_family(groups)
-            used = len(fam.inner_nodes)
-            if fam.total_paths > used:
+            if fam.total_paths > len(fam.inner_nodes):
                 continue
-            found = find_multicolored_st_path(fam, used)
+            found = find_multicolored_st_path(fam)
             exact = brute_mc_path(fam)
             assert (found is not None) == (SINK in exact)
             if found is not None:
@@ -339,7 +340,7 @@ class TestFindMulticoloredStPath:
             doubled = PathGroupFamily(fam.groups + fam.groups)
             if doubled.total_paths <= len(doubled.inner_nodes):
                 continue
-            found = find_multicolored_st_path(doubled, len(doubled.inner_nodes))
+            found = find_multicolored_st_path(doubled)
             assert found is not None
             assert colored_path_conforms(found, doubled)
             assert found.target == SINK
@@ -363,11 +364,11 @@ class TestExhaustiveBudget:
         # three copies of a 4-edge path: 3 + 6 + 6 extensions, none reaching t
         fam = build_family([[path("s", 0, 1, 2, "t")]] * 3)
         assert list(iter_multicolored_st_paths(fam, budget=15)) == []
-        assert find_multicolored_st_path(fam, 3, budget=15) is None
+        assert find_multicolored_st_path(fam, budget=15) is None
         with pytest.raises(BudgetExceeded):
             list(iter_multicolored_st_paths(fam, budget=14))
         with pytest.raises(BudgetExceeded):
-            find_multicolored_st_path(fam, 3, budget=14)
+            find_multicolored_st_path(fam, budget=14)
 
 
 def _reference_paths(family):
@@ -463,6 +464,37 @@ class TestCanonicalEnumeration:
 
 
 @st.composite
+def streamed_families(draw):
+    """A drawn network with one class per color, or the same network with
+    every group listed twice, each color's class its position modulo the
+    drawn group count."""
+    fam = draw(networks())
+    count = len(fam.groups)
+    if draw(st.booleans()):
+        fam = PathGroupFamily(fam.groups * 2)
+    return fam, [c % count for c in range(len(fam.groups))]
+
+
+class TestWitnessStream:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(streamed_families())
+    def test_head_then_the_enumeration_less_its_signature(self, drawn):
+        fam, classes = drawn
+        stream = list(network_paths._witnesses(
+            fam, len(fam.inner_nodes), classes, DEFAULT_BUDGET))
+        every = list(iter_multicolored_st_paths(fam, classes=classes))
+        if fam.total_paths <= len(fam.inner_nodes):
+            assert stream == every
+            return
+        head, rest = stream[0], stream[1:]
+        assert colored_path_conforms(head, fam)
+        assert head.target == SINK
+        assert head == find_multicolored_st_path(fam)
+        assert rest == [w for w in every
+                        if _signature(w, classes) != _signature(head, classes)]
+
+
+@st.composite
 def padded_families(draw):
     """A drawn network, the same groups with 0-2 empty ones inserted at each
     gap, and each group's position in the padded family."""
@@ -485,9 +517,8 @@ class TestEmptyGroupPadding:
     @given(padded_families())
     def test_padding_only_relabels_witness_colors(self, drawn):
         fam, padded, positions = drawn
-        inner = len(fam.inner_nodes)
-        found = find_multicolored_st_path(fam, inner)
-        assert find_multicolored_st_path(padded, inner) == (
+        found = find_multicolored_st_path(fam)
+        assert find_multicolored_st_path(padded) == (
             None if found is None else _relabel(found, positions))
         assert list(iter_multicolored_st_paths(padded)) == [
             _relabel(w, positions) for w in iter_multicolored_st_paths(fam)]

@@ -252,10 +252,11 @@ def _threshold_stream():
 
 
 class TestSolverNetworksSkipThePublicCheck:
-    """The search hands each network it builds straight to the contraction
-    construction, without ``find_multicolored_st_path``'s check that the
-    inner count covers the nodes in use; on the search's own networks that
-    holds by construction, and the witness is the public function's."""
+    """The search hands each network it builds straight to
+    ``network_paths._witnesses`` with its matched-edge count, not the count
+    of inner nodes in use that ``find_multicolored_st_path`` computes; the
+    matched-edge count covers those nodes by construction, and the head of
+    the stream is the public function's witness."""
 
     def test_every_network_meets_the_check_and_gets_the_public_witness(
             self, monkeypatch):
@@ -279,7 +280,7 @@ class TestSolverNetworksSkipThePublicCheck:
             if network.total_paths > inner_count:
                 constructed += 1
                 contracted += all(p.edge_count > 1 for g in network.groups for p in g)
-                assert head == find_multicolored_st_path(network, inner_count)
+                assert head == find_multicolored_st_path(network)
         # the stream reaches both the level-0 direct edge and the contraction
         assert constructed > contracted > 0
 

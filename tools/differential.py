@@ -303,9 +303,8 @@ def witness_section(draws: int, seed: int = 13) -> list:
         family = _arbitrary_network(rng)
         wit = rk.reachable_witness_set(family)
         record = [[node, list(w.nodes), list(w.colors)] for node, w in wit.items()]
-        inner = len(family.inner_nodes)
-        if family.total_paths > inner:
-            record.append(outcome(lambda: rk.find_multicolored_st_path(family, inner)))
+        if family.total_paths > len(family.inner_nodes):
+            record.append(outcome(lambda: rk.find_multicolored_st_path(family)))
         records.append(record)
     return records
 
