@@ -51,7 +51,6 @@ from .rainbow_solver import (
     ExtremalCycle,
     FamilyClassification,
     HasRainbow,
-    NetworkTranslation,
     build_contracted_network,
     classify_family,
     drisko_condition,

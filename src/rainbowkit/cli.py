@@ -94,6 +94,8 @@ def _load(path: str) -> object:
         raise InputError(f"{path}: not UTF-8 text at byte {exc.start}: {exc.reason}")
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    except ValueError:  # past decode errors, only an integer too long to convert
+        raise InputError(f"{path}: a number has more than {sys.get_int_max_str_digits()} digits")
     except RecursionError:
         raise InputError(f"{path}: JSON nested too deeply")
 

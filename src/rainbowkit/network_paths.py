@@ -284,13 +284,13 @@ def find_multicolored_st_path(
 def _witnesses(family: PathGroupFamily, inner_count: int,
                classes: Sequence[Hashable], budget: int) -> Iterator[ColoredPath]:
     """The counting lemma's witness stream. With more paths than
-    ``inner_count``, which must cover the inner nodes in use, the contraction
-    construction's witness comes first: a group's own direct edge at level 0,
-    or else the first of ``_reach``'s steps to the sink; failing to build it
-    raises GuaranteeViolation, which would flag a bug. Then come
-    ``iter_multicolored_st_paths``' witnesses under ``classes`` and
-    ``budget``, less those with the constructed witness's nodes and color
-    classes."""
+    ``inner_count``, which counts at least the inner nodes in use and does not
+    bound their labels, the contraction construction's witness comes first: a
+    group's own direct edge at level 0, or else the first of ``_reach``'s
+    steps to the sink; failing to build it raises GuaranteeViolation, which
+    would flag a bug. Then come ``iter_multicolored_st_paths``' witnesses
+    under ``classes`` and ``budget``, less those with the constructed
+    witness's nodes and color classes."""
     nodes = signature = None
     if family.total_paths > inner_count:
         groups = _groups(family)

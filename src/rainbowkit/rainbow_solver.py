@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
     DEFAULT_BUDGET,
@@ -35,46 +35,6 @@ from .network_paths import (
 )
 
 
-class NetworkTranslation:
-    """Bookkeeping that links a contracted network back to the bipartite graph.
-
-    ``matched_edges`` lists the current rainbow edges in order; inner node i
-    of the network stands for ``matched_edges[i]``. ``pullback(color)`` maps
-    each network edge of the color's group to the graph edges behind it: one
-    edge for an edge into or out of an inner node, and every single-edge
-    augmenting path, sorted, for the direct source-sink edge. It is empty
-    when the group is. The network is built without these maps: the first
-    color of a class to ask translates the class member's augmenting paths
-    against the matching, once for every color of the class.
-    """
-
-    __slots__ = ("matched_edges", "_groups", "_family", "_first", "_node_of",
-                 "_base", "_pulled")
-
-    def __init__(self, matched_edges: tuple[Edge, ...], groups: tuple[PathGroup, ...],
-                 family: MatchingFamily, first: Sequence[int],
-                 node_of: dict[int, int]) -> None:
-        self.matched_edges = matched_edges
-        self._groups = groups
-        self._family = family
-        self._first = first
-        self._node_of = node_of
-        self._base: Optional[Matching] = None
-        self._pulled: dict[int, _Pullback] = {}
-
-    def pullback(self, color: int) -> _Pullback:
-        if not self._groups[color]:
-            return {}
-        k = self._first[color]
-        pulled = self._pulled.get(k)
-        if pulled is None:
-            if self._base is None:
-                self._base = Matching(frozenset(self.matched_edges))
-            pulled = self._pulled[k] = _pull_back(
-                self._base, self._family[k], self._node_of)
-        return pulled
-
-
 _Pullback = dict[tuple[NetNode, NetNode], tuple[Edge, ...]]
 _MemberMap = dict[int, int]
 _DIRECT = NetPath((SOURCE, SINK))
@@ -84,15 +44,16 @@ def build_contracted_network(
     family: MatchingFamily, assignment: Mapping[int, Edge],
     first: Optional[Sequence[int]] = None,
     maps: Optional[Mapping[int, _MemberMap]] = None,
-) -> tuple[PathGroupFamily, int, NetworkTranslation]:
+) -> tuple[PathGroupFamily, int, Callable[[int], _Pullback]]:
     """Translate every augmenting path of every color outside ``assignment``
     into a network over one inner node per edge of the partial rainbow
-    matching ``assignment`` (color -> edge).
+    matching ``assignment`` (color -> edge). Inner node l stands for the
+    matched edge whose left index is l, so the nodes sort as their edges do.
 
     Walking an augmenting path from its unmatched left endpoint, each edge
     outside the matching becomes one network edge: entering the matched edge
-    f gives source->v(f), stepping from matched f to matched g gives
-    v(f)->v(g), leaving f for an unmatched right vertex gives v(f)->sink, and
+    (l, r) gives source->l, stepping from it to the matched edge (l', r')
+    gives l->l', leaving it for an unmatched right vertex gives l->sink, and
     a path that is a single edge becomes the direct source->sink edge. Since
     the augmenting paths of one color are vertex disjoint, each group is
     innerly disjoint, and only the direct edge can be shared by several paths
@@ -105,20 +66,21 @@ def build_contracted_network(
     particular order; a search passes the ones it built, and a direct call
     leaves both out to have them built here. The network is an integer walk
     over those maps, one per class outside ``assignment``, whose colors
-    share one group; the walk builds no edges. Graph edges come back only through the
-    translation's ``pullback``, built on first use per class.
+    share one group; the walk builds no edges.
 
-    Returns the network family, the inner node count, and the translation
-    needed to pull a network witness back to graph edges.
+    Returns the network family, the inner node count, and ``pullback``, the
+    way back to graph edges: ``pullback(color)`` maps each network edge of
+    the color's group to the graph edges behind it, one edge for an edge
+    into or out of an inner node and every single-edge augmenting path,
+    sorted, for the direct source-sink edge. It is empty when the group is.
+    The first color of a class to ask reads the class member's augmenting
+    paths against the matching, once for every color of the class.
     """
     if first is None or maps is None:
         first, maps = _member_maps(family)
-    # left indices are distinct within a matching, so this is the edge order
-    matched = tuple(sorted(assignment.values(), key=_left_index))
     # a matching's right indices are distinct, so each names its edge's node
-    node_of = {e.right.index: i for i, e in enumerate(matched)}
-    left_of = [e.left.index for e in matched]
-    taken = set(left_of)
+    mate = {e.right.index: e.left.index for e in assignment.values()}
+    taken = set(mate.values())
 
     walked: dict[int, PathGroup] = {}
     groups: list[PathGroup] = []
@@ -128,40 +90,44 @@ def build_contracted_network(
             continue
         group = walked.get(k)
         if group is None:
-            group = walked[k] = _walk(maps[k], node_of, left_of, taken)
+            group = walked[k] = _walk(maps[k], mate, taken)
         groups.append(group)
 
     groups = tuple(groups)
-    translation = NetworkTranslation(matched, groups, family, first, node_of)
-    return PathGroupFamily(groups), len(matched), translation
+    matched = frozenset(assignment.values())
+    pulled: dict[int, _Pullback] = {}
+
+    def pullback(color: int) -> _Pullback:
+        if not groups[color]:
+            return {}
+        k = first[color]
+        if k not in pulled:
+            pulled[k] = _pull_back(Matching(matched), family[k])
+        return pulled[k]
+
+    return PathGroupFamily(groups), len(matched), pullback
 
 
-def _left_index(e: Edge) -> int:
-    return e.left.index
-
-
-def _walk(member: _MemberMap, node_of: dict[int, int], left_of: list[int],
-          taken: set[int]) -> PathGroup:
+def _walk(member: _MemberMap, mate: dict[int, int], taken: set[int]) -> PathGroup:
     """One member's network group: the inner nodes of each of its augmenting
-    paths, walked from every left index ``taken`` leaves free. ``node_of``
-    maps the right index of each matched edge to its inner node, and
-    ``left_of`` each inner node to its matched edge's left index."""
+    paths, walked from every left index ``taken`` leaves free. ``mate`` maps
+    the right index of each matched edge to its left index, its node."""
     runs: list[list[int]] = []
     direct = False
     for left, right in member.items():
         if left in taken:
             continue
-        node = node_of.get(right)
+        node = mate.get(right)
         if node is None:
             direct = True
             continue
         run = []
         while node is not None:
             run.append(node)
-            right = member.get(left_of[node])
+            right = member.get(node)
             if right is None:
                 break  # the path stops at a matched left: not augmenting
-            node = node_of.get(right)
+            node = mate.get(right)
         else:
             runs.append(run)
     # the paths are vertex disjoint, so their first inner nodes differ and
@@ -173,7 +139,7 @@ def _walk(member: _MemberMap, node_of: dict[int, int], left_of: list[int],
     return tuple(paths)
 
 
-def _pull_back(base: Matching, member: Matching, node_of: dict[int, int]) -> _Pullback:
+def _pull_back(base: Matching, member: Matching) -> _Pullback:
     """The graph edges behind each network edge of ``member``'s group, read
     from its augmenting paths against ``base``."""
     pullback: _Pullback = {}
@@ -184,7 +150,7 @@ def _pull_back(base: Matching, member: Matching, node_of: dict[int, int]) -> _Pu
         if len(free) == 1:
             direct.append(free[0])
             continue
-        nodes = (SOURCE, *(node_of[e.right.index] for e in alt[1::2]), SINK)
+        nodes = (SOURCE, *(e.left.index for e in alt[1::2]), SINK)
         pullback.update(zip(zip(nodes, nodes[1:]), ((e,) for e in free)))
     # the direct edges arrive by left endpoint, which is their sorted order
     if direct:
@@ -199,11 +165,13 @@ def find_rainbow_matching(
 
     The search grows a partial rainbow matching by multicolored augmentation:
     translate all augmenting paths of every unrepresented color into the
-    contracted network, take a multicolored source-sink path from
-    ``network_paths``' witness stream (constructed first whenever the network
-    holds more paths than matched edges, then enumerated), pull it back, and
-    apply the symmetric difference, recoloring each new edge by the color
-    that supplied its network edge. Dead ends backtrack over the rest of the
+    contracted network, whose inner nodes are the matched edges' left
+    indices, take a multicolored source-sink path from ``network_paths``'
+    witness stream (constructed first whenever the network holds more paths
+    than matched edges, then enumerated), pull it back through the network's
+    ``pullback``, and apply the symmetric difference, recoloring each new edge
+    by the color that supplied its network edge: the path's inner nodes name
+    the matched edges it removes. Dead ends backtrack over the rest of the
     stream and the pull-back choices, so the search is
     exhaustive: None means no rainbow matching of the requested size exists.
     A state's memo key is the set of (first color of its member's class, left
@@ -271,15 +239,15 @@ def _search(family: MatchingFamily, target: int, budget: int) -> Optional[Rainbo
         the witnesses with the same nodes and color classes have the same
         children; only the first of them is tried.
         """
-        network, inner_count, translation = build_contracted_network(
+        network, inner_count, pullback = build_contracted_network(
             family, assignment, first, maps)
         for witness in _witnesses(network, inner_count, first, budget):
-            choices = [translation.pullback(c)[step]
+            choices = [pullback(c)[step]
                        for step, c in zip(witness.edges, witness.colors)]
-            # the assignment is a matching, so a right index names one of its edges
-            removed = {translation.matched_edges[v].right.index for v in witness.nodes[1:-1]}
-            kept = {c: e for c, e in assignment.items() if e.right.index not in removed}
-            kept_key = frozenset(t for t in key if t[2] not in removed) if removed else key
+            # each inner node is the left index of the matched edge it removes
+            removed = set(witness.nodes[1:-1])
+            kept = {c: e for c, e in assignment.items() if e.left.index not in removed}
+            kept_key = frozenset(t for t in key if t[1] not in removed) if removed else key
             for new_edges in itertools.product(*choices):
                 meter.spend()
                 child_key = kept_key.union([

@@ -70,7 +70,9 @@ class TestSolve:
     @pytest.mark.parametrize("content,message", [
         (b"\xff\xfe[[", "not UTF-8 text at byte 0: invalid start byte"),
         (b"[" * 100000, "JSON nested too deeply"),
-    ], ids=["not-utf8", "deep"])
+        (b"[[[" + b"9" * 5000 + b",0]]]",
+         f"a number has more than {sys.get_int_max_str_digits()} digits"),
+    ], ids=["not-utf8", "deep", "long-int"])
     def test_unreadable_json_exit_two(self, tmp_path, capsys, content, message):
         bad = tmp_path / "bad.json"
         bad.write_bytes(content)

@@ -55,25 +55,52 @@ def _interleaved(fam):
 
 class TestBuildContractedNetwork:
     def test_empty_base_single_edge_color(self):
-        network, inner, translation = build_contracted_network(family([edge(0, 0)]), {})
+        network, inner, pullback = build_contracted_network(family([edge(0, 0)]), {})
         assert inner == 0
         assert [tuple(p.nodes for p in g) for g in network.groups] == [
             (("s", "t"),)]
-        assert translation.pullback(0) == {("s", "t"): (edge(0, 0),)}
+        assert pullback(0) == {("s", "t"): (edge(0, 0),)}
         # every color represented: one empty group over the one matched edge
-        network, inner, translation = build_contracted_network(
+        network, inner, pullback = build_contracted_network(
             family([edge(0, 0)]), {0: edge(0, 0)})
-        assert (network.groups, inner, translation.pullback(0)) == (
+        assert (network.groups, inner, pullback(0)) == (
             (PathGroup(()),), 1, {})
+
+    def test_inner_nodes_are_matched_left_indices(self):
+        # the matched edge (3, 1) is inner node 3, its left index
+        fam = family([edge(0, 1), edge(3, 2)], [edge(3, 1)])
+        network, inner, pullback = build_contracted_network(fam, {1: edge(3, 1)})
+        assert inner == 1
+        assert [tuple(p.nodes for p in g) for g in network.groups] == [
+            (("s", 3, "t"),), ()]
+        assert pullback(0) == {("s", 3): (edge(0, 1),), (3, "t"): (edge(3, 2),)}
+
+        @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+        @given(families_with_assignments())
+        def every_node_is_an_assigned_left(drawn):
+            fam, assignment = drawn
+            network, _, pullback = build_contracted_network(fam, assignment)
+            at_left = {e.left.index: e for e in assignment.values()}
+            assert network.inner_nodes <= at_left.keys()
+            for c in range(len(fam)):
+                for (u, v), edges in pullback(c).items():
+                    if v in at_left:
+                        # an edge into node v enters its matched edge's right
+                        assert all(e.right == at_left[v].right for e in edges)
+                    if u in at_left:
+                        # an edge out of node u starts at its matched edge's left
+                        assert all(e.left == at_left[u].left for e in edges)
+
+        every_node_is_an_assigned_left()
 
     def test_one_matched_edge_translates_long_path(self):
         fam = family([edge(0, 1), edge(1, 0)], [edge(0, 0)], [edge(2, 2)])
-        network, inner, translation = build_contracted_network(fam, {1: edge(0, 0)})
+        network, inner, pullback = build_contracted_network(fam, {1: edge(0, 0)})
         assert inner == 1
         # group c is color c; the represented color 1 keeps an empty group
         assert [tuple(p.nodes for p in g) for g in network.groups] == [
             (("s", 0, "t"),), (), (("s", "t"),)]
-        assert [translation.pullback(c) for c in range(3)] == [
+        assert [pullback(c) for c in range(3)] == [
             {("s", 0): (edge(1, 0),), (0, "t"): (edge(0, 1),)},
             {},
             {("s", "t"): (edge(2, 2),)}]
@@ -81,11 +108,11 @@ class TestBuildContractedNetwork:
     def test_cycle_color_contributes_no_paths(self, even3, odd3):
         fam = MatchingFamily((even3, even3, even3, odd3))
         current = {0: edge(0, 0), 1: edge(1, 1), 2: edge(2, 2)}
-        network, inner, translation = build_contracted_network(fam, current)
+        network, inner, pullback = build_contracted_network(fam, current)
         assert inner == 3
         # colors 0-2 are represented and color 3 has no augmenting path
         assert network.groups == (PathGroup(()),) * 4
-        assert [translation.pullback(c) for c in range(4)] == [{}] * 4
+        assert [pullback(c) for c in range(4)] == [{}] * 4
 
     @staticmethod
     def _shared_family():
@@ -97,16 +124,15 @@ class TestBuildContractedNetwork:
 
     def test_equal_members_share_one_walk(self):
         fam = self._shared_family()
-        network, inner, translation = build_contracted_network(fam, {4: edge(0, 0)})
+        network, inner, pullback = build_contracted_network(fam, {4: edge(0, 0)})
         assert inner == 1
         assert [tuple(p.nodes for p in g) for g in network.groups] == [
             (("s", 0, "t"), ("s", "t"))] * 3 + [(("s", "t"),), ()]
         # one group object and one pull-back object for the three equal members
         assert network.groups[0] is network.groups[1] is network.groups[2]
-        assert translation.pullback(0) is translation.pullback(1)
-        assert translation.pullback(1) is translation.pullback(2)
-        assert translation.matched_edges == (edge(0, 0),)
-        assert [translation.pullback(c) for c in range(5)] == [
+        assert pullback(0) is pullback(1)
+        assert pullback(1) is pullback(2)
+        assert [pullback(c) for c in range(5)] == [
             {("s", 0): (edge(1, 0),), (0, "t"): (edge(0, 1),),
              ("s", "t"): (edge(2, 2),)}] * 3 + [{("s", "t"): (edge(1, 1),)}, {}]
 
@@ -119,15 +145,15 @@ class TestBuildContractedNetwork:
 
         monkeypatch.setattr(rainbow_solver, "augmenting_paths", counted)
         fam = self._shared_family()
-        network, inner, translation = build_contracted_network(fam, {4: edge(0, 0)})
+        network, inner, pullback = build_contracted_network(fam, {4: edge(0, 0)})
         # the network itself needs no augmenting path
         assert walked == []
         for c in (2, 1, 0, 2):
-            translation.pullback(c)
+            pullback(c)
         # the first color of the class stands for it, whichever color asked
         assert walked == [fam[0]] and walked[0] is fam[0]
-        translation.pullback(3)
-        translation.pullback(4)  # represented: an empty group, nothing to read
+        pullback(3)
+        pullback(4)  # represented: an empty group, nothing to read
         assert walked == [fam[0], fam[3]]
 
     def test_drisko_solve_reads_four_pullbacks_over_three_networks(self, monkeypatch):
@@ -276,7 +302,7 @@ class TestSolverNetworksSkipThePublicCheck:
             find_rainbow_matching(fam, target)
         constructed = contracted = 0
         for network, inner_count, head in seen:
-            assert all(0 <= v < inner_count for v in network.inner_nodes)
+            assert len(network.inner_nodes) <= inner_count
             if network.total_paths > inner_count:
                 constructed += 1
                 contracted += all(p.edge_count > 1 for g in network.groups for p in g)
@@ -349,10 +375,11 @@ def families_with_assignments(draw):
     return fam, assignment
 
 
-def _reference_translation(base, member, node_of):
+def _reference_translation(base, member):
     """One member's group and pull-back map read off ``augmenting_paths``,
-    both empty when it has none: the translation the network's integer walk
-    and lazy pull-back must reproduce."""
+    both empty when it has none, each inner node named by its matched edge's
+    left index: the translation the network's integer walk and lazy
+    pull-back must reproduce."""
     pullback = {}
     direct = []
     nets = []
@@ -361,7 +388,7 @@ def _reference_translation(base, member, node_of):
         if len(free) == 1:
             direct.append(free[0])
             continue
-        nodes = ("s", *(node_of[e.right.index] for e in alt[1::2]), "t")
+        nodes = ("s", *(e.left.index for e in alt[1::2]), "t")
         nets.append(NetPath(nodes))
         pullback.update(zip(zip(nodes, nodes[1:]), ((e,) for e in free)))
     nets.sort(key=NetPath.key)
@@ -376,22 +403,21 @@ class TestPullback:
     @given(families_with_assignments())
     def test_pullback_is_every_free_edge_of_every_augmenting_path(self, drawn):
         fam, assignment = drawn
-        network, inner, translation = build_contracted_network(fam, assignment)
+        network, inner, pullback = build_contracted_network(fam, assignment)
         base = Matching(frozenset(assignment.values()))
-        assert translation.matched_edges == tuple(sorted(assignment.values()))
         assert inner == len(assignment)
         assert len(network.groups) == len(fam)
         for c, member in enumerate(fam):
-            pullback = translation.pullback(c)
+            behind = pullback(c)
             if c in assignment or not augmenting_paths(base, member):
-                assert network.groups[c] == () and pullback == {}
+                assert network.groups[c] == () and behind == {}
                 continue
-            pulled = [e for edges in pullback.values() for e in edges]
+            pulled = [e for edges in behind.values() for e in edges]
             assert all(e in member for e in pulled)
             assert sorted(pulled) == sorted(
                 e for alt in augmenting_paths(base, member) for e in alt[0::2])
-            assert all(list(edges) == sorted(edges) for edges in pullback.values())
-            assert {ne for p in network.groups[c] for ne in p.edges} == set(pullback)
+            assert all(list(edges) == sorted(edges) for edges in behind.values())
+            assert {ne for p in network.groups[c] for ne in p.edges} == set(behind)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(families_with_assignments())
@@ -401,25 +427,22 @@ class TestPullback:
         fam, assignment = drawn
         fresh = {c: edge(e.left.index, e.right.index) for c, e in assignment.items()}
         assert not any(fresh[c] is e for c, e in assignment.items())
-        network, inner, translation = build_contracted_network(fam, assignment)
-        again, inner_again, translation_again = build_contracted_network(fam, fresh)
+        network, inner, pullback = build_contracted_network(fam, assignment)
+        again, inner_again, pullback_again = build_contracted_network(fam, fresh)
         assert (again, inner_again) == (network, inner)
-        assert translation_again.matched_edges == translation.matched_edges
-        assert ([translation_again.pullback(c) for c in range(len(fam))]
-                == [translation.pullback(c) for c in range(len(fam))])
+        assert ([pullback_again(c) for c in range(len(fam))]
+                == [pullback(c) for c in range(len(fam))])
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(families_with_assignments())
     def test_integer_walk_equals_the_augmenting_paths_translation(self, drawn):
         fam, assignment = drawn
-        network, inner, translation = build_contracted_network(fam, assignment)
-        matched = sorted(assignment.values())
-        base = Matching(frozenset(matched))
-        node_of = {e.right.index: i for i, e in enumerate(matched)}
+        network, inner, pullback = build_contracted_network(fam, assignment)
+        base = Matching(frozenset(assignment.values()))
         for c, member in enumerate(fam):
             expected = ((PathGroup(()), {}) if c in assignment
-                        else _reference_translation(base, member, node_of))
-            assert (network.groups[c], translation.pullback(c)) == expected
+                        else _reference_translation(base, member))
+            assert (network.groups[c], pullback(c)) == expected
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(families_with_assignments())
@@ -431,14 +454,14 @@ class TestPullback:
         first, maps = rainbow_solver._member_maps(fam)
         flipped = {k: dict(reversed(m.items())) for k, m in maps.items()}
         assert all(list(flipped[k]) == list(maps[k])[::-1] for k in maps)
-        network, inner, translation = build_contracted_network(
+        network, inner, pullback = build_contracted_network(
             fam, assignment, first, maps)
-        again, inner_again, translation_again = build_contracted_network(
+        again, inner_again, pullback_again = build_contracted_network(
             fam, assignment, first, flipped)
         assert inner_again == inner
         assert again.groups == network.groups
-        assert ([translation_again.pullback(c) for c in range(len(fam))]
-                == [translation.pullback(c) for c in range(len(fam))])
+        assert ([pullback_again(c) for c in range(len(fam))]
+                == [pullback(c) for c in range(len(fam))])
 
     def test_runs_come_in_key_order_whatever_the_map_order(self):
         # a member with two augmenting paths through matched edges, which the
